@@ -31,9 +31,10 @@ AlarmId AlarmManager::register_alarm(AlarmSpec spec, TimePoint first_nominal,
   SIMTY_CHECK_MSG(first_nominal >= sim_.now(),
                   "alarm nominal time must not be in the past");
   const AlarmId id{next_id_++};
+  const std::string_view tag = tag_store_.emplace_back(spec.tag);
   auto alarm = std::make_unique<Alarm>(id, std::move(spec), first_nominal);
   Alarm* raw = alarm.get();
-  registry_.emplace(id.value, Registered{std::move(alarm), std::move(handler)});
+  registry_.emplace(id.value, Registered{std::move(alarm), std::move(handler), tag});
   ++stats_.registrations;
   insert(raw);
   return id;
@@ -79,8 +80,9 @@ void AlarmManager::rebatch_all() {
   // current policy — Android's rebatchAllAlarms.
   std::vector<Alarm*> alarms;
   for (auto& q : queues_) {
-    for (const auto& batch : q) {
+    for (auto& batch : q) {
       for (Alarm* a : batch->members()) alarms.push_back(a);
+      recycle(std::move(batch));
     }
     q.clear();
   }
@@ -177,20 +179,20 @@ void AlarmManager::insert(Alarm* a) {
   const std::optional<std::size_t> slot = select_entry(*a, kind);
   if (slot) {
     SIMTY_CHECK(*slot < q.size());
-    // The join changes the entry's intervals, so re-key it in the index
-    // around the mutation.
-    idx.erase(q[*slot].get());
-    q[*slot]->add(a);
-    SIMTY_CHECK_MSG(!q[*slot]->grace_interval().is_empty(),
+    Batch& entry = *q[*slot];
+    entry.add(a);
+    SIMTY_CHECK_MSG(!entry.grace_interval().is_empty(),
                     "policy joined an entry with no grace overlap");
     SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-join",
-                        static_cast<std::int64_t>(q[*slot]->size()));
-    idx.insert(q[*slot].get());
+                        static_cast<std::int64_t>(entry.size()));
+    // The join changed the entry's intervals; its index node still holds
+    // the old key, which is what update() erases under.
+    idx.update(&entry);
     reposition(q, *slot);
   } else {
     // New singleton entry: a stable_sort would place it after every entry
     // with an equal delivery time (it was appended last), i.e. upper_bound.
-    auto batch = std::make_unique<Batch>(a);
+    std::unique_ptr<Batch> batch = make_batch(a);
     const TimePoint t = batch->delivery_time();
     const auto pos = std::upper_bound(
         q.begin(), q.end(), t, [](TimePoint value, const std::unique_ptr<Batch>& b) {
@@ -238,11 +240,24 @@ bool AlarmManager::remove_from_queue(AlarmId id) {
       });
       for (Alarm* m : members) insert(m);
     }
+    recycle(std::move(batch));
     reprogram_rtc();
     schedule_nonwakeup_check();
     return true;
   }
   return false;
+}
+
+std::unique_ptr<Batch> AlarmManager::make_batch(Alarm* first) {
+  if (spare_batches_.empty()) return std::make_unique<Batch>(first);
+  std::unique_ptr<Batch> batch = std::move(spare_batches_.back());
+  spare_batches_.pop_back();
+  batch->reset(first);
+  return batch;
+}
+
+void AlarmManager::recycle(std::unique_ptr<Batch> batch) {
+  spare_batches_.push_back(std::move(batch));
 }
 
 void AlarmManager::reposition(std::vector<std::unique_ptr<Batch>>& q,
@@ -352,6 +367,14 @@ void AlarmManager::deliver_due(AlarmKind kind) {
 
 void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
   SIMTY_CHECK(device_.state() == hw::DeviceState::kAwake);
+  // session_ and the spare list are single-session scratch.
+  SIMTY_CHECK_MSG(!delivering_, "deliver_batch re-entered");
+  delivering_ = true;
+  struct ClearOnExit {
+    bool& flag;
+    ~ClearOnExit() { flag = false; }
+  } clear_on_exit{delivering_};
+
   const TimePoint now = sim_.now();
   ++stats_.batches_delivered;
   SIMTY_TRACE_INSTANT(now, trace::TraceCategory::kAlarm, "batch-deliver",
@@ -367,15 +390,17 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
   const hw::PowerModel& pm = device_.power_model();
   Duration session_busy = Duration::zero();
 
-  SessionRecord session;
-  session.start = now;
-  session.caused_wakeup = device_.wakeup_count() != last_seen_wakeups_;
+  session_.items.clear();
+  session_.start = now;
+  session_.caused_wakeup = device_.wakeup_count() != last_seen_wakeups_;
   last_seen_wakeups_ = device_.wakeup_count();
 
   for (Alarm* a : batch->members()) {
     const auto reg_it = registry_.find(a->id().value);
     SIMTY_CHECK_MSG(reg_it != registry_.end(), "delivering unregistered alarm");
     const bool was_perceptible = a->perceptible();
+    // Outlives a one-shot alarm, which leaves the registry below.
+    const std::string_view tag = reg_it->second.tag;
 
     // App code may throw (the real framework survives crashing receivers);
     // a failed handler degrades to an empty task and the alarm keeps its
@@ -393,7 +418,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
 
     // Stagger this task's wakelocks on each component's chain.
     Duration task_end = Duration::zero();
-    for (const hw::Component c : task.hardware.components()) {
+    task.hardware.for_each([&](hw::Component c) {
       const auto ci = static_cast<std::size_t>(c);
       const Duration start = chain_offset[ci];
       const Duration end = start + task.hold;
@@ -402,7 +427,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
 
       sim_.schedule_at(
           now + start,
-          [this, c, tag = a->spec().tag, hold = task.hold] {
+          [this, c, tag, hold = task.hold] {
             const hw::WakelockId lock = wakelocks_.acquire(c, tag);
             // try_release: a WakelockGuardian may have revoked the lock.
             sim_.schedule_after(hold,
@@ -410,7 +435,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
                                 sim::EventPriority::kFramework, "wakelock-release");
           },
           sim::EventPriority::kFramework, "wakelock-acquire");
-    }
+    });
     session_busy = std::max(session_busy, task_end);
 
     ++stats_.deliveries;
@@ -418,7 +443,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
 
     DeliveryRecord record;
     record.id = a->id();
-    record.tag = a->spec().tag;
+    record.tag = tag;
     record.app = a->spec().app;
     record.kind = a->spec().kind;
     record.mode = a->spec().mode;
@@ -431,8 +456,8 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
     record.hold = task.hold;
     record.batch_size = batch->size();
     for (const DeliveryObserver& obs : observers_) obs(record);
-    session.items.push_back(
-        SessionItem{a->id(), a->spec().app, a->spec().tag, task.hardware, task.hold});
+    session_.items.push_back(
+        SessionItem{a->id(), a->spec().app, tag, task.hardware, task.hold});
 
     // Reinsertion of repeating alarms (§2.1): static repeating stays on its
     // nominal grid; dynamic repeating is re-anchored at the delivery time.
@@ -459,8 +484,9 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
   sim_.schedule_after(cpu_span, [this] { device_.release_cpu_lock(); },
                       sim::EventPriority::kFramework, "session-end");
 
-  session.cpu_session = cpu_span;
-  for (const SessionObserver& obs : session_observers_) obs(session);
+  session_.cpu_session = cpu_span;
+  for (const SessionObserver& obs : session_observers_) obs(session_);
+  recycle(std::move(batch));
 }
 
 std::string AlarmManager::dump() const {
@@ -603,7 +629,10 @@ void AlarmManager::restore(snapshot::SectionReader& s,
   SIMTY_CHECK_MSG(static_cast<bool>(resolver),
                   "AlarmManager::restore: handler resolver required");
   registry_.clear();
-  for (auto& q : queues_) q.clear();
+  for (auto& q : queues_) {
+    for (auto& batch : q) recycle(std::move(batch));
+    q.clear();
+  }
   for (auto& idx : indices_) idx.clear();
   nonwakeup_check_.reset();
 
@@ -626,9 +655,10 @@ void AlarmManager::restore(snapshot::SectionReader& s,
     DeliveryHandler handler = resolver(alarm->spec().app, alarm->spec().tag);
     SIMTY_CHECK_MSG(static_cast<bool>(handler),
                     "AlarmManager::restore: resolver has no handler for alarm");
+    const std::string_view tag = tag_store_.emplace_back(alarm->spec().tag);
     const bool inserted =
         registry_
-            .emplace(id, Registered{std::move(alarm), std::move(handler)})
+            .emplace(id, Registered{std::move(alarm), std::move(handler), tag})
             .second;
     SIMTY_CHECK_MSG(inserted, "AlarmManager::restore: duplicate alarm id");
   }
@@ -658,7 +688,7 @@ void AlarmManager::restore(snapshot::SectionReader& s,
         // member state (queued members never mutate), so first+add rebuilds
         // the saved entry exactly; no placement decision re-runs.
         if (!batch) {
-          batch = std::make_unique<Batch>(a);
+          batch = make_batch(a);
         } else {
           batch->add(a);
         }

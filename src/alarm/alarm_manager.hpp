@@ -12,11 +12,13 @@
 // repeating. The plugged AlignmentPolicy only chooses which entry a new
 // alarm joins.
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alarm/alarm.hpp"
@@ -46,10 +48,12 @@ struct TaskSpec {
 using DeliveryHandler = std::function<TaskSpec(const Alarm&, TimePoint delivered_at)>;
 
 /// Everything observers need to compute the paper's metrics for one
-/// delivered alarm.
+/// delivered alarm. `tag` views the manager's tag store, which lives as long
+/// as the manager (a one-shot alarm's tag outlives the alarm); an observer
+/// that keeps a record longer than that must copy the tag.
 struct DeliveryRecord {
   AlarmId id;
-  std::string tag;
+  std::string_view tag;
   AppId app;
   AlarmKind kind = AlarmKind::kWakeup;
   RepeatMode mode = RepeatMode::kOneShot;
@@ -65,17 +69,19 @@ struct DeliveryRecord {
 
 using DeliveryObserver = std::function<void(const DeliveryRecord&)>;
 
-/// One alarm's task inside a joint delivery session.
+/// One alarm's task inside a joint delivery session. `tag` views the
+/// manager's tag store, as DeliveryRecord::tag does.
 struct SessionItem {
   AlarmId id;
   AppId app;
-  std::string tag;
+  std::string_view tag;
   hw::ComponentSet hardware;
   Duration hold = Duration::zero();
 };
 
 /// One joint delivery session (one batch executed on the device), as needed
-/// for per-app energy attribution.
+/// for per-app energy attribution. Observers receive the manager's reused
+/// session buffer: copy what must outlive the callback.
 struct SessionRecord {
   TimePoint start;
   Duration cpu_session = Duration::zero();  // CPU wakelock span
@@ -216,6 +222,7 @@ class AlarmManager {
   struct Registered {
     std::unique_ptr<Alarm> alarm;
     DeliveryHandler handler;
+    std::string_view tag;  // the alarm's tag, in tag_store_
   };
 
   std::vector<std::unique_ptr<Batch>>& queue_ref(AlarmKind kind);
@@ -231,6 +238,14 @@ class AlarmManager {
   /// Places an alarm via the policy, keeps the queue and index in sync,
   /// reprograms.
   void insert(Alarm* a);
+
+  /// A singleton entry holding `first`: a recycled batch when one is spare,
+  /// a new one otherwise.
+  std::unique_ptr<Batch> make_batch(Alarm* first);
+
+  /// Returns a batch that left the queue to the spare list. Spares are
+  /// scratch storage, never state: snapshots do not see them.
+  void recycle(std::unique_ptr<Batch> batch);
 
   /// Re-stamps queue positions for q[from, to).
   static void renumber(std::vector<std::unique_ptr<Batch>>& q, std::size_t from,
@@ -266,9 +281,17 @@ class AlarmManager {
   std::unique_ptr<AlignmentPolicy> policy_;
 
   std::map<std::uint64_t, Registered> registry_;
+  // Every registered (or restored) alarm's tag, copied once and never
+  // erased: delivery records, session items and staggered wakelock
+  // acquisitions carry views into it instead of copies. A deque keeps the
+  // strings in place as it grows.
+  std::deque<std::string> tag_store_;
   std::vector<std::unique_ptr<Batch>> queues_[2];
   BatchIndex indices_[2];  // mirrors queues_: one interval index per kind
+  std::vector<std::unique_ptr<Batch>> spare_batches_;  // see recycle()
   std::vector<std::size_t> candidates_;  // collect() scratch, reused across inserts
+  SessionRecord session_;  // deliver_batch scratch, reused across sessions
+  bool delivering_ = false;  // deliver_batch reentrancy guard
   std::vector<DeliveryObserver> observers_;
   std::vector<SessionObserver> session_observers_;
   DeliveryGate delivery_gate_;

@@ -11,6 +11,12 @@ Batch::Batch(Alarm* first) {
   add(first);
 }
 
+void Batch::reset(Alarm* first) {
+  members_.clear();
+  refresh();
+  add(first);
+}
+
 void Batch::add(Alarm* a) {
   SIMTY_CHECK(a != nullptr);
   SIMTY_CHECK_MSG(!contains(a->id()), "alarm already in batch");

@@ -9,6 +9,7 @@
 // The window intersection may legitimately be empty for an imperceptible
 // entry whose members were aligned via medium time similarity.
 
+#include <cstdint>
 #include <vector>
 
 #include "alarm/alarm.hpp"
@@ -24,6 +25,10 @@ class Batch {
   Batch() = default;
 
   explicit Batch(Alarm* first);
+
+  /// Turns this batch into a fresh singleton entry holding `first`, keeping
+  /// the member buffer's capacity (the manager recycles delivered batches).
+  void reset(Alarm* first);
 
   /// Adds a member and folds it into the cached attributes incrementally:
   /// interval intersection, hardware-set union, perceptibility OR, and
@@ -70,6 +75,12 @@ class Batch {
   std::size_t queue_pos() const { return queue_pos_; }
   void set_queue_pos(std::size_t pos) { queue_pos_ = pos; }
 
+  /// Node slot in the BatchIndex holding this entry, stamped by the index
+  /// on insert so erase needs no lookup. A batch lives in at most one index
+  /// at a time; the index validates the stamp against its node before use.
+  std::int32_t index_slot() const { return index_slot_; }
+  void set_index_slot(std::int32_t slot) { index_slot_ = slot; }
+
  private:
   std::vector<Alarm*> members_;
   TimeInterval window_ = TimeInterval::empty();
@@ -78,6 +89,7 @@ class Batch {
   bool perceptible_ = false;
   Duration expected_hold_ = Duration::zero();
   std::size_t queue_pos_ = 0;
+  std::int32_t index_slot_ = -1;
 };
 
 }  // namespace simty::alarm

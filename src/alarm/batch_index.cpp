@@ -24,7 +24,7 @@ void BatchIndex::clear() {
   nodes_.clear();
   free_.clear();
   root_ = -1;
-  slots_.clear();
+  count_ = 0;
 }
 
 void BatchIndex::pull(std::int32_t t) {
@@ -86,6 +86,7 @@ std::int32_t BatchIndex::erase_node(std::int32_t t, const Node& victim) {
     // Rotate the victim down toward the higher-priority child until it is
     // a leaf, then unlink and recycle its slot.
     if (cur.left < 0 && cur.right < 0) {
+      cur.batch = nullptr;  // invalidates the batch's slot stamp
       free_.push_back(t);
       return -1;
     }
@@ -112,9 +113,9 @@ std::int32_t BatchIndex::erase_node(std::int32_t t, const Node& victim) {
   return t;
 }
 
-void BatchIndex::insert(const Batch* batch) {
+void BatchIndex::insert(Batch* batch) {
   SIMTY_CHECK(batch != nullptr);
-  SIMTY_CHECK_MSG(!slots_.contains(batch), "BatchIndex: entry already indexed");
+  SIMTY_CHECK_MSG(!indexed(batch), "BatchIndex: entry already indexed");
   const TimeInterval grace = batch->grace_interval();
   SIMTY_CHECK_MSG(!grace.is_empty(),
                   "BatchIndex: entries must have a non-empty grace overlap");
@@ -136,17 +137,18 @@ void BatchIndex::insert(const Batch* batch) {
   n.left = -1;
   n.right = -1;
   root_ = insert_node(root_, slot);
-  slots_.emplace(batch, slot);
+  batch->set_index_slot(slot);
+  ++count_;
 }
 
 void BatchIndex::erase(const Batch* batch) {
-  const auto it = slots_.find(batch);
-  SIMTY_CHECK_MSG(it != slots_.end(), "BatchIndex: erasing an unindexed entry");
-  root_ = erase_node(root_, nodes_[static_cast<std::size_t>(it->second)]);
-  slots_.erase(it);
+  SIMTY_CHECK(batch != nullptr);
+  SIMTY_CHECK_MSG(indexed(batch), "BatchIndex: erasing an unindexed entry");
+  root_ = erase_node(root_, nodes_[static_cast<std::size_t>(batch->index_slot())]);
+  --count_;
 }
 
-void BatchIndex::update(const Batch* batch) {
+void BatchIndex::update(Batch* batch) {
   erase(batch);
   insert(batch);
 }
@@ -182,7 +184,7 @@ void BatchIndex::collect(const TimeInterval& interval, EntryIntervalKind kind,
 
 std::vector<const Batch*> BatchIndex::entries_inorder() const {
   std::vector<const Batch*> out;
-  out.reserve(slots_.size());
+  out.reserve(count_);
   std::vector<std::int32_t> stack;
   std::int32_t t = root_;
   while (t >= 0 || !stack.empty()) {
@@ -234,18 +236,20 @@ std::vector<std::string> BatchIndex::check_invariants() const {
           n.end_us != n.batch->grace_interval().end().us()) {
         issues->push_back("stale grace key at seq " + std::to_string(n.seq));
       }
-      const auto it = idx->slots_.find(n.batch);
-      if (it == idx->slots_.end() ||
-          idx->nodes_[static_cast<std::size_t>(it->second)].batch != n.batch) {
-        issues->push_back("slot bookkeeping missing seq " + std::to_string(n.seq));
+      if (n.batch->index_slot() != t) {
+        issues->push_back("stale slot stamp at seq " + std::to_string(n.seq));
       }
       return max_end;
     }
   };
   if (root_ >= 0) Walker{this, &issues, &visited}.walk(root_);
-  if (visited != slots_.size()) {
+  if (visited != count_) {
     issues.push_back(str_format("tree holds %zu nodes but %zu are indexed",
-                                visited, slots_.size()));
+                                visited, count_));
+  }
+  if (nodes_.size() - free_.size() != count_) {
+    issues.push_back(str_format("slab holds %zu live slots but %zu are indexed",
+                                nodes_.size() - free_.size(), count_));
   }
   return issues;
 }

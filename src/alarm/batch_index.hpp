@@ -24,7 +24,7 @@
 // wins tie-breaking is bit-identical to the linear scan they replace.
 
 #include <cstdint>
-#include <map>
+#include <string>
 #include <vector>
 
 #include "alarm/batch.hpp"
@@ -34,9 +34,11 @@
 
 namespace simty::alarm {
 
-/// Interval index over one batch queue. Holds non-owning pointers; the
-/// owner must erase entries before destroying or mutating their intervals
-/// (mutate via update()).
+/// Interval index over one batch queue. Holds non-owning pointers and
+/// stamps each indexed batch with its node slot (Batch::index_slot), so
+/// erase is a direct slot access. A node keeps the key it was inserted
+/// under: the owner may mutate an entry's intervals and then re-key it with
+/// update(), but must erase an entry before destroying it.
 class BatchIndex {
  public:
   BatchIndex() = default;
@@ -49,21 +51,24 @@ class BatchIndex {
     free_.set_arena(arena);
   }
 
-  std::size_t size() const { return slots_.size(); }
-  bool empty() const { return slots_.empty(); }
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
 
   /// Drops every entry (the rebatch-all path).
   void clear();
 
   /// Indexes `batch` under its current grace interval, which must be
-  /// non-empty (a queue invariant the manager asserts).
-  void insert(const Batch* batch);
+  /// non-empty (a queue invariant the manager asserts), and stamps its
+  /// node slot on it.
+  void insert(Batch* batch);
 
-  /// Removes `batch`; it must be indexed.
+  /// Removes `batch`; it must be indexed. Locates the node through the
+  /// stored key, so the batch's intervals may have changed since insert.
   void erase(const Batch* batch);
 
-  /// Re-keys `batch` after its intervals changed (a member joined).
-  void update(const Batch* batch);
+  /// Re-keys `batch` after its intervals changed (a member joined): erase
+  /// under the old key, insert under the current one.
+  void update(Batch* batch);
 
   /// Appends the queue positions of every indexed entry whose `kind`
   /// interval overlaps `interval`, in ascending queue position. O(log n + k)
@@ -85,7 +90,8 @@ class BatchIndex {
   std::vector<const Batch*> entries_inorder() const;
 
   /// Verifies internal invariants (BST order, heap order, max-end
-  /// augmentation, slot bookkeeping); returns human-readable violations.
+  /// augmentation, slot stamps, node accounting); returns human-readable
+  /// violations.
   // simty-lint: allow(hot-path-owning)
   std::vector<std::string> check_invariants() const;
 
@@ -100,6 +106,14 @@ class BatchIndex {
     std::int32_t left = -1;
     std::int32_t right = -1;
   };
+
+  /// True when `batch`'s slot stamp names a live node of this index that
+  /// holds it (freed nodes hold nullptr, so stale stamps never match).
+  bool indexed(const Batch* batch) const {
+    const std::int32_t slot = batch->index_slot();
+    return slot >= 0 && static_cast<std::size_t>(slot) < nodes_.size() &&
+           nodes_[static_cast<std::size_t>(slot)].batch == batch;
+  }
 
   /// True when node `a`'s key precedes node `b`'s.
   bool key_less(const Node& a, const Node& b) const {
@@ -120,11 +134,7 @@ class BatchIndex {
   common::ArenaVector<std::int32_t> free_;   // recyclable slots
   std::int32_t root_ = -1;
   std::uint64_t next_seq_ = 1;
-  /// Erase lookup only — never iterated, so the pointer ordering cannot
-  /// leak into any deterministic result. Owning map is deliberate: erase
-  /// needs stable log-time lookup, and rebuilds reuse the node slab.
-  // simty-lint: allow(hot-path-owning)
-  std::map<const Batch*, std::int32_t> slots_;
+  std::size_t count_ = 0;  // live (indexed) nodes
 };
 
 }  // namespace simty::alarm

@@ -23,8 +23,7 @@ void Logger::set_sink(Sink sink) {
 }
 
 void Logger::log(LogLevel level, const std::string& msg) {
-  const LogLevel threshold = level_.load(std::memory_order_relaxed);
-  if (level < threshold || threshold == LogLevel::kOff) return;
+  if (!enabled(level)) return;
   std::lock_guard<std::mutex> lock(mutex_);
   sink_(level, msg);
 }

@@ -11,6 +11,13 @@
 // executes many simulators at once and they all share this singleton — so
 // the level is atomic and the sink is called under a mutex (which also
 // keeps concurrent runs' lines from interleaving mid-message).
+//
+// The SIMTY_LOG macros are lazy: the message expression is evaluated only
+// when its level passes the threshold. A disabled SIMTY_DEBUG costs one
+// relaxed atomic load and a branch, so hot paths (device state changes,
+// deliveries) may log freely without formatting strings nobody reads. The
+// flip side: a message argument must not carry side effects the caller
+// relies on.
 
 #include <atomic>
 #include <functional>
@@ -35,6 +42,13 @@ class Logger {
   void set_level(LogLevel level) { level_.store(level, std::memory_order_relaxed); }
   LogLevel level() const { return level_.load(std::memory_order_relaxed); }
 
+  /// True when a message at `level` would reach the sink. The macros test
+  /// this before evaluating their message argument.
+  bool enabled(LogLevel level) const {
+    const LogLevel threshold = level_.load(std::memory_order_relaxed);
+    return threshold != LogLevel::kOff && level >= threshold;
+  }
+
   /// Replaces the output sink (default writes to stderr). Pass nullptr to
   /// restore the default sink. The sink itself is invoked under the logger
   /// mutex, so it need not be reentrant — but a sink installed while
@@ -54,7 +68,14 @@ const char* to_string(LogLevel level);
 
 }  // namespace simty
 
-#define SIMTY_LOG(level, msg) ::simty::Logger::instance().log((level), (msg))
+#define SIMTY_LOG(level, msg)                                     \
+  do {                                                            \
+    ::simty::Logger& simty_logger_ = ::simty::Logger::instance(); \
+    const ::simty::LogLevel simty_log_level_ = (level);           \
+    if (simty_logger_.enabled(simty_log_level_)) {                \
+      simty_logger_.log(simty_log_level_, (msg));                 \
+    }                                                             \
+  } while (0)
 #define SIMTY_DEBUG(msg) SIMTY_LOG(::simty::LogLevel::kDebug, (msg))
 #define SIMTY_INFO(msg) SIMTY_LOG(::simty::LogLevel::kInfo, (msg))
 #define SIMTY_WARN(msg) SIMTY_LOG(::simty::LogLevel::kWarn, (msg))

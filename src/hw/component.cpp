@@ -98,23 +98,12 @@ std::size_t ComponentSet::shared_count(ComponentSet o) const {
   return static_cast<std::size_t>(std::popcount(bits_ & o.bits_));
 }
 
-std::vector<Component> ComponentSet::components() const {
-  std::vector<Component> out;
-  for (int i = 0; i < kComponentCount; ++i) {
-    const auto c = static_cast<Component>(i);
-    if (contains(c)) out.push_back(c);
-  }
-  return out;
-}
-
 std::string ComponentSet::to_string() const {
   std::string out = "{";
-  bool first = true;
-  for (const Component c : components()) {
-    if (!first) out += ",";
+  for_each([&out](Component c) {
+    if (out.size() > 1) out += ",";
     out += simty::hw::to_string(c);
-    first = false;
-  }
+  });
   return out + "}";
 }
 

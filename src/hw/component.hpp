@@ -6,12 +6,12 @@
 // in every wakeup and are modelled by the device FSM instead. A component
 // set may therefore be empty (an alarm that only needs the CPU).
 
+#include <bit>
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace simty::hw {
 
@@ -88,8 +88,14 @@ class ComponentSet {
   /// mask test — the hot path of alarm/entry perceptibility.
   bool any_perceptible() const { return (bits_ & perceptible_mask()) != 0; }
 
-  /// Members in enum order.
-  std::vector<Component> components() const;
+  /// Calls `f(Component)` for each member in enum order. Walks the bitmask
+  /// (lowest set bit first), so iteration allocates nothing.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::uint32_t b = bits_; b != 0; b &= b - 1) {
+      f(static_cast<Component>(std::countr_zero(b)));
+    }
+  }
 
   /// Renders as "{wifi,wps}" or "{}".
   std::string to_string() const;

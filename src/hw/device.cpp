@@ -67,10 +67,13 @@ void Device::complete_wake() {
   ++wakeups_by_reason_[static_cast<std::size_t>(current_wake_reason_)];
 
   // Run the requesters queued during the transition, then the wake
-  // listeners (e.g. the alarm manager flushing non-wakeup alarms).
-  auto pending = std::move(pending_ready_);
-  pending_ready_.clear();
-  for (auto& [reason, cb] : pending) cb();
+  // listeners (e.g. the alarm manager flushing non-wakeup alarms). Swapping
+  // in the retained buffer, rather than moving out, keeps both buffers'
+  // capacity across wakes.
+  ready_scratch_.clear();
+  ready_scratch_.swap(pending_ready_);
+  for (auto& [reason, cb] : ready_scratch_) cb();
+  ready_scratch_.clear();
   for (auto& listener : wake_listeners_) listener(current_wake_reason_);
 
   if (cpu_locks_ == 0) arm_sleep_timer();

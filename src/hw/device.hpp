@@ -104,8 +104,10 @@ class Device {
   TimePoint state_since_ = TimePoint::origin();
   int cpu_locks_ = 0;
 
-  // Callbacks queued while a wake transition is in flight.
+  // Callbacks queued while a wake transition is in flight, and the buffer
+  // complete_wake() runs them from.
   std::vector<std::pair<WakeReason, std::function<void()>>> pending_ready_;
+  std::vector<std::pair<WakeReason, std::function<void()>>> ready_scratch_;
   std::optional<sim::EventId> wake_event_;
   std::optional<sim::EventId> sleep_event_;
 

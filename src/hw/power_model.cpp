@@ -61,10 +61,10 @@ Energy PowerModel::solo_delivery_energy(ComponentSet set, Duration hold) const {
   const Duration busy = set.empty() ? Duration::zero() : hold;
   const Duration awake_time = std::max(handler_floor, busy) + idle_linger;
   Energy total = wake_transition + awake_base * awake_time;
-  for (const Component c : set.components()) {
+  set.for_each([&](Component c) {
     const ComponentPower& p = component(c);
     total += p.activation + p.active * hold;
-  }
+  });
   return total;
 }
 

@@ -17,11 +17,11 @@ Duration WakelockManager::effective_tail(Component c) const {
   return tail_override_[idx].value_or(model_.component(c).tail);
 }
 
-WakelockId WakelockManager::acquire(Component c, std::string holder) {
+WakelockId WakelockManager::acquire(Component c, std::string_view holder) {
   const auto idx = static_cast<std::size_t>(c);
   const TimePoint now = sim_.now();
   const WakelockId id{next_id_++};
-  held_.push_back(Held{id, c, std::move(holder), now});
+  held_.push_back(Held{id, c, holder, now});
   ++usage_[idx].acquisitions;
   if (counts_[idx]++ == 0) {
     const ComponentPower& p = model_.component(c);
@@ -60,7 +60,7 @@ std::vector<WakelockManager::HeldInfo> WakelockManager::held_locks() const {
   std::vector<HeldInfo> out;
   out.reserve(held_.size());
   for (const Held& h : held_) {
-    out.push_back(HeldInfo{h.id, h.component, h.holder, h.acquired_at});
+    out.push_back(HeldInfo{h.id, h.component, std::string(h.holder), h.acquired_at});
   }
   return out;
 }
@@ -76,7 +76,7 @@ void WakelockManager::release(WakelockId id) {
   const Duration held_for = now - it->acquired_at;
   if (!watchdog_threshold_.is_zero() && held_for > watchdog_threshold_) {
     anomalies_.push_back(
-        WakelockAnomaly{c, it->holder, it->acquired_at, held_for, false});
+        WakelockAnomaly{c, std::string(it->holder), it->acquired_at, held_for, false});
   }
   held_.erase(it);
 
@@ -139,7 +139,8 @@ std::size_t WakelockManager::audit(TimePoint now) {
     const Duration held_for = now - h.acquired_at;
     if (held_for > watchdog_threshold_) {
       anomalies_.push_back(
-          WakelockAnomaly{h.component, h.holder, h.acquired_at, held_for, true});
+          WakelockAnomaly{h.component, std::string(h.holder), h.acquired_at, held_for,
+                          true});
       ++found;
     }
   }

@@ -14,6 +14,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.hpp"
@@ -63,7 +64,9 @@ class WakelockManager {
 
   /// Acquires a lock on `c` for `holder` (app/alarm tag, for diagnostics).
   /// First lock on an unpowered component powers it and pays activation.
-  WakelockId acquire(Component c, std::string holder);
+  /// The manager keeps the view, not a copy: `holder` must outlive the lock
+  /// (string literals, or the alarm manager's tag store).
+  WakelockId acquire(Component c, std::string_view holder);
 
   /// Releases a previously acquired lock; the last release powers the
   /// component down. Unknown/double release throws.
@@ -120,7 +123,7 @@ class WakelockManager {
   struct Held {
     WakelockId id;
     Component component;
-    std::string holder;
+    std::string_view holder;
     TimePoint acquired_at;
   };
 

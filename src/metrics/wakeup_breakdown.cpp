@@ -14,9 +14,8 @@ std::string BreakdownRow::ratio_string() const {
 
 void WakeupAccounting::observe(const alarm::DeliveryRecord& record) {
   ++total_deliveries_;
-  for (const hw::Component c : record.hardware_used.components()) {
-    ++per_component_[static_cast<std::size_t>(c)];
-  }
+  record.hardware_used.for_each(
+      [this](hw::Component c) { ++per_component_[static_cast<std::size_t>(c)]; });
 }
 
 alarm::DeliveryObserver WakeupAccounting::observer() {

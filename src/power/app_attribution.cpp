@@ -33,11 +33,11 @@ void AppEnergyAttributor::observe(const alarm::SessionRecord& session) {
   };
   std::map<hw::Component, ComponentUse> uses;
   for (const alarm::SessionItem& item : session.items) {
-    for (const hw::Component c : item.hardware.components()) {
+    item.hardware.for_each([&](hw::Component c) {
       ComponentUse& u = uses[c];
       u.total_hold_s += item.hold.seconds_f();
       ++u.users;
-    }
+    });
   }
   // Modelled on-time per component under the serialization chain:
   // max-hold + serial_fraction * (sum - max) is a close analytic proxy.
@@ -55,7 +55,7 @@ void AppEnergyAttributor::observe(const alarm::SessionRecord& session) {
 
   for (const alarm::SessionItem& item : session.items) {
     Energy e = shared_each;
-    for (const hw::Component c : item.hardware.components()) {
+    item.hardware.for_each([&](hw::Component c) {
       const ComponentUse& u = uses.at(c);
       const hw::ComponentPower& p = model_.component(c);
       e += p.activation / static_cast<double>(u.users);
@@ -63,11 +63,13 @@ void AppEnergyAttributor::observe(const alarm::SessionRecord& session) {
         const double share = item.hold.seconds_f() / u.total_hold_s;
         e += p.active * Duration::from_seconds(on_time_s.at(c) * share);
       }
-    }
+    });
     Bucket& app = by_app_[item.app.value];
     app.energy += e;
     ++app.deliveries;
-    Bucket& tag = by_tag_[item.tag];
+    auto tag_it = by_tag_.find(item.tag);
+    if (tag_it == by_tag_.end()) tag_it = by_tag_.emplace(item.tag, Bucket{}).first;
+    Bucket& tag = tag_it->second;
     tag.energy += e;
     ++tag.deliveries;
     total_ += e;

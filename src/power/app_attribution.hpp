@@ -57,7 +57,7 @@ class AppEnergyAttributor {
 
   hw::PowerModel model_;
   std::map<std::uint32_t, Bucket> by_app_;
-  std::map<std::string, Bucket> by_tag_;
+  std::map<std::string, Bucket, std::less<>> by_tag_;  // transparent: view lookups
   Energy total_;
 };
 

@@ -23,7 +23,7 @@ constexpr const char* kHeader =
 // separator), and the newline (row separator). A raw tag containing any of
 // them shifts or corrupts the row on reload, so tags travel escaped:
 // '\\' '\c' '\p' '\n' '\r' for backslash, comma, pipe, LF, CR.
-std::string escape_tag(const std::string& tag) {
+std::string escape_tag(std::string_view tag) {
   std::string out;
   out.reserve(tag.size());
   for (const char ch : tag) {
@@ -65,9 +65,12 @@ std::string unescape_tag(const std::string& field) {
 }
 
 std::string hardware_names(hw::ComponentSet set) {
-  std::vector<std::string> names;
-  for (const hw::Component c : set.components()) names.emplace_back(hw::to_string(c));
-  return join(names, "|");
+  std::string out;
+  set.for_each([&out](hw::Component c) {
+    if (!out.empty()) out += '|';
+    out += hw::to_string(c);
+  });
+  return out;
 }
 
 hw::ComponentSet parse_hardware(const std::string& field) {
@@ -122,9 +125,14 @@ alarm::RepeatMode parse_mode(const std::string& field) {
 
 }  // namespace
 
-void DeliveryLog::observe(const alarm::DeliveryRecord& record) {
+void DeliveryLog::append(alarm::DeliveryRecord record) {
+  auto it = tags_.find(record.tag);
+  if (it == tags_.end()) it = tags_.emplace(record.tag).first;
+  record.tag = *it;
   records_.push_back(record);
 }
+
+void DeliveryLog::observe(const alarm::DeliveryRecord& record) { append(record); }
 
 alarm::DeliveryObserver DeliveryLog::observer() {
   return [this](const alarm::DeliveryRecord& r) { observe(r); };
@@ -164,7 +172,8 @@ DeliveryLog DeliveryLog::from_csv(const std::string& csv) {
     }
     alarm::DeliveryRecord r;
     r.id = alarm::AlarmId{static_cast<std::uint64_t>(parse_nonneg(f[0], "id"))};
-    r.tag = unescape_tag(f[1]);
+    const std::string tag = unescape_tag(f[1]);
+    r.tag = tag;  // append() copies it into the log's store
     const std::int64_t app = parse_nonneg(f[2], "app");
     if (app > static_cast<std::int64_t>(std::numeric_limits<std::uint32_t>::max())) {
       throw std::runtime_error("DeliveryLog: app id out of range: " + f[2]);
@@ -181,7 +190,7 @@ DeliveryLog DeliveryLog::from_csv(const std::string& csv) {
     r.hardware_used = parse_hardware(f[11]);
     r.hold = Duration::micros(parse_i64(f[12]));
     r.batch_size = static_cast<std::size_t>(parse_nonneg(f[13], "batch_size"));
-    log.records_.push_back(std::move(r));
+    log.append(r);
   }
   return log;
 }
@@ -223,6 +232,7 @@ void DeliveryLog::save(snapshot::Writer& w) const {
 
 void DeliveryLog::restore(snapshot::SectionReader& s) {
   records_.clear();
+  tags_.clear();
   const std::uint64_t count = s.u64();
   // Minimum wire size of one record: u64(9) + str(9) + u32(5) + 2 u8(4) +
   // 5 i64(45) + bool(2) + u32(5) + i64(9) + u64(9).
@@ -231,7 +241,8 @@ void DeliveryLog::restore(snapshot::SectionReader& s) {
   for (std::uint64_t i = 0; i < count; ++i) {
     alarm::DeliveryRecord r;
     r.id = alarm::AlarmId{s.u64()};
-    r.tag = s.str();
+    const std::string tag = s.str();
+    r.tag = tag;  // append() copies it into the log's store
     r.app = alarm::AppId{s.u32()};
     const std::uint8_t kind = s.u8();
     SIMTY_CHECK_MSG(kind <= static_cast<std::uint8_t>(alarm::AlarmKind::kNonWakeup),
@@ -253,19 +264,20 @@ void DeliveryLog::restore(snapshot::SectionReader& s) {
     r.hardware_used = hw::ComponentSet::from_bits(s.u32());
     r.hold = Duration::micros(s.i64());
     r.batch_size = static_cast<std::size_t>(s.u64());
-    records_.push_back(std::move(r));
+    append(r);
   }
 }
 
-apps::AppTrace DeliveryLog::app_trace(const std::string& tag) const {
+apps::AppTrace DeliveryLog::app_trace(std::string_view tag) const {
   apps::AppTrace trace;
-  trace.app_name = tag;
+  trace.app_name = std::string(tag);
   for (const alarm::DeliveryRecord& r : records_) {
     if (r.tag == tag) {
       trace.entries.push_back(apps::TraceEntry{r.hardware_used, r.hold});
     }
   }
-  SIMTY_CHECK_MSG(!trace.entries.empty(), "no deliveries logged for tag " + tag);
+  SIMTY_CHECK_MSG(!trace.entries.empty(),
+                  "no deliveries logged for tag " + std::string(tag));
   return trace;
 }
 
@@ -273,7 +285,7 @@ apps::Workload workload_from_log(const DeliveryLog& log,
                                  const apps::WorkloadConfig& config) {
   // First record per distinct repeating wakeup tag defines the profile.
   std::vector<std::pair<apps::AppProfile, apps::AppTrace>> imitations;
-  std::vector<std::string> seen;
+  std::vector<std::string_view> seen;  // views into the log's tag store
   for (const alarm::DeliveryRecord& r : log.records()) {
     if (r.mode == alarm::RepeatMode::kOneShot) continue;
     if (r.kind != alarm::AlarmKind::kWakeup) continue;
@@ -283,7 +295,7 @@ apps::Workload workload_from_log(const DeliveryLog& log,
     apps::AppProfile p;
     // ImitatedApp registers "<name>.major"; strip a recorded ".major" so
     // replayed tags match the original log's.
-    std::string name = r.tag;
+    std::string name(r.tag);
     if (name.size() > 6 && name.ends_with(".major")) {
       name.resize(name.size() - 6);
     }

@@ -5,7 +5,9 @@
 // DeliveryRecords as structured rows; logs round-trip through CSV so traces
 // can be archived, diffed between policies, and replayed as imitated apps.
 
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alarm/alarm_manager.hpp"
@@ -19,9 +21,18 @@ class SectionReader;
 
 namespace simty::trace {
 
-/// In-memory delivery trace with CSV (de)serialization.
+/// In-memory delivery trace with CSV (de)serialization. The log owns its
+/// records' tags: each distinct tag is stored once, and the records' tag
+/// views point into that store. Moving a std::set keeps its nodes, so a
+/// moved log's views stay valid; a copy would not, so copying is deleted.
 class DeliveryLog {
  public:
+  DeliveryLog() = default;
+  DeliveryLog(const DeliveryLog&) = delete;
+  DeliveryLog& operator=(const DeliveryLog&) = delete;
+  DeliveryLog(DeliveryLog&&) noexcept = default;
+  DeliveryLog& operator=(DeliveryLog&&) noexcept = default;
+
   void observe(const alarm::DeliveryRecord& record);
   alarm::DeliveryObserver observer();
 
@@ -48,10 +59,14 @@ class DeliveryLog {
   /// as an AppTrace, ready to drive an ImitatedApp — the paper's
   /// trace-replay methodology end to end. Throws when the tag never
   /// delivered.
-  apps::AppTrace app_trace(const std::string& tag) const;
+  apps::AppTrace app_trace(std::string_view tag) const;
 
  private:
+  /// Appends `record` with its tag re-pointed at this log's store.
+  void append(alarm::DeliveryRecord record);
+
   std::vector<alarm::DeliveryRecord> records_;
+  std::set<std::string, std::less<>> tags_;  // node-based: views stay put
 };
 
 /// Reconstructs a replayable workload from a recorded delivery log: one

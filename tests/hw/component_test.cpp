@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace simty::hw {
 namespace {
 
@@ -65,10 +67,25 @@ TEST(ComponentSet, PerceptibilityFollowsUserSenses) {
 
 TEST(ComponentSet, ComponentsInEnumOrder) {
   const ComponentSet s{Component::kVibrator, Component::kWifi};
-  const auto cs = s.components();
+  std::vector<Component> cs;
+  s.for_each([&cs](Component c) { cs.push_back(c); });
   ASSERT_EQ(cs.size(), 2u);
   EXPECT_EQ(cs[0], Component::kWifi);
   EXPECT_EQ(cs[1], Component::kVibrator);
+
+  // Every subset visits exactly its members, ascending.
+  for (std::uint32_t bits = 0; bits < (1u << kComponentCount); ++bits) {
+    const ComponentSet sub = ComponentSet::from_bits(bits);
+    std::vector<Component> visited;
+    sub.for_each([&visited](Component c) { visited.push_back(c); });
+    std::vector<Component> expected;
+    for (int i = 0; i < kComponentCount; ++i) {
+      if (sub.contains(static_cast<Component>(i))) {
+        expected.push_back(static_cast<Component>(i));
+      }
+    }
+    ASSERT_EQ(visited, expected) << bits;
+  }
 }
 
 TEST(ComponentSet, AllContainsEveryComponent) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 namespace simty::metrics {
 namespace {
 
@@ -11,8 +13,10 @@ alarm::DeliveryRecord record(std::uint64_t id, std::int64_t delivered,
                              std::int64_t repeat, alarm::RepeatMode mode,
                              bool perceptible = false) {
   alarm::DeliveryRecord r;
+  // DeliveryRecord::tag is a view: point it at static storage.
+  static constexpr const char* kTags[] = {"a0", "a1", "a2", "a3"};
   r.id = alarm::AlarmId{id};
-  r.tag = "a" + std::to_string(id);
+  r.tag = kTags[id % std::size(kTags)];
   r.mode = mode;
   r.repeat_interval = Duration::seconds(repeat);
   r.delivered = at(delivered);

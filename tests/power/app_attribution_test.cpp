@@ -24,7 +24,8 @@ alarm::SessionRecord session(bool caused_wakeup,
   return s;
 }
 
-alarm::SessionItem item(std::uint32_t app, const std::string& tag,
+// The item views `tag`: callers pass literals.
+alarm::SessionItem item(std::uint32_t app, std::string_view tag,
                         ComponentSet set, Duration hold) {
   return alarm::SessionItem{alarm::AlarmId{app}, alarm::AppId{app}, tag, set, hold};
 }

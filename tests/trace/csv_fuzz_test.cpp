@@ -15,7 +15,8 @@ std::string valid_csv() {
   for (int i = 0; i < 5; ++i) {
     alarm::DeliveryRecord r;
     r.id = alarm::AlarmId{static_cast<std::uint64_t>(i + 1)};
-    r.tag = "app" + std::to_string(i) + ".sync";
+    const std::string tag = "app" + std::to_string(i) + ".sync";
+    r.tag = tag;  // observe() copies the viewed tag into the log
     r.app = alarm::AppId{static_cast<std::uint32_t>(i)};
     r.kind = i % 2 == 0 ? alarm::AlarmKind::kWakeup : alarm::AlarmKind::kNonWakeup;
     r.mode = i % 2 == 0 ? alarm::RepeatMode::kStatic : alarm::RepeatMode::kDynamic;

@@ -15,7 +15,8 @@ namespace {
 using hw::Component;
 using hw::ComponentSet;
 
-alarm::DeliveryRecord sample_record(std::uint64_t id, const std::string& tag) {
+// The record views `tag`: pass literals or strings that outlive the record.
+alarm::DeliveryRecord sample_record(std::uint64_t id, std::string_view tag) {
   alarm::DeliveryRecord r;
   r.id = alarm::AlarmId{id};
   r.tag = tag;
