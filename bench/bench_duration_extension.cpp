@@ -87,13 +87,10 @@ void compare(const char* title, exp::WorkloadKind workload, std::size_t apps) {
   t.set_header({"Policy", "total (J)", "awake (J)", "CPU wakeups",
                 "imperceptible delay"});
   for (const auto* r : {&base, &dur}) {
-    double cpu = 0.0;
-    for (const auto& w : r->wakeups) {
-      if (w.hardware == "CPU") cpu = w.actual;
-    }
     t.add_row({r->policy_name, str_format("%.1f", r->energy.total().joules_f()),
                str_format("%.1f", r->energy.awake_total().joules_f()),
-               str_format("%.0f", cpu), percent(r->delay_imperceptible)});
+               str_format("%.0f", exp::cpu_wakeups(*r).actual),
+               percent(r->delay_imperceptible)});
   }
   t.add_row({"delta", percent(1.0 - dur.energy.total().ratio(base.energy.total())),
              percent(1.0 - dur.energy.awake_total().ratio(base.energy.awake_total())),

@@ -54,12 +54,7 @@ int main() {
     const exp::RunResult exact = cell(0);
     const exp::RunResult native = cell(1);
     const exp::RunResult simty = cell(2);
-    auto cpu = [](const exp::RunResult& r) {
-      for (const auto& w : r.wakeups) {
-        if (w.hardware == "CPU") return w.actual;
-      }
-      return 0.0;
-    };
+    auto cpu = [](const exp::RunResult& r) { return exp::cpu_wakeups(r).actual; };
     t.add_row({str_format("%zu", kCounts[ci]),
                str_format("%.1f", exact.energy.total().joules_f()),
                str_format("%.1f", native.energy.total().joules_f()),

@@ -60,30 +60,21 @@ int main() {
   TextTable t("Similarity-granularity ablation (heavy workload, 3 seeds)");
   t.set_header({"Variant", "total (J)", "awake (J)", "CPU wakeups",
                 "Wi-Fi cycles", "WPS cycles", "imperceptible delay"});
-  for (const Variant& v : kVariants) {
-    const exp::RunResult r = run(v.policy, v.mode);
-    double cpu = 0.0, wifi = 0.0, wps = 0.0;
-    for (const auto& w : r.wakeups) {
-      if (w.hardware == "CPU") cpu = w.actual;
-      if (w.hardware == "Wi-Fi") wifi = w.actual;
-      if (w.hardware == "WPS") wps = w.actual;
-    }
-    t.add_row({v.label, str_format("%.1f", r.energy.total().joules_f()),
+  auto add_row = [&t](const char* label, const exp::RunResult& r) {
+    auto cycles = [&r](const char* hardware) {
+      for (const auto& w : r.wakeups) {
+        if (w.hardware == hardware) return w.actual;
+      }
+      return 0.0;
+    };
+    t.add_row({label, str_format("%.1f", r.energy.total().joules_f()),
                str_format("%.1f", r.energy.awake_total().joules_f()),
-               str_format("%.0f", cpu), str_format("%.0f", wifi),
-               str_format("%.0f", wps), percent(r.delay_imperceptible)});
-  }
-  double cpu = 0.0, wifi = 0.0, wps = 0.0;
-  for (const auto& w : window_only.wakeups) {
-    if (w.hardware == "CPU") cpu = w.actual;
-    if (w.hardware == "Wi-Fi") wifi = w.actual;
-    if (w.hardware == "WPS") wps = w.actual;
-  }
-  t.add_row({"SIMTY window-only time",
-             str_format("%.1f", window_only.energy.total().joules_f()),
-             str_format("%.1f", window_only.energy.awake_total().joules_f()),
-             str_format("%.0f", cpu), str_format("%.0f", wifi),
-             str_format("%.0f", wps), percent(window_only.delay_imperceptible)});
+               str_format("%.0f", exp::cpu_wakeups(r).actual),
+               str_format("%.0f", cycles("Wi-Fi")), str_format("%.0f", cycles("WPS")),
+               percent(r.delay_imperceptible)});
+  };
+  for (const Variant& v : kVariants) add_row(v.label, run(v.policy, v.mode));
+  add_row("SIMTY window-only time", window_only);
   std::printf("%s", t.render().c_str());
   return 0;
 }

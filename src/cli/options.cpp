@@ -1,7 +1,6 @@
 #include "cli/options.hpp"
 
-#include <cmath>
-#include <stdexcept>
+#include <limits>
 
 #include "common/strings.hpp"
 #include "exp/parallel_runner.hpp"
@@ -10,44 +9,8 @@ namespace simty::cli {
 
 namespace {
 
-std::optional<exp::PolicyKind> parse_policy(const std::string& name) {
-  if (name == "native") return exp::PolicyKind::kNative;
-  if (name == "simty") return exp::PolicyKind::kSimty;
-  if (name == "exact") return exp::PolicyKind::kExact;
-  if (name == "simty-dur") return exp::PolicyKind::kSimtyDuration;
-  if (name == "fixed") return exp::PolicyKind::kFixedInterval;
-  return std::nullopt;
-}
-
-std::optional<double> parse_double(const std::string& s) {
-  // std::stod happily accepts "nan", "inf", and hex floats like "0x1p3" —
-  // none of which are meaningful flag values, and nan in particular poisons
-  // every downstream range check (nan < 0.0 is false). Only plain finite
-  // decimal literals pass.
-  for (const char c : s) {
-    if (c == 'x' || c == 'X') return std::nullopt;  // hex float
-  }
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) return std::nullopt;
-    if (!std::isfinite(v)) return std::nullopt;  // nan / inf / overflow
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<long long> parse_int(const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(s, &pos);
-    if (pos != s.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
+// Bound for flags stored as int, checked before the narrowing cast.
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
 
 ParseResult fail(const std::string& message) {
   return ParseResult{std::nullopt, message + " (see --help)"};
@@ -85,7 +48,7 @@ ParseResult parse_args(const std::vector<std::string>& args) {
                            exp::PolicyKind::kSimty, exp::PolicyKind::kSimtyDuration};
           continue;
         }
-        const auto p = parse_policy(name);
+        const auto p = exp::parse_policy(name);
         if (!p) return fail("unknown policy: " + name);
         plan.policies.push_back(*p);
       }
@@ -94,10 +57,9 @@ ParseResult parse_args(const std::vector<std::string>& args) {
     if (arg == "--workload") {
       const auto v = value();
       if (!v) return fail("--workload needs a value");
-      if (*v == "light") plan.config.workload = exp::WorkloadKind::kLight;
-      else if (*v == "heavy") plan.config.workload = exp::WorkloadKind::kHeavy;
-      else if (*v == "synthetic") plan.config.workload = exp::WorkloadKind::kSynthetic;
-      else return fail("unknown workload: " + *v);
+      const auto w = exp::parse_workload(*v);
+      if (!w) return fail("unknown workload: " + *v);
+      plan.config.workload = *w;
       continue;
     }
     if (arg == "--apps") {
@@ -137,8 +99,8 @@ ParseResult parse_args(const std::vector<std::string>& args) {
     }
     if (arg == "--reps") {
       const auto v = value();
-      const auto n = v ? parse_int(*v) : std::nullopt;
-      if (!n || *n <= 0) return fail("--reps needs a positive integer");
+      const auto n = v ? parse_int(*v, 1, kMaxInt) : std::nullopt;
+      if (!n) return fail("--reps needs a positive integer");
       plan.repetitions = static_cast<int>(*n);
       continue;
     }
@@ -149,8 +111,8 @@ ParseResult parse_args(const std::vector<std::string>& args) {
         plan.jobs = exp::ParallelRunner::default_jobs();
         continue;
       }
-      const auto n = parse_int(*v);
-      if (!n || *n <= 0) return fail("--jobs needs a positive integer or 'auto'");
+      const auto n = parse_int(*v, 1, kMaxInt);
+      if (!n) return fail("--jobs needs a positive integer or 'auto'");
       plan.jobs = static_cast<int>(*n);
       continue;
     }

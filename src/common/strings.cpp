@@ -1,7 +1,9 @@
 #include "common/strings.hpp"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <stdexcept>
 
 namespace simty {
 
@@ -48,6 +50,32 @@ std::string trim(const std::string& s) {
   while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\n' || s[b] == '\r')) ++b;
   while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\n' || s[e - 1] == '\r')) --e;
   return s.substr(b, e - b);
+}
+
+std::optional<double> parse_double(const std::string& s) {
+  for (const char c : s) {
+    if (c == 'x' || c == 'X') return std::nullopt;  // hex float
+  }
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(s, &pos);
+    if (pos != s.size()) return std::nullopt;
+    if (!std::isfinite(v)) return std::nullopt;  // nan / inf / overflow
+    return v;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+std::optional<long long> parse_int(const std::string& s, long long min, long long max) {
+  try {
+    std::size_t pos = 0;
+    const long long v = std::stoll(s, &pos);
+    if (pos != s.size() || v < min || v > max) return std::nullopt;
+    return v;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
 }
 
 std::string percent(double fraction, int decimals) {

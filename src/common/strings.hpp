@@ -1,6 +1,8 @@
 #pragma once
 // Small string helpers shared by reports and trace writers.
 
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,18 @@ std::vector<std::string> split(const std::string& s, char delim);
 
 /// Strips ASCII whitespace from both ends.
 std::string trim(const std::string& s);
+
+/// Parses a whole string as a finite decimal number. Rejects trailing
+/// characters, "nan", "inf", hex floats and overflow: none is a meaningful
+/// flag or file value, and nan in particular slips through every later
+/// range check (nan < 0.0 is false).
+std::optional<double> parse_double(const std::string& s);
+
+/// Parses a whole string as a base-10 integer in [min, max] (no trailing
+/// characters, no overflow).
+std::optional<long long> parse_int(
+    const std::string& s, long long min = std::numeric_limits<long long>::min(),
+    long long max = std::numeric_limits<long long>::max());
 
 /// Formats a fraction as a percentage string, e.g. 0.179 -> "17.9%".
 std::string percent(double fraction, int decimals = 1);

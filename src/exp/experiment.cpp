@@ -1,7 +1,8 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
-#include <array>
+#include <cctype>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "exp/parallel_runner.hpp"
@@ -28,6 +29,38 @@ const char* to_string(WorkloadKind w) {
   return "?";
 }
 
+namespace {
+
+// The kind in [0, last] whose to_string, lowercased, is `name`.
+template <typename Kind>
+std::optional<Kind> parse_lowercase(std::string_view name, Kind last) {
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    std::string label = to_string(static_cast<Kind>(i));
+    for (char& c : label) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (label == name) return static_cast<Kind>(i);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<PolicyKind> parse_policy(std::string_view name) {
+  return parse_lowercase(name, PolicyKind::kFixedInterval);
+}
+
+std::optional<WorkloadKind> parse_workload(std::string_view name) {
+  return parse_lowercase(name, WorkloadKind::kSynthetic);
+}
+
+RunResult::HwCounts cpu_wakeups(const RunResult& r) {
+  for (const RunResult::HwCounts& w : r.wakeups) {
+    if (w.hardware == "CPU") return w;
+  }
+  return {"CPU", 0.0, 0.0};
+}
+
 // run_experiment lives in exp/run.cpp: it is now a thin wrapper over the
 // resumable exp::Run harness, which owns the stack-assembly order.
 
@@ -37,41 +70,20 @@ RunResult average_results(const std::vector<RunResult>& results) {
   const auto n = static_cast<double>(results.size());
   if (results.size() == 1) return mean;
 
-  auto zero_add = [&](auto get) {
-    double sum = 0.0;
-    for (const RunResult& r : results) sum += get(r);
-    return sum / n;
-  };
-
-  Energy sleep = Energy::zero(), waking = Energy::zero(), awake = Energy::zero();
-  Energy trans = Energy::zero(), comp = Energy::zero(), act = Energy::zero();
-  std::array<Energy, hw::kComponentCount> per{};
-  for (const RunResult& r : results) {
-    sleep += r.energy.sleep;
-    waking += r.energy.waking;
-    awake += r.energy.awake_base;
-    trans += r.energy.wake_transitions;
-    comp += r.energy.component_active;
-    act += r.energy.component_activation;
-    for (std::size_t i = 0; i < per.size(); ++i) per[i] += r.energy.per_component[i];
+  using power::EnergyBreakdown;
+  for (Energy EnergyBreakdown::*part :
+       {&EnergyBreakdown::sleep, &EnergyBreakdown::waking, &EnergyBreakdown::awake_base,
+        &EnergyBreakdown::wake_transitions, &EnergyBreakdown::component_active,
+        &EnergyBreakdown::component_activation}) {
+    Energy sum = Energy::zero();
+    for (const RunResult& r : results) sum += r.energy.*part;
+    mean.energy.*part = sum / n;
   }
-  mean.energy.sleep = sleep / n;
-  mean.energy.waking = waking / n;
-  mean.energy.awake_base = awake / n;
-  mean.energy.wake_transitions = trans / n;
-  mean.energy.component_active = comp / n;
-  mean.energy.component_activation = act / n;
-  for (std::size_t i = 0; i < per.size(); ++i) mean.energy.per_component[i] = per[i] / n;
-
-  mean.average_power_mw = zero_add([](const RunResult& r) { return r.average_power_mw; });
-  mean.projected_standby_hours =
-      zero_add([](const RunResult& r) { return r.projected_standby_hours; });
-  mean.delay_perceptible =
-      zero_add([](const RunResult& r) { return r.delay_perceptible; });
-  mean.delay_imperceptible =
-      zero_add([](const RunResult& r) { return r.delay_imperceptible; });
-  mean.delay_imperceptible_p95 =
-      zero_add([](const RunResult& r) { return r.delay_imperceptible_p95; });
+  for (std::size_t i = 0; i < mean.energy.per_component.size(); ++i) {
+    Energy sum = Energy::zero();
+    for (const RunResult& r : results) sum += r.energy.per_component[i];
+    mean.energy.per_component[i] = sum / n;
+  }
   for (std::size_t i = 0; i < mean.wakeups.size(); ++i) {
     double actual = 0.0, expected = 0.0;
     for (const RunResult& r : results) {
@@ -82,34 +94,21 @@ RunResult average_results(const std::vector<RunResult>& results) {
     mean.wakeups[i].actual = actual / n;
     mean.wakeups[i].expected = expected / n;
   }
-  mean.deliveries = zero_add([](const RunResult& r) { return r.deliveries; });
-  mean.batches_delivered =
-      zero_add([](const RunResult& r) { return r.batches_delivered; });
-  mean.one_shots = zero_add([](const RunResult& r) { return r.one_shots; });
-  mean.awake_seconds = zero_add([](const RunResult& r) { return r.awake_seconds; });
-  mean.asleep_seconds = zero_add([](const RunResult& r) { return r.asleep_seconds; });
-
-  mean.pages_answered = zero_add([](const RunResult& r) { return r.pages_answered; });
-  mean.page_delay_avg_s =
-      zero_add([](const RunResult& r) { return r.page_delay_avg_s; });
-  mean.page_delay_p95_s =
-      zero_add([](const RunResult& r) { return r.page_delay_p95_s; });
-  mean.drx_listen_seconds =
-      zero_add([](const RunResult& r) { return r.drx_listen_seconds; });
-  mean.wur_listen_seconds =
-      zero_add([](const RunResult& r) { return r.wur_listen_seconds; });
-  mean.wur_triggers = zero_add([](const RunResult& r) { return r.wur_triggers; });
-
-  double worst = 0.0;
-  std::uint64_t violations = 0, misses = 0;
-  for (const RunResult& r : results) {
-    worst = std::max(worst, r.worst_gap_ratio);
-    violations += r.gap_violations;
-    misses += r.perceptible_window_misses;
-  }
-  mean.worst_gap_ratio = worst;
-  mean.gap_violations = violations;
-  mean.perceptible_window_misses = misses;
+  // Each fold accumulates in seed order, so the mean is bit-identical to a
+  // serial pass whatever produced the per-seed results.
+  for_each_scalar([&](const char*, Fold fold, auto member) {
+    using T = std::remove_reference_t<decltype(mean.*member)>;
+    T acc{};
+    for (const RunResult& r : results) {
+      acc = fold == Fold::kMax ? std::max(acc, r.*member) : acc + r.*member;
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+      if (fold == Fold::kMean) acc = acc / n;
+    } else {
+      SIMTY_CHECK_MSG(fold != Fold::kMean, "integer metrics fold by sum or max");
+    }
+    mean.*member = acc;
+  });
   mean.runs = static_cast<int>(results.size());
   return mean;
 }
@@ -159,9 +158,7 @@ RepeatedStats run_repeated_stats(ExperimentConfig config, int repetitions,
     out.awake_j.add(r.energy.awake_total().joules_f());
     out.delay_imperceptible.add(r.delay_imperceptible);
     out.standby_hours.add(r.projected_standby_hours);
-    for (const auto& w : r.wakeups) {
-      if (w.hardware == "CPU") out.cpu_wakeups.add(w.actual);
-    }
+    out.cpu_wakeups.add(cpu_wakeups(r).actual);
   }
   out.mean = average_results(results);
   return out;

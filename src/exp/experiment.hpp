@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alarm/alarm_manager.hpp"
@@ -34,10 +35,16 @@ enum class PolicyKind { kNative, kSimty, kExact, kSimtyDuration, kFixedInterval 
 
 const char* to_string(PolicyKind p);
 
+/// Inverse of to_string over lowercase names ("native", "simty-dur", ...).
+std::optional<PolicyKind> parse_policy(std::string_view name);
+
 /// Which workload to deploy.
 enum class WorkloadKind { kLight, kHeavy, kSynthetic };
 
 const char* to_string(WorkloadKind w);
+
+/// Inverse of to_string ("light", "heavy", "synthetic").
+std::optional<WorkloadKind> parse_workload(std::string_view name);
 
 /// Full experiment description.
 struct ExperimentConfig {
@@ -126,7 +133,8 @@ struct ExperimentConfig {
 };
 
 /// All metrics of one run (or the mean over several runs; counts become
-/// fractional after averaging).
+/// fractional after averaging). A new scalar is a member here, a line in
+/// SIMTY_RUN_RESULT_SCALARS and its assignment in Run::finalize.
 struct RunResult {
   std::string policy_name;
   Duration duration = Duration::zero();
@@ -170,6 +178,46 @@ struct RunResult {
   double wur_listen_seconds = 0.0;      // wake-up receiver listen time
   double wur_triggers = 0.0;
 };
+
+/// How average_results folds a scalar over the seeds: the mean (summed in
+/// seed order), the worst case, or the total (event counts).
+enum class Fold { kMean, kMax, kSum };
+
+/// The scalar members of RunResult, one line each: X(member, fold). The
+/// structured members (policy_name, duration, runs, energy, wakeups) are
+/// handled by hand.
+#define SIMTY_RUN_RESULT_SCALARS(X)  \
+  X(average_power_mw, kMean)         \
+  X(projected_standby_hours, kMean)  \
+  X(delay_perceptible, kMean)        \
+  X(delay_imperceptible, kMean)      \
+  X(delay_imperceptible_p95, kMean)  \
+  X(deliveries, kMean)               \
+  X(batches_delivered, kMean)        \
+  X(one_shots, kMean)                \
+  X(awake_seconds, kMean)            \
+  X(asleep_seconds, kMean)           \
+  X(worst_gap_ratio, kMax)           \
+  X(gap_violations, kSum)            \
+  X(perceptible_window_misses, kSum) \
+  X(pages_answered, kMean)           \
+  X(page_delay_avg_s, kMean)         \
+  X(page_delay_p95_s, kMean)         \
+  X(drx_listen_seconds, kMean)       \
+  X(wur_listen_seconds, kMean)       \
+  X(wur_triggers, kMean)
+
+/// Calls f(name, fold, member pointer) per scalar, in list order. The
+/// member type is double or std::uint64_t, so `f` is a generic lambda.
+template <typename F>
+void for_each_scalar(F&& f) {
+#define SIMTY_VISIT_SCALAR(member, fold) f(#member, Fold::fold, &RunResult::member);
+  SIMTY_RUN_RESULT_SCALARS(SIMTY_VISIT_SCALAR)
+#undef SIMTY_VISIT_SCALAR
+}
+
+/// The CPU row of the Table 4 wakeup breakdown (zero counts when absent).
+RunResult::HwCounts cpu_wakeups(const RunResult& r);
 
 /// Runs one seeded experiment.
 RunResult run_experiment(const ExperimentConfig& config);

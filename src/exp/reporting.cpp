@@ -151,13 +151,7 @@ std::string results_csv(const std::vector<NamedResult>& columns) {
                  "page_delay_avg_s", "page_delay_p95_s"});
   for (const NamedResult& c : columns) {
     const RunResult& r = c.result;
-    double cpu_actual = 0.0, cpu_expected = 0.0;
-    for (const auto& w : r.wakeups) {
-      if (w.hardware == "CPU") {
-        cpu_actual = w.actual;
-        cpu_expected = w.expected;
-      }
-    }
+    const RunResult::HwCounts cpu = cpu_wakeups(r);
     csv.add_row({c.label, r.policy_name,
                  str_format("%.2f", r.energy.awake_total().joules_f()),
                  str_format("%.2f", r.energy.sleep.joules_f()),
@@ -166,7 +160,7 @@ std::string results_csv(const std::vector<NamedResult>& columns) {
                  str_format("%.2f", r.projected_standby_hours),
                  str_format("%.5f", r.delay_perceptible),
                  str_format("%.5f", r.delay_imperceptible),
-                 str_format("%.1f", cpu_actual), str_format("%.1f", cpu_expected),
+                 str_format("%.1f", cpu.actual), str_format("%.1f", cpu.expected),
                  str_format("%.1f", r.deliveries),
                  str_format("%.1f", r.pages_answered),
                  str_format("%.5f", r.page_delay_avg_s),

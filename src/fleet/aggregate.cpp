@@ -29,19 +29,13 @@ void MetricAggregate::restore(snapshot::SectionReader& s) {
 void CohortAggregate::save(snapshot::Writer& w) const {
   w.str(cohort);
   w.u64(devices);
-  energy_j.save(w);
-  avg_power_mw.save(w);
-  wakeups_per_hour.save(w);
-  delay_norm.save(w);
+  for_each_metric([&](const char*, auto stream, auto) { (this->*stream).save(w); });
 }
 
 void CohortAggregate::restore(snapshot::SectionReader& s) {
   cohort = s.str();
   devices = s.u64();
-  energy_j.restore(s);
-  avg_power_mw.restore(s);
-  wakeups_per_hour.restore(s);
-  delay_norm.restore(s);
+  for_each_metric([&](const char*, auto stream, auto) { (this->*stream).restore(s); });
 }
 
 DeviceMetrics device_metrics(const exp::RunResult& r) {
@@ -49,12 +43,7 @@ DeviceMetrics device_metrics(const exp::RunResult& r) {
   m.energy_j = r.energy.total().joules_f();
   m.avg_power_mw = r.average_power_mw;
   const double hours = r.duration.seconds_f() / 3600.0;
-  for (const exp::RunResult::HwCounts& w : r.wakeups) {
-    if (w.hardware == "CPU" && hours > 0.0) {
-      m.wakeups_per_hour = w.actual / hours;
-      break;
-    }
-  }
+  if (hours > 0.0) m.wakeups_per_hour = exp::cpu_wakeups(r).actual / hours;
   m.delay_norm = r.delay_imperceptible;
   return m;
 }

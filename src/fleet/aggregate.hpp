@@ -31,17 +31,16 @@ class SectionReader;
 
 namespace simty::fleet {
 
-/// Histogram geometries, shared by every shard so sketches merge. Linear
-/// buckets; values past the upper bound land in the overflow bucket and
-/// quantiles there resolve to the observed max.
-inline constexpr double kEnergyUpperJ = 1000.0;     // per-session joules
-inline constexpr std::size_t kEnergyBuckets = 500;  // 2 J per bucket
-inline constexpr double kPowerUpperMw = 400.0;      // average standby power
-inline constexpr std::size_t kPowerBuckets = 400;   // 1 mW per bucket
-inline constexpr double kWakeupsUpper = 720.0;      // CPU wakeups per hour
-inline constexpr std::size_t kWakeupsBuckets = 360; // 2 per bucket
-inline constexpr double kDelayUpper = 2.0;          // normalized delay < 1+beta
-inline constexpr std::size_t kDelayBuckets = 400;   // 0.005 per bucket
+/// The per-device metrics the fleet tracks, one line each: X(name,
+/// histogram upper bound, buckets). A line declares the DeviceMetrics field
+/// and CohortAggregate stream of that name, and drives add/merge/save/
+/// restore and the fleet_csv rows. Shards share the linear histogram
+/// geometry so sketches merge; overflow quantiles resolve to the max.
+#define SIMTY_FLEET_METRICS(X)                                               \
+  X(energy_j, 1000.0, 500)         /* session joules; 2 J per bucket */      \
+  X(avg_power_mw, 400.0, 400)      /* average standby mW; 1 mW per bucket */ \
+  X(wakeups_per_hour, 720.0, 360)  /* CPU wakeup rate; 2 per bucket */       \
+  X(delay_norm, 2.0, 400)          /* imperceptible delay < 1+beta; 0.005 */
 
 /// One metric stream: Welford stats plus a percentile sketch.
 class MetricAggregate {
@@ -74,12 +73,11 @@ class MetricAggregate {
   metrics::Histogram hist_;
 };
 
-/// The per-device metric row the fleet tracks.
+/// The per-device metric row the fleet tracks (SIMTY_FLEET_METRICS).
 struct DeviceMetrics {
-  double energy_j = 0.0;          // total session energy
-  double avg_power_mw = 0.0;      // average standby power
-  double wakeups_per_hour = 0.0;  // CPU wakeup rate
-  double delay_norm = 0.0;        // mean normalized imperceptible delay
+#define SIMTY_DECLARE_FIELD(name, upper, buckets) double name = 0.0;
+  SIMTY_FLEET_METRICS(SIMTY_DECLARE_FIELD)
+#undef SIMTY_DECLARE_FIELD
 };
 
 /// Reduces one device run to its metric row.
@@ -89,23 +87,32 @@ DeviceMetrics device_metrics(const exp::RunResult& r);
 struct CohortAggregate {
   std::string cohort;
   std::uint64_t devices = 0;
-  MetricAggregate energy_j{kEnergyUpperJ, kEnergyBuckets};
-  MetricAggregate avg_power_mw{kPowerUpperMw, kPowerBuckets};
-  MetricAggregate wakeups_per_hour{kWakeupsUpper, kWakeupsBuckets};
-  MetricAggregate delay_norm{kDelayUpper, kDelayBuckets};
+#define SIMTY_DECLARE_STREAM(name, upper, buckets) \
+  MetricAggregate name{upper, buckets};
+  SIMTY_FLEET_METRICS(SIMTY_DECLARE_STREAM)
+#undef SIMTY_DECLARE_STREAM
 
   CohortAggregate() = default;
   explicit CohortAggregate(std::string name) : cohort(std::move(name)) {}
 
-  void add(const DeviceMetrics& m) {
-    ++devices;
-    energy_j.add(m.energy_j);
-    avg_power_mw.add(m.avg_power_mw);
-    wakeups_per_hour.add(m.wakeups_per_hour);
-    delay_norm.add(m.delay_norm);
+  /// Calls f(name, stream member pointer, DeviceMetrics field pointer) per
+  /// metric, in list order.
+  template <typename F>
+  static void for_each_metric(F&& f) {
+#define SIMTY_VISIT_METRIC(name, upper, buckets) \
+  f(#name, &CohortAggregate::name, &DeviceMetrics::name);
+    SIMTY_FLEET_METRICS(SIMTY_VISIT_METRIC)
+#undef SIMTY_VISIT_METRIC
   }
 
-  /// Serializes name, device count and all four metric streams into the
+  void add(const DeviceMetrics& m) {
+    ++devices;
+    for_each_metric([&](const char*, auto stream, auto field) {
+      (this->*stream).add(m.*field);
+    });
+  }
+
+  /// Serializes name, device count and every metric stream into the
   /// current open section. restore() overwrites this aggregate wholesale
   /// (including the name) and is bit-exact: continuing the same device
   /// add-sequence after a restore reproduces the straight-run aggregate.
@@ -115,10 +122,9 @@ struct CohortAggregate {
   /// Folds `other` in; keeps this aggregate's name.
   void merge(const CohortAggregate& other) {
     devices += other.devices;
-    energy_j.merge(other.energy_j);
-    avg_power_mw.merge(other.avg_power_mw);
-    wakeups_per_hour.merge(other.wakeups_per_hour);
-    delay_norm.merge(other.delay_norm);
+    for_each_metric([&](const char*, auto stream, auto) {
+      (this->*stream).merge(other.*stream);
+    });
   }
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -186,16 +187,9 @@ namespace {
 }
 
 double parse_num(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) parse_fail(line_no, "bad number: " + token);
-    return v;
-  } catch (const std::invalid_argument&) {
-    parse_fail(line_no, "bad number: " + token);
-  } catch (const std::out_of_range&) {
-    parse_fail(line_no, "number out of range: " + token);
-  }
+  const std::optional<double> v = parse_double(token);
+  if (!v) parse_fail(line_no, "bad number: " + token);
+  return *v;
 }
 
 }  // namespace
@@ -252,6 +246,10 @@ std::vector<CohortSpec> parse_cohorts(std::string_view text) {
       double lo = 0.0, hi = 0.0;
       two(&lo, &hi);
       if (lo < 1.0 || hi < lo) parse_fail(line_no, "apps needs 1 <= lo <= hi");
+      if (hi > static_cast<double>(table3().size())) {  // before the size_t cast
+        parse_fail(line_no,
+                   "cohort [" + spec.name + "]: apps exceeds the Table 3 catalog");
+      }
       spec.min_apps = static_cast<std::size_t>(lo);
       spec.max_apps = static_cast<std::size_t>(hi);
     } else if (key == "rein_jitter") {

@@ -4,22 +4,6 @@
 
 namespace simty::fleet {
 
-namespace {
-
-struct NamedMetric {
-  const char* name;
-  const MetricAggregate* agg;
-};
-
-std::vector<NamedMetric> metrics_of(const CohortAggregate& c) {
-  return {{"energy_j", &c.energy_j},
-          {"avg_power_mw", &c.avg_power_mw},
-          {"wakeups_per_hour", &c.wakeups_per_hour},
-          {"delay_norm", &c.delay_norm}};
-}
-
-}  // namespace
-
 std::string render_fleet_report(const FleetResult& result) {
   std::string out = str_format(
       "fleet: %s over %llu devices\n", result.policy_name.c_str(),
@@ -46,16 +30,16 @@ std::string fleet_csv(const std::vector<FleetResult>& results) {
       "policy,cohort,devices,metric,count,mean,stddev,min,max,p50,p95,p99\n";
   for (const FleetResult& r : results) {
     auto rows = [&out, &r](const CohortAggregate& c) {
-      for (const NamedMetric& m : metrics_of(c)) {
-        const OnlineStats& s = m.agg->stats();
+      CohortAggregate::for_each_metric([&](const char* name, auto stream, auto) {
+        const MetricAggregate& m = c.*stream;
+        const OnlineStats& s = m.stats();
         out += str_format(
             "%s,%s,%llu,%s,%llu,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
             r.policy_name.c_str(), c.cohort.c_str(),
-            static_cast<unsigned long long>(c.devices), m.name,
+            static_cast<unsigned long long>(c.devices), name,
             static_cast<unsigned long long>(s.count()), s.mean(), s.stddev(),
-            s.min(), s.max(), m.agg->quantile(0.5), m.agg->quantile(0.95),
-            m.agg->quantile(0.99));
-      }
+            s.min(), s.max(), m.quantile(0.5), m.quantile(0.95), m.quantile(0.99));
+      });
     };
     for (const CohortAggregate& c : r.cohorts) rows(c);
     rows(r.overall);

@@ -37,23 +37,16 @@ exp::ExperimentConfig to_config(const Request& req) {
 Response to_response(const exp::RunResult& r) {
   Response resp;
   resp.policy_name = r.policy_name;
-  resp.total_j = r.energy.total().joules_f();
-  resp.awake_total_j = r.energy.awake_total().joules_f();
-  resp.average_power_mw = r.average_power_mw;
-  resp.projected_standby_hours = r.projected_standby_hours;
-  resp.delay_perceptible = r.delay_perceptible;
-  resp.delay_imperceptible = r.delay_imperceptible;
-  resp.delay_imperceptible_p95 = r.delay_imperceptible_p95;
-  resp.deliveries = r.deliveries;
-  resp.batches_delivered = r.batches_delivered;
-  resp.one_shots = r.one_shots;
-  resp.awake_seconds = r.awake_seconds;
-  resp.asleep_seconds = r.asleep_seconds;
-  resp.worst_gap_ratio = r.worst_gap_ratio;
-  resp.gap_violations = r.gap_violations;
-  resp.perceptible_window_misses = r.perceptible_window_misses;
+  Response::for_each_metric([&](const char*, auto member, auto source) {
+    resp.*member = source(r);
+  });
   return resp;
 }
+
+void put(snapshot::Writer& w, double v) { w.f64(v); }
+void put(snapshot::Writer& w, std::uint64_t v) { w.u64(v); }
+void get(snapshot::SectionReader& s, double& v) { v = s.f64(); }
+void get(snapshot::SectionReader& s, std::uint64_t& v) { v = s.u64(); }
 
 }  // namespace
 
@@ -78,9 +71,9 @@ Request decode_request(const std::string& bytes) {
   snapshot::SectionReader s = reader.section("simty-request", kProtocolVersion);
   Request req;
   const std::uint8_t policy = s.u8();
-  SIMTY_CHECK_MSG(
-      policy <= static_cast<std::uint8_t>(exp::PolicyKind::kSimtyDuration),
-      "serve: unknown policy kind");
+  const auto fixed = static_cast<std::uint8_t>(exp::PolicyKind::kFixedInterval);
+  SIMTY_CHECK_MSG(policy <= fixed, "serve: unknown policy kind");
+  SIMTY_CHECK_MSG(policy != fixed, "serve: requests carry no fixed_interval");
   req.policy = static_cast<exp::PolicyKind>(policy);
   const std::uint8_t workload = s.u8();
   SIMTY_CHECK_MSG(
@@ -113,21 +106,8 @@ std::string encode_response(const Response& resp) {
   w.boolean(resp.cached);
   w.boolean(resp.warm_started);
   w.str(resp.policy_name);
-  w.f64(resp.total_j);
-  w.f64(resp.awake_total_j);
-  w.f64(resp.average_power_mw);
-  w.f64(resp.projected_standby_hours);
-  w.f64(resp.delay_perceptible);
-  w.f64(resp.delay_imperceptible);
-  w.f64(resp.delay_imperceptible_p95);
-  w.f64(resp.deliveries);
-  w.f64(resp.batches_delivered);
-  w.f64(resp.one_shots);
-  w.f64(resp.awake_seconds);
-  w.f64(resp.asleep_seconds);
-  w.f64(resp.worst_gap_ratio);
-  w.u64(resp.gap_violations);
-  w.u64(resp.perceptible_window_misses);
+  Response::for_each_metric(
+      [&](const char*, auto member, auto) { put(w, resp.*member); });
   w.end_section();
   return w.finish();
 }
@@ -140,21 +120,8 @@ Response decode_response(const std::string& bytes) {
   resp.cached = s.boolean();
   resp.warm_started = s.boolean();
   resp.policy_name = s.str();
-  resp.total_j = s.f64();
-  resp.awake_total_j = s.f64();
-  resp.average_power_mw = s.f64();
-  resp.projected_standby_hours = s.f64();
-  resp.delay_perceptible = s.f64();
-  resp.delay_imperceptible = s.f64();
-  resp.delay_imperceptible_p95 = s.f64();
-  resp.deliveries = s.f64();
-  resp.batches_delivered = s.f64();
-  resp.one_shots = s.f64();
-  resp.awake_seconds = s.f64();
-  resp.asleep_seconds = s.f64();
-  resp.worst_gap_ratio = s.f64();
-  resp.gap_violations = s.u64();
-  resp.perceptible_window_misses = s.u64();
+  Response::for_each_metric(
+      [&](const char*, auto member, auto) { get(s, resp.*member); });
   SIMTY_CHECK_MSG(s.at_end(), "serve: trailing bytes in response");
   return resp;
 }
@@ -169,13 +136,8 @@ std::string encode_stats_request() {
 std::string encode_stats(const ServeStats& stats) {
   snapshot::Writer w;
   w.begin_section("simty-stats", kProtocolVersion);
-  w.u64(stats.requests);
-  w.u64(stats.result_hits);
-  w.u64(stats.result_misses);
-  w.u64(stats.prefix_hits);
-  w.u64(stats.prefix_misses);
-  w.u64(stats.snapshots_stored);
-  w.u64(stats.snapshots_evicted);
+  ServeStats::for_each_counter(
+      [&](const char*, auto member) { w.u64(stats.*member); });
   w.end_section();
   return w.finish();
 }
@@ -184,13 +146,8 @@ ServeStats decode_stats(const std::string& bytes) {
   const snapshot::Reader reader(bytes);
   snapshot::SectionReader s = reader.section("simty-stats", kProtocolVersion);
   ServeStats stats;
-  stats.requests = s.u64();
-  stats.result_hits = s.u64();
-  stats.result_misses = s.u64();
-  stats.prefix_hits = s.u64();
-  stats.prefix_misses = s.u64();
-  stats.snapshots_stored = s.u64();
-  stats.snapshots_evicted = s.u64();
+  ServeStats::for_each_counter(
+      [&](const char*, auto member) { stats.*member = s.u64(); });
   SIMTY_CHECK_MSG(s.at_end(), "serve: trailing bytes in stats");
   return stats;
 }

@@ -44,37 +44,78 @@ struct Request {
   std::optional<exp::ExperimentConfig::BetaSwitch> beta_switch;
 };
 
-/// The metric rows a sweep plot needs, plus cache provenance.
+/// Wire types of the served metrics.
+namespace wire {
+using f64 = double;
+using u64 = std::uint64_t;
+}  // namespace wire
+
+/// The metric rows a sweep plot needs, one line each: X(name, wire type,
+/// source), `source` being an expression over a RunResult's members. The
+/// list declares Response's members and drives to_response, the response
+/// codec (wire order = list order) and simty_query's output.
+#define SIMTY_RESPONSE_METRICS(X)                          \
+  X(total_j, f64, energy.total().joules_f())               \
+  X(awake_total_j, f64, energy.awake_total().joules_f())   \
+  X(average_power_mw, f64, average_power_mw)               \
+  X(projected_standby_hours, f64, projected_standby_hours) \
+  X(delay_perceptible, f64, delay_perceptible)             \
+  X(delay_imperceptible, f64, delay_imperceptible)         \
+  X(delay_imperceptible_p95, f64, delay_imperceptible_p95) \
+  X(deliveries, f64, deliveries)                           \
+  X(batches_delivered, f64, batches_delivered)             \
+  X(one_shots, f64, one_shots)                             \
+  X(awake_seconds, f64, awake_seconds)                     \
+  X(asleep_seconds, f64, asleep_seconds)                   \
+  X(worst_gap_ratio, f64, worst_gap_ratio)                 \
+  X(gap_violations, u64, gap_violations)                   \
+  X(perceptible_window_misses, u64, perceptible_window_misses)
+
+/// The metric rows of SIMTY_RESPONSE_METRICS, plus cache provenance.
 struct Response {
   bool cached = false;        // answered from the result cache
   bool warm_started = false;  // computed by resuming a shared prefix
   std::string policy_name;
-  double total_j = 0.0;
-  double awake_total_j = 0.0;
-  double average_power_mw = 0.0;
-  double projected_standby_hours = 0.0;
-  double delay_perceptible = 0.0;
-  double delay_imperceptible = 0.0;
-  double delay_imperceptible_p95 = 0.0;
-  double deliveries = 0.0;
-  double batches_delivered = 0.0;
-  double one_shots = 0.0;
-  double awake_seconds = 0.0;
-  double asleep_seconds = 0.0;
-  double worst_gap_ratio = 0.0;
-  std::uint64_t gap_violations = 0;
-  std::uint64_t perceptible_window_misses = 0;
+#define SIMTY_DECLARE_METRIC(name, type, source) wire::type name = 0;
+  SIMTY_RESPONSE_METRICS(SIMTY_DECLARE_METRIC)
+#undef SIMTY_DECLARE_METRIC
+
+  /// Calls f(name, member pointer, source) per metric, in wire order, where
+  /// source(run_result) computes the metric.
+  template <typename F>
+  static void for_each_metric(F&& f) {
+#define SIMTY_VISIT_METRIC(name, type, source) \
+  f(#name, &Response::name,                    \
+    [](const exp::RunResult& r) -> wire::type { return r.source; });
+    SIMTY_RESPONSE_METRICS(SIMTY_VISIT_METRIC)
+#undef SIMTY_VISIT_METRIC
+  }
 };
 
-/// Cache effectiveness counters (the "simty-stats" command).
+/// Cache effectiveness counters (the "simty-stats" command), one line
+/// each: X(name). The list declares ServeStats's u64 members and drives the
+/// stats codec (wire order = list order) and simty_query --stats.
+#define SIMTY_SERVE_STATS(X)                                   \
+  X(requests)                                                  \
+  X(result_hits)                                               \
+  X(result_misses)                                             \
+  X(prefix_hits)    /* warm starts served from the store */    \
+  X(prefix_misses)  /* cold prefixes simulated (and stored) */ \
+  X(snapshots_stored)                                          \
+  X(snapshots_evicted)
+
 struct ServeStats {
-  std::uint64_t requests = 0;
-  std::uint64_t result_hits = 0;
-  std::uint64_t result_misses = 0;
-  std::uint64_t prefix_hits = 0;    // warm starts served from the store
-  std::uint64_t prefix_misses = 0;  // cold prefixes simulated (and stored)
-  std::uint64_t snapshots_stored = 0;
-  std::uint64_t snapshots_evicted = 0;
+#define SIMTY_DECLARE_STAT(name) std::uint64_t name = 0;
+  SIMTY_SERVE_STATS(SIMTY_DECLARE_STAT)
+#undef SIMTY_DECLARE_STAT
+
+  /// Calls f(name, member pointer) per counter, in wire order.
+  template <typename F>
+  static void for_each_counter(F&& f) {
+#define SIMTY_VISIT_STAT(name) f(#name, &ServeStats::name);
+    SIMTY_SERVE_STATS(SIMTY_VISIT_STAT)
+#undef SIMTY_VISIT_STAT
+  }
 };
 
 // --- Codec (container sections "simty-request" / "simty-response" /

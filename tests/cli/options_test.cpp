@@ -154,6 +154,9 @@ TEST(CliOptions, RejectsBadInput) {
   EXPECT_FALSE(parse({"--jobs", "0"}).ok());
   EXPECT_FALSE(parse({"--jobs", "-2"}).ok());
   EXPECT_FALSE(parse({"--jobs", "many"}).ok());
+  // Past INT_MAX: used to wrap in the cast to int (2^32 + 1 ran 1 rep).
+  EXPECT_FALSE(parse({"--reps", "4294967297"}).ok());
+  EXPECT_FALSE(parse({"--jobs", "4294967297"}).ok());
   EXPECT_FALSE(parse({"--jobs"}).ok());
   EXPECT_FALSE(parse({"--hw-levels", "5"}).ok());
   EXPECT_FALSE(parse({"--frobnicate"}).ok());

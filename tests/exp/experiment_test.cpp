@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 namespace simty::exp {
 namespace {
@@ -66,21 +71,47 @@ TEST(Experiment, EnergyConservation) {
 TEST(Experiment, AverageResultsIsComponentwiseMean) {
   RunResult a;
   a.energy.sleep = Energy::joules(100);
-  a.delay_imperceptible = 0.1;
-  a.deliveries = 10;
   a.wakeups.push_back({"CPU", 100, 200});
   RunResult b = a;
   b.energy.sleep = Energy::joules(300);
-  b.delay_imperceptible = 0.3;
-  b.deliveries = 30;
   b.wakeups[0] = {"CPU", 200, 400};
-  const RunResult mean = average_results({a, b});
-  EXPECT_NEAR(mean.energy.sleep.joules_f(), 200.0, 1e-9);
-  EXPECT_NEAR(mean.delay_imperceptible, 0.2, 1e-12);
-  EXPECT_NEAR(mean.deliveries, 20.0, 1e-12);
-  EXPECT_NEAR(mean.wakeups[0].actual, 150.0, 1e-12);
-  EXPECT_NEAR(mean.wakeups[0].expected, 300.0, 1e-12);
-  EXPECT_EQ(mean.runs, 2);
+  // Every table scalar gets its own pair of values; which of the two is
+  // larger alternates, so a max fold cannot pass as "keep the last".
+  int k = 0;
+  for_each_scalar([&](const char*, Fold, auto member) {
+    using T = std::remove_reference_t<decltype(a.*member)>;
+    ++k;
+    a.*member = static_cast<T>(k % 2 == 0 ? 10 * k + 6 : 10 * k + 2);
+    b.*member = static_cast<T>(k % 2 == 0 ? 10 * k + 2 : 10 * k + 6);
+  });
+  ASSERT_GT(k, 0);
+
+  for (const RunResult& mean : {average_results({a, b}), average_results({b, a})}) {
+    EXPECT_NEAR(mean.energy.sleep.joules_f(), 200.0, 1e-9);
+    EXPECT_NEAR(mean.wakeups[0].actual, 150.0, 1e-12);
+    EXPECT_NEAR(mean.wakeups[0].expected, 300.0, 1e-12);
+    EXPECT_EQ(mean.runs, 2);
+    for_each_scalar([&](const char* name, Fold fold, auto member) {
+      using T = std::remove_reference_t<decltype(a.*member)>;
+      const T x = a.*member;
+      const T y = b.*member;
+      switch (fold) {
+        case Fold::kMean: EXPECT_EQ(mean.*member, (x + y) / 2) << name; break;
+        case Fold::kMax: EXPECT_EQ(mean.*member, std::max(x, y)) << name; break;
+        case Fold::kSum: EXPECT_EQ(mean.*member, x + y) << name; break;
+      }
+    });
+  }
+  // The rules themselves are pinned: the §3.2.2 audit reports the worst gap
+  // over the seeds and the total of guarantee breaches; the rest are means.
+  for_each_scalar([](const char* name, Fold fold, auto) {
+    const std::string n = name;
+    const Fold want = n == "worst_gap_ratio" ? Fold::kMax
+                      : n == "gap_violations" || n == "perceptible_window_misses"
+                          ? Fold::kSum
+                          : Fold::kMean;
+    EXPECT_EQ(fold, want) << name;
+  });
 }
 
 TEST(Experiment, RunRepeatedAveragesSeeds) {
@@ -198,6 +229,23 @@ TEST(Experiment, PolicyAndWorkloadNames) {
   EXPECT_STREQ(to_string(WorkloadKind::kLight), "light");
   EXPECT_STREQ(to_string(WorkloadKind::kHeavy), "heavy");
   EXPECT_STREQ(to_string(WorkloadKind::kSynthetic), "synthetic");
+
+  // parse_* is the inverse of to_string over lowercase names.
+  for (const PolicyKind p : {PolicyKind::kNative, PolicyKind::kSimty, PolicyKind::kExact,
+                             PolicyKind::kSimtyDuration, PolicyKind::kFixedInterval}) {
+    std::string name = to_string(p);
+    for (char& c : name) c = static_cast<char>(std::tolower(c));
+    EXPECT_EQ(parse_policy(name), p) << name;
+    EXPECT_EQ(parse_policy(to_string(p)), std::nullopt) << "uppercase " << name;
+  }
+  for (const WorkloadKind w :
+       {WorkloadKind::kLight, WorkloadKind::kHeavy, WorkloadKind::kSynthetic}) {
+    EXPECT_EQ(parse_workload(to_string(w)), w);
+  }
+  for (const char* bad : {"", "all", "simty-", "simty-durx", "nat", "LIGHT", "?"}) {
+    EXPECT_EQ(parse_policy(bad), std::nullopt) << bad;
+    EXPECT_EQ(parse_workload(bad), std::nullopt) << bad;
+  }
 }
 
 }  // namespace

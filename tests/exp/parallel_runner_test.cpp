@@ -12,51 +12,12 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "support/result_equality.hpp"
 
 namespace simty::exp {
 namespace {
 
-// EXPECT_EQ on doubles is exact equality: the contract is byte-for-byte
-// identical results, not "close enough".
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.policy_name, b.policy_name);
-  EXPECT_EQ(a.duration.seconds_f(), b.duration.seconds_f());
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.energy.sleep.mj(), b.energy.sleep.mj());
-  EXPECT_EQ(a.energy.waking.mj(), b.energy.waking.mj());
-  EXPECT_EQ(a.energy.awake_base.mj(), b.energy.awake_base.mj());
-  EXPECT_EQ(a.energy.wake_transitions.mj(), b.energy.wake_transitions.mj());
-  EXPECT_EQ(a.energy.component_active.mj(), b.energy.component_active.mj());
-  EXPECT_EQ(a.energy.component_activation.mj(), b.energy.component_activation.mj());
-  for (std::size_t i = 0; i < a.energy.per_component.size(); ++i) {
-    EXPECT_EQ(a.energy.per_component[i].mj(), b.energy.per_component[i].mj());
-  }
-  EXPECT_EQ(a.average_power_mw, b.average_power_mw);
-  EXPECT_EQ(a.projected_standby_hours, b.projected_standby_hours);
-  EXPECT_EQ(a.delay_perceptible, b.delay_perceptible);
-  EXPECT_EQ(a.delay_imperceptible, b.delay_imperceptible);
-  EXPECT_EQ(a.delay_imperceptible_p95, b.delay_imperceptible_p95);
-  ASSERT_EQ(a.wakeups.size(), b.wakeups.size());
-  for (std::size_t i = 0; i < a.wakeups.size(); ++i) {
-    EXPECT_EQ(a.wakeups[i].hardware, b.wakeups[i].hardware);
-    EXPECT_EQ(a.wakeups[i].actual, b.wakeups[i].actual);
-    EXPECT_EQ(a.wakeups[i].expected, b.wakeups[i].expected);
-  }
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.batches_delivered, b.batches_delivered);
-  EXPECT_EQ(a.one_shots, b.one_shots);
-  EXPECT_EQ(a.awake_seconds, b.awake_seconds);
-  EXPECT_EQ(a.asleep_seconds, b.asleep_seconds);
-  EXPECT_EQ(a.worst_gap_ratio, b.worst_gap_ratio);
-  EXPECT_EQ(a.gap_violations, b.gap_violations);
-  EXPECT_EQ(a.perceptible_window_misses, b.perceptible_window_misses);
-  EXPECT_EQ(a.pages_answered, b.pages_answered);
-  EXPECT_EQ(a.page_delay_avg_s, b.page_delay_avg_s);
-  EXPECT_EQ(a.page_delay_p95_s, b.page_delay_p95_s);
-  EXPECT_EQ(a.drx_listen_seconds, b.drx_listen_seconds);
-  EXPECT_EQ(a.wur_listen_seconds, b.wur_listen_seconds);
-  EXPECT_EQ(a.wur_triggers, b.wur_triggers);
-}
+using support::expect_identical;
 
 ExperimentConfig quick(PolicyKind policy) {
   ExperimentConfig c;

@@ -221,6 +221,30 @@ TEST(CohortFile, RejectsMalformedInput) {
   EXPECT_THROW(parse_cohorts("[a]\nweight = x\n"), std::runtime_error);  // bad number
   EXPECT_THROW(parse_cohorts("[a]\napps = 4\n"), std::runtime_error);    // arity
   EXPECT_THROW(parse_cohorts("[a]\nsystem_alarms = yes\n"), std::runtime_error);
+  // Non-finite and hex numbers are rejected on their line, like the CLI
+  // flags: inf/nan would otherwise slip past every range check.
+  for (const char* text :
+       {"[a]\nweight = inf\n", "[a]\nweight = nan\n", "[a]\nweight = 0x1p3\n",
+        "[a]\npower_scale = 1 inf\n", "[a]\nbeta = nan 0.5\n",
+        "[a]\nstandby_minutes = 1e999\n"}) {
+    try {
+      parse_cohorts(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2: bad number"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A huge app count is bounded before its size_t cast, and the message
+  // names the real cause.
+  try {
+    parse_cohorts("[a]\napps = 1 1e30\n");
+    FAIL() << "expected apps bound failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2: cohort [a]: apps exceeds"),
+              std::string::npos)
+        << e.what();
+  }
   // Parse-clean but semantically invalid values fail validate() with the
   // cohort named in the message.
   try {

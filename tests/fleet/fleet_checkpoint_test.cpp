@@ -13,6 +13,7 @@
 #include "fleet/fleet_runner.hpp"
 #include "fleet/report.hpp"
 #include "snapshot/snapshot.hpp"
+#include "support/result_equality.hpp"
 
 namespace simty::fleet {
 namespace {
@@ -56,20 +57,14 @@ std::string fresh_dir(const std::string& name) {
 
 /// The full-precision fleet CSV is the strongest single equality check:
 /// every Welford double prints at max precision, so byte-equality here is
-/// bit-identity of the aggregates.
+/// bit-identity of the aggregates. The field walk names what differs.
 void expect_identical(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(fleet_csv({a}), fleet_csv({b}));
   ASSERT_EQ(a.cohorts.size(), b.cohorts.size());
   for (std::size_t i = 0; i < a.cohorts.size(); ++i) {
-    EXPECT_EQ(a.cohorts[i].devices, b.cohorts[i].devices);
-    EXPECT_EQ(a.cohorts[i].energy_j.stats().mean(),
-              b.cohorts[i].energy_j.stats().mean());
-    EXPECT_EQ(a.cohorts[i].energy_j.stats().variance(),
-              b.cohorts[i].energy_j.stats().variance());
-    EXPECT_EQ(a.cohorts[i].energy_j.quantile(0.95),
-              b.cohorts[i].energy_j.quantile(0.95));
+    support::expect_identical(a.cohorts[i], b.cohorts[i]);
   }
-  EXPECT_EQ(a.overall.devices, b.overall.devices);
+  support::expect_identical(a.overall, b.overall);
 }
 
 TEST(FleetCheckpoint, CheckpointingNeverChangesResults) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fleet/report.hpp"
+#include "support/result_equality.hpp"
 #include "trace/tracer.hpp"
 
 namespace simty::fleet {
@@ -46,34 +47,7 @@ FleetConfig quick_fleet(exp::PolicyKind policy, int jobs) {
   return fc;
 }
 
-// EXPECT_EQ on doubles is exact: the contract is bit-identical aggregates,
-// not "close enough".
-void expect_identical(const MetricAggregate& a, const MetricAggregate& b) {
-  EXPECT_EQ(a.stats().count(), b.stats().count());
-  EXPECT_EQ(a.stats().mean(), b.stats().mean());
-  EXPECT_EQ(a.stats().variance(), b.stats().variance());
-  EXPECT_EQ(a.stats().min(), b.stats().min());
-  EXPECT_EQ(a.stats().max(), b.stats().max());
-  EXPECT_EQ(a.histogram().count(), b.histogram().count());
-  EXPECT_EQ(a.histogram().overflow(), b.histogram().overflow());
-  EXPECT_EQ(a.histogram().buckets(), b.histogram().buckets());
-  if (!a.histogram().empty() && !b.histogram().empty()) {
-    EXPECT_EQ(a.histogram().min(), b.histogram().min());
-    EXPECT_EQ(a.histogram().max(), b.histogram().max());
-    for (const double q : {0.5, 0.95, 0.99}) {
-      EXPECT_EQ(a.quantile(q), b.quantile(q));
-    }
-  }
-}
-
-void expect_identical(const CohortAggregate& a, const CohortAggregate& b) {
-  EXPECT_EQ(a.cohort, b.cohort);
-  EXPECT_EQ(a.devices, b.devices);
-  expect_identical(a.energy_j, b.energy_j);
-  expect_identical(a.avg_power_mw, b.avg_power_mw);
-  expect_identical(a.wakeups_per_hour, b.wakeups_per_hour);
-  expect_identical(a.delay_norm, b.delay_norm);
-}
+using support::expect_identical;
 
 void expect_identical(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.policy_name, b.policy_name);

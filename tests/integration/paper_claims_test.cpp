@@ -18,12 +18,7 @@ class PaperClaims : public ::testing::Test {
     return run_repeated(c, 3);
   }
 
-  static double cpu_actual(const RunResult& r) {
-    for (const auto& w : r.wakeups) {
-      if (w.hardware == "CPU") return w.actual;
-    }
-    return 0.0;
-  }
+  static double cpu_actual(const RunResult& r) { return cpu_wakeups(r).actual; }
   static double hw_actual(const RunResult& r, const std::string& name) {
     for (const auto& w : r.wakeups) {
       if (w.hardware == name) return w.actual;
@@ -145,12 +140,7 @@ TEST_F(PaperClaims, GuaranteesHoldInFullExperiments) {
 TEST_F(PaperClaims, ExpectedWakeupsSmallerUnderSimty) {
   // Table 4: the expected totals are smaller under SIMTY because dynamic
   // repeating alarms fire less often when postponed.
-  auto cpu_expected = [](const RunResult& r) {
-    for (const auto& w : r.wakeups) {
-      if (w.hardware == "CPU") return w.expected;
-    }
-    return 0.0;
-  };
+  auto cpu_expected = [](const RunResult& r) { return cpu_wakeups(r).expected; };
   EXPECT_LT(cpu_expected(light_simty()), cpu_expected(light_native()));
   EXPECT_LT(cpu_expected(heavy_simty()), cpu_expected(heavy_native()));
 }

@@ -18,6 +18,7 @@
 #include "exp/run.hpp"
 #include "serve/serve_core.hpp"
 #include "serve/server.hpp"
+#include "support/result_equality.hpp"
 
 namespace simty::serve {
 namespace {
@@ -36,24 +37,15 @@ Request quick_request(double beta = 0.0) {
   return req;
 }
 
-void expect_identical(const Response& a, const Response& b) {
-  EXPECT_EQ(a.policy_name, b.policy_name);
-  EXPECT_EQ(a.total_j, b.total_j);
-  EXPECT_EQ(a.awake_total_j, b.awake_total_j);
-  EXPECT_EQ(a.average_power_mw, b.average_power_mw);
-  EXPECT_EQ(a.projected_standby_hours, b.projected_standby_hours);
-  EXPECT_EQ(a.delay_perceptible, b.delay_perceptible);
-  EXPECT_EQ(a.delay_imperceptible, b.delay_imperceptible);
-  EXPECT_EQ(a.delay_imperceptible_p95, b.delay_imperceptible_p95);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.batches_delivered, b.batches_delivered);
-  EXPECT_EQ(a.one_shots, b.one_shots);
-  EXPECT_EQ(a.awake_seconds, b.awake_seconds);
-  EXPECT_EQ(a.asleep_seconds, b.asleep_seconds);
-  EXPECT_EQ(a.worst_gap_ratio, b.worst_gap_ratio);
-  EXPECT_EQ(a.gap_violations, b.gap_violations);
-  EXPECT_EQ(a.perceptible_window_misses, b.perceptible_window_misses);
-}
+using support::expect_identical;
+
+// Frame sizes and FNV-1a digests of the WireBytesArePinned frames.
+constexpr std::size_t kRequestBytes = 91;
+constexpr std::uint64_t kRequestDigest = 6593342681654424619ull;
+constexpr std::size_t kResponseBytes = 203;
+constexpr std::uint64_t kResponseDigest = 5832451668890079113ull;
+constexpr std::size_t kStatsBytes = 106;
+constexpr std::uint64_t kStatsDigest = 6291284426734716578ull;
 
 TEST(ServeCodec, RequestRoundTripsExactly) {
   const Request req = quick_request(0.7);
@@ -87,6 +79,69 @@ TEST(ServeCodec, ResponseAndStatsRoundTrip) {
   EXPECT_EQ(back.prefix_hits, 5u);
 }
 
+// FNV-1a over a whole frame: pins wire bytes without a hex dump.
+std::uint64_t digest(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(ServeCodec, WireBytesArePinned) {
+  // Deployed clients and daemons must keep talking: the field order and
+  // encoding of every frame is part of the protocol, so each one is pinned
+  // here. Every response field carries a distinct value, so swapping two
+  // fields changes the bytes.
+  Request req;
+  req.policy = exp::PolicyKind::kSimtyDuration;
+  req.workload = exp::WorkloadKind::kHeavy;
+  req.duration = Duration::minutes(150);
+  req.seed = 0x0123456789abcdefull;
+  req.doze = true;
+  req.system_alarms = false;
+  req.beta_switch = exp::ExperimentConfig::BetaSwitch{Duration::minutes(70), 0.625};
+  const std::string req_bytes = encode_request(req);
+  EXPECT_EQ(req_bytes.size(), kRequestBytes);
+  EXPECT_EQ(digest(req_bytes), kRequestDigest);
+
+  Response resp;
+  resp.cached = true;
+  resp.warm_started = false;
+  resp.policy_name = "SIMTY-DUR";
+  resp.total_j = 101.25;
+  resp.awake_total_j = 102.5;
+  resp.average_power_mw = 103.75;
+  resp.projected_standby_hours = 104.0;
+  resp.delay_perceptible = 0.105;
+  resp.delay_imperceptible = 0.106;
+  resp.delay_imperceptible_p95 = 0.107;
+  resp.deliveries = 108.0;
+  resp.batches_delivered = 109.0;
+  resp.one_shots = 110.0;
+  resp.awake_seconds = 111.5;
+  resp.asleep_seconds = 112.5;
+  resp.worst_gap_ratio = 1.13;
+  resp.gap_violations = 114;
+  resp.perceptible_window_misses = 115;
+  const std::string resp_bytes = encode_response(resp);
+  EXPECT_EQ(resp_bytes.size(), kResponseBytes);
+  EXPECT_EQ(digest(resp_bytes), kResponseDigest);
+
+  ServeStats stats;
+  stats.requests = 201;
+  stats.result_hits = 202;
+  stats.result_misses = 203;
+  stats.prefix_hits = 204;
+  stats.prefix_misses = 205;
+  stats.snapshots_stored = 206;
+  stats.snapshots_evicted = 207;
+  const std::string stats_bytes = encode_stats(stats);
+  EXPECT_EQ(stats_bytes.size(), kStatsBytes);
+  EXPECT_EQ(digest(stats_bytes), kStatsDigest);
+}
+
 TEST(ServeCodec, RejectsMalformedFrames) {
   ServeCore core;
   EXPECT_THROW(core.handle_frame("not a snapshot"), std::logic_error);
@@ -103,6 +158,18 @@ TEST(ServeCodec, RejectsMalformedFrames) {
   Request bad = quick_request(0.5);
   bad.beta_switch->at = bad.duration + Duration::seconds(1);
   EXPECT_THROW(decode_request(encode_request(bad)), std::logic_error);
+  // FIXED needs a slot length the request schema does not carry; the
+  // rejection names that, not an "unknown" policy.
+  Request fixed = quick_request();
+  fixed.policy = exp::PolicyKind::kFixedInterval;
+  try {
+    decode_request(encode_request(fixed));
+    FAIL() << "FIXED request decoded";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("requests carry no fixed_interval"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServeHash, SeedAndBetaFactorOutAsDesigned) {

@@ -13,15 +13,19 @@
 //   --no-system-alarms
 //   --beta-switch-at-minutes M --beta B     (the sweep lever)
 //
+// Counts are whole numbers, --beta is finite and > 0; a malformed value
+// ("3h", "-1", "nan") is a usage error (exit 2), never another request.
+//
 // Output is one key=value line per response field, machine-greppable:
 //   cached=1 warm_started=0 total_j=... average_power_mw=...
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "common/strings.hpp"
 #include "serve/serve_core.hpp"
 #include "serve/server.hpp"
 #include "snapshot/snapshot.hpp"
@@ -38,60 +42,23 @@ int usage() {
   return 2;
 }
 
-bool parse_policy(const std::string& s, simty::exp::PolicyKind& out) {
-  if (s == "native") out = simty::exp::PolicyKind::kNative;
-  else if (s == "simty") out = simty::exp::PolicyKind::kSimty;
-  else if (s == "exact") out = simty::exp::PolicyKind::kExact;
-  else if (s == "simty-dur") out = simty::exp::PolicyKind::kSimtyDuration;
-  else return false;
-  return true;
-}
-
-bool parse_workload(const std::string& s, simty::exp::WorkloadKind& out) {
-  if (s == "light") out = simty::exp::WorkloadKind::kLight;
-  else if (s == "heavy") out = simty::exp::WorkloadKind::kHeavy;
-  else if (s == "synthetic") out = simty::exp::WorkloadKind::kSynthetic;
-  else return false;
-  return true;
+void print_metric(const char* name, double v) { std::printf("%s=%.17g\n", name, v); }
+void print_metric(const char* name, std::uint64_t v) {
+  std::printf("%s=%llu\n", name, static_cast<unsigned long long>(v));
 }
 
 void print_response(const simty::serve::Response& r) {
   std::printf("cached=%d\n", r.cached ? 1 : 0);
   std::printf("warm_started=%d\n", r.warm_started ? 1 : 0);
   std::printf("policy=%s\n", r.policy_name.c_str());
-  std::printf("total_j=%.17g\n", r.total_j);
-  std::printf("awake_total_j=%.17g\n", r.awake_total_j);
-  std::printf("average_power_mw=%.17g\n", r.average_power_mw);
-  std::printf("projected_standby_hours=%.17g\n", r.projected_standby_hours);
-  std::printf("delay_perceptible=%.17g\n", r.delay_perceptible);
-  std::printf("delay_imperceptible=%.17g\n", r.delay_imperceptible);
-  std::printf("delay_imperceptible_p95=%.17g\n", r.delay_imperceptible_p95);
-  std::printf("deliveries=%.17g\n", r.deliveries);
-  std::printf("batches_delivered=%.17g\n", r.batches_delivered);
-  std::printf("one_shots=%.17g\n", r.one_shots);
-  std::printf("awake_seconds=%.17g\n", r.awake_seconds);
-  std::printf("asleep_seconds=%.17g\n", r.asleep_seconds);
-  std::printf("worst_gap_ratio=%.17g\n", r.worst_gap_ratio);
-  std::printf("gap_violations=%llu\n",
-              static_cast<unsigned long long>(r.gap_violations));
-  std::printf("perceptible_window_misses=%llu\n",
-              static_cast<unsigned long long>(r.perceptible_window_misses));
+  simty::serve::Response::for_each_metric([&](const char* name, auto member, auto) {
+    print_metric(name, r.*member);
+  });
 }
 
 void print_stats(const simty::serve::ServeStats& s) {
-  std::printf("requests=%llu\n", static_cast<unsigned long long>(s.requests));
-  std::printf("result_hits=%llu\n",
-              static_cast<unsigned long long>(s.result_hits));
-  std::printf("result_misses=%llu\n",
-              static_cast<unsigned long long>(s.result_misses));
-  std::printf("prefix_hits=%llu\n",
-              static_cast<unsigned long long>(s.prefix_hits));
-  std::printf("prefix_misses=%llu\n",
-              static_cast<unsigned long long>(s.prefix_misses));
-  std::printf("snapshots_stored=%llu\n",
-              static_cast<unsigned long long>(s.snapshots_stored));
-  std::printf("snapshots_evicted=%llu\n",
-              static_cast<unsigned long long>(s.snapshots_evicted));
+  simty::serve::ServeStats::for_each_counter(
+      [&](const char* name, auto member) { print_metric(name, s.*member); });
 }
 
 }  // namespace
@@ -100,45 +67,58 @@ int main(int argc, char** argv) {
   std::string socket_path;
   bool stats = false, shutdown = false;
   simty::serve::Request req;
-  std::int64_t switch_minutes = -1;
-  double beta = -1.0;
+  std::optional<long long> switch_minutes;
+  std::optional<double> beta;
+  // Durations are bounded so their microsecond count cannot overflow.
+  constexpr long long kMaxMicros = std::numeric_limits<std::int64_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--socket" && i + 1 < argc) socket_path = argv[++i];
     else if (arg == "--stats") stats = true;
     else if (arg == "--shutdown") shutdown = true;
     else if (arg == "--policy" && i + 1 < argc) {
-      if (!parse_policy(argv[++i], req.policy)) return usage();
+      const auto p = simty::exp::parse_policy(argv[++i]);
+      if (!p || *p == simty::exp::PolicyKind::kFixedInterval) return usage();
+      req.policy = *p;
     } else if (arg == "--workload" && i + 1 < argc) {
-      if (!parse_workload(argv[++i], req.workload)) return usage();
-    } else if (arg == "--hours" && i + 1 < argc) {
-      req.duration = simty::Duration::hours(std::atoll(argv[++i]));
-    } else if (arg == "--minutes" && i + 1 < argc) {
-      req.duration = simty::Duration::minutes(std::atoll(argv[++i]));
+      const auto w = simty::exp::parse_workload(argv[++i]);
+      if (!w) return usage();
+      req.workload = *w;
+    } else if ((arg == "--hours" || arg == "--minutes") && i + 1 < argc) {
+      const simty::Duration unit = arg == "--hours" ? simty::Duration::hours(1)
+                                                    : simty::Duration::minutes(1);
+      const auto n = simty::parse_int(argv[++i], 1, kMaxMicros / unit.us());
+      if (!n) return usage();
+      req.duration = unit * *n;
     } else if (arg == "--seed" && i + 1 < argc) {
-      req.seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      const auto n = simty::parse_int(argv[++i], 0);
+      if (!n) return usage();
+      req.seed = static_cast<std::uint64_t>(*n);
     } else if (arg == "--doze") {
       req.doze = true;
     } else if (arg == "--no-system-alarms") {
       req.system_alarms = false;
     } else if (arg == "--beta-switch-at-minutes" && i + 1 < argc) {
-      switch_minutes = std::atoll(argv[++i]);
+      switch_minutes =
+          simty::parse_int(argv[++i], 0, kMaxMicros / simty::Duration::minutes(1).us());
+      if (!switch_minutes) return usage();
     } else if (arg == "--beta" && i + 1 < argc) {
-      beta = std::atof(argv[++i]);
+      beta = simty::parse_double(argv[++i]);
+      if (!beta || *beta <= 0.0) return usage();
     } else {
       return usage();
     }
   }
   if (socket_path.empty()) return usage();
-  if ((switch_minutes >= 0) != (beta > 0.0)) {
+  if (switch_minutes.has_value() != beta.has_value()) {
     std::fprintf(stderr,
                  "simty_query: --beta-switch-at-minutes and --beta go "
                  "together\n");
     return 2;
   }
-  if (switch_minutes >= 0) {
+  if (switch_minutes) {
     req.beta_switch = simty::exp::ExperimentConfig::BetaSwitch{
-        simty::Duration::minutes(switch_minutes), beta};
+        simty::Duration::minutes(*switch_minutes), *beta};
   }
 
   try {

@@ -13,11 +13,11 @@
 // serially is exactly the workload the prefix cache accelerates.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
+#include "common/strings.hpp"
 #include "serve/serve_core.hpp"
 #include "serve/server.hpp"
 
@@ -41,14 +41,18 @@ int main(int argc, char** argv) {
     if (arg == "--socket" && i + 1 < argc) {
       socket_path = argv[++i];
     } else if (arg == "--snapshots" && i + 1 < argc) {
-      snapshots = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      const auto n = simty::parse_int(argv[++i], 1);
+      if (!n) return usage();
+      snapshots = static_cast<std::size_t>(*n);
     } else if (arg == "--max-connections" && i + 1 < argc) {
-      max_connections = std::atoi(argv[++i]);
+      const auto n = simty::parse_int(argv[++i], 0, std::numeric_limits<int>::max());
+      if (!n) return usage();
+      max_connections = static_cast<int>(*n);
     } else {
       return usage();
     }
   }
-  if (socket_path.empty() || snapshots == 0) return usage();
+  if (socket_path.empty()) return usage();
 
   try {
     simty::serve::ServeCore core(snapshots);
