@@ -3,14 +3,14 @@
 // The tracer's contract (DESIGN.md §7) is "near-zero when absent, cheap
 // when present": the event loop emits a span per fired event through the
 // SIMTY_TRACE_* macros, which cost one thread-local load and branch when no
-// tracer is installed and one arena/ring append when one is. This bench
-// drives a self-rescheduling event chain through the simulator three ways —
-// no tracer installed, arena tracer, fixed-capacity ring tracer — and
-// prints events/sec for each plus the relative slowdown. `--json <path>`
-// writes bench_json.hpp records so CI accumulates a trajectory.
+// tracer is installed and one arena append when one is. This bench drives a
+// self-rescheduling event chain through the simulator two ways — no tracer
+// installed, arena tracer — and prints events/sec for each plus the
+// relative slowdown. `--json <path>` writes bench_json.hpp records so CI
+// accumulates a trajectory.
 //
-// Built with -DSIMTY_TRACING=OFF the macros compile to nothing and all
-// three modes must agree to within noise.
+// Built with -DSIMTY_TRACING=OFF the macros compile to nothing and both
+// modes must agree to within noise.
 
 #include <chrono>
 #include <cstdint>
@@ -69,45 +69,35 @@ int main(int argc, char** argv) {
   const auto json_path = bench::json_path_from_args(argc, argv);
   std::vector<bench::BenchRecord> records;
   TextTable t;
-  t.set_header({"mode", "wall (ms)", "events/sec", "trace events", "dropped"});
+  t.set_header({"mode", "wall (ms)", "events/sec", "trace events"});
 
   struct Mode {
     const char* label;
     double wall_ms = 0.0;
     std::size_t trace_events = 0;
-    std::uint64_t dropped = 0;
   };
-  Mode modes[] = {{"untraced"}, {"arena"}, {"ring-64k"}};
+  Mode modes[] = {{"untraced"}, {"arena"}};
 
   modes[0].wall_ms = run_chain(nullptr);
   {
     trace::Tracer arena;
     modes[1].wall_ms = run_chain(&arena);
     modes[1].trace_events = arena.size();
-    modes[1].dropped = arena.dropped();
-  }
-  {
-    trace::Tracer ring(64 * 1024);
-    modes[2].wall_ms = run_chain(&ring);
-    modes[2].trace_events = ring.size();
-    modes[2].dropped = ring.dropped();
   }
 
   for (const Mode& m : modes) {
     const double eps = static_cast<double>(kChainEvents) / (m.wall_ms / 1e3);
     t.add_row({m.label, str_format("%.1f", m.wall_ms), str_format("%.0f", eps),
-               str_format("%zu", m.trace_events),
-               str_format("%llu", static_cast<unsigned long long>(m.dropped))});
+               str_format("%zu", m.trace_events)});
     records.push_back({std::string("trace-overhead/") + m.label, m.wall_ms, eps});
   }
 
   std::printf("Trace overhead: 2e6-event chain through the simulator\n");
   std::printf("%s\n", t.render().c_str());
-  std::printf("arena slowdown vs untraced: %.2fx, ring: %.2fx\n",
-              modes[1].wall_ms / modes[0].wall_ms,
-              modes[2].wall_ms / modes[0].wall_ms);
+  std::printf("arena slowdown vs untraced: %.2fx\n",
+              modes[1].wall_ms / modes[0].wall_ms);
 #if defined(SIMTY_TRACE_DISABLED)
-  std::printf("(built with SIMTY_TRACING=OFF: all modes are the untraced path)\n");
+  std::printf("(built with SIMTY_TRACING=OFF: both modes are the untraced path)\n");
 #endif
 
   if (json_path) {

@@ -2,6 +2,7 @@
 
 #include "apps/app_catalog.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace simty::apps {
@@ -17,12 +18,11 @@ void Workload::add_profiles(const std::vector<AppProfile>& profiles, Rng& rng) {
       // The paper's methodology: irregular apps are replaced by imitated
       // apps replaying a pre-recorded trace. The trace seed is derived from
       // the app name only, NOT the run seed — the same trace is replayed
-      // under NATIVE and SIMTY for a fair comparison.
-      std::uint64_t name_hash = 1469598103934665603ULL;
-      for (const char c : p.name) {
-        name_hash = (name_hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-      }
-      AppTrace trace = record_trace(p, config_.trace_length, name_hash);
+      // under NATIVE and SIMTY for a fair comparison. The hash starts from
+      // the FNV offset basis with its last digit dropped, as it always has:
+      // the standard basis would re-record every imitated trace.
+      AppTrace trace = record_trace(p, config_.trace_length,
+                                    common::fnv1a64(p.name, 1469598103934665603ull));
       apps_.push_back(std::make_unique<ImitatedApp>(p, std::move(trace)));
     } else {
       apps_.push_back(std::make_unique<ResidentApp>(p, rng.fork(apps_.size())));

@@ -1,6 +1,9 @@
 #include "cli/options.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
+#include <utility>
 
 #include "common/strings.hpp"
 #include "exp/parallel_runner.hpp"
@@ -11,10 +14,24 @@ namespace {
 
 // Bound for flags stored as int, checked before the narrowing cast.
 constexpr long long kMaxInt = std::numeric_limits<int>::max();
+constexpr long long kMaxLong = std::numeric_limits<long long>::max();
 
 ParseResult fail(const std::string& message) {
   return ParseResult{std::nullopt, message + " (see --help)"};
 }
+
+// Flags that take a path and only store it.
+const std::pair<const char*, std::optional<std::string> RunPlan::*> kPathFlags[] = {
+    {"--cohorts", &RunPlan::cohorts_path},
+    {"--fleet-csv", &RunPlan::fleet_csv_path},
+    {"--save-snapshot", &RunPlan::save_snapshot_path},
+    {"--restore-snapshot", &RunPlan::restore_snapshot_path},
+    {"--csv", &RunPlan::csv_path},
+    {"--delivery-log", &RunPlan::delivery_log_path},
+    {"--waveform", &RunPlan::waveform_path},
+    {"--trace", &RunPlan::trace_path},
+    {"--trace-json", &RunPlan::trace_json_path},
+};
 
 }  // namespace
 
@@ -30,10 +47,28 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       if (i + 1 >= args.size()) return std::nullopt;
       return args[++i];
     };
+    // The flag's value parsed as a finite number / an integer in range.
+    auto number = [&] {
+      const auto v = value();
+      return v ? parse_double(*v) : std::nullopt;
+    };
+    auto integer = [&](long long min, long long max) {
+      const auto v = value();
+      return v ? parse_int(*v, min, max) : std::nullopt;
+    };
 
     if (arg == "--help" || arg == "-h") {
       plan.show_help = true;
       return ParseResult{plan, ""};
+    }
+    const auto path_flag =
+        std::find_if(std::begin(kPathFlags), std::end(kPathFlags),
+                     [&](const auto& flag) { return arg == flag.first; });
+    if (path_flag != std::end(kPathFlags)) {
+      const auto v = value();
+      if (!v) return fail(arg + " needs a path");
+      plan.*path_flag->second = *v;
+      continue;
     }
     if (arg == "--policy") {
       const auto v = value();
@@ -63,43 +98,32 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       continue;
     }
     if (arg == "--apps") {
-      const auto v = value();
-      const auto n = v ? parse_int(*v) : std::nullopt;
-      if (!n || *n <= 0) return fail("--apps needs a positive integer");
+      const auto n = integer(1, kMaxLong);
+      if (!n) return fail("--apps needs a positive integer");
       plan.config.synthetic_apps = static_cast<std::size_t>(*n);
       continue;
     }
     if (arg == "--beta") {
-      const auto v = value();
-      const auto b = v ? parse_double(*v) : std::nullopt;
+      const auto b = number();
       if (!b || *b < 0.0 || *b >= 1.0) return fail("--beta needs a value in [0, 1)");
       plan.config.beta = *b;
       continue;
     }
-    if (arg == "--hours") {
-      const auto v = value();
-      const auto h = v ? parse_double(*v) : std::nullopt;
-      if (!h || *h <= 0.0) return fail("--hours needs a positive value");
-      plan.config.duration = Duration::from_seconds(*h * 3600.0);
-      continue;
-    }
-    if (arg == "--minutes") {
-      const auto v = value();
-      const auto m = v ? parse_double(*v) : std::nullopt;
-      if (!m || *m <= 0.0) return fail("--minutes needs a positive value");
-      plan.config.duration = Duration::from_seconds(*m * 60.0);
+    if (arg == "--hours" || arg == "--minutes") {
+      const auto n = number();
+      if (!n || *n <= 0.0) return fail(arg + " needs a positive value");
+      const double unit_s = arg == "--hours" ? 3600.0 : 60.0;
+      plan.config.duration = Duration::from_seconds(*n * unit_s);
       continue;
     }
     if (arg == "--seed") {
-      const auto v = value();
-      const auto n = v ? parse_int(*v) : std::nullopt;
-      if (!n || *n < 0) return fail("--seed needs a non-negative integer");
+      const auto n = integer(0, kMaxLong);
+      if (!n) return fail("--seed needs a non-negative integer");
       plan.config.seed = static_cast<std::uint64_t>(*n);
       continue;
     }
     if (arg == "--reps") {
-      const auto v = value();
-      const auto n = v ? parse_int(*v, 1, kMaxInt) : std::nullopt;
+      const auto n = integer(1, kMaxInt);
       if (!n) return fail("--reps needs a positive integer");
       plan.repetitions = static_cast<int>(*n);
       continue;
@@ -125,15 +149,13 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       continue;
     }
     if (arg == "--fixed-interval") {
-      const auto v = value();
-      const auto s = v ? parse_double(*v) : std::nullopt;
+      const auto s = number();
       if (!s || *s <= 0.0) return fail("--fixed-interval needs positive seconds");
       plan.config.fixed_interval = Duration::from_seconds(*s);
       continue;
     }
     if (arg == "--drx-cycle") {
-      const auto v = value();
-      const auto ms = v ? parse_double(*v) : std::nullopt;
+      const auto ms = number();
       if (!ms || *ms <= 0.0) return fail("--drx-cycle needs positive milliseconds");
       if (!plan.config.drx) plan.config.drx.emplace();
       plan.config.drx->paging_cycle = Duration::from_seconds(*ms / 1000.0);
@@ -144,99 +166,31 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       continue;
     }
     if (arg == "--wur-budget") {
-      const auto v = value();
-      const auto ms = v ? parse_double(*v) : std::nullopt;
-      if (!ms || *ms < 0.0) {
-        return fail("--wur-budget needs non-negative milliseconds");
-      }
+      const auto ms = number();
+      if (!ms || *ms < 0.0) return fail("--wur-budget needs non-negative milliseconds");
       wur_budget = Duration::from_seconds(*ms / 1000.0);
       continue;
     }
     if (arg == "--hw-levels") {
-      const auto v = value();
-      const auto n = v ? parse_int(*v) : std::nullopt;
+      const auto n = integer(2, 4);
       if (!n) return fail("--hw-levels needs 2, 3 or 4");
-      switch (*n) {
-        case 2:
-          plan.config.similarity.hw_mode = alarm::HardwareSimilarityMode::kTwoLevel;
-          break;
-        case 3:
-          plan.config.similarity.hw_mode = alarm::HardwareSimilarityMode::kThreeLevel;
-          break;
-        case 4:
-          plan.config.similarity.hw_mode = alarm::HardwareSimilarityMode::kFourLevel;
-          break;
-        default:
-          return fail("--hw-levels needs 2, 3 or 4");
-      }
+      using alarm::HardwareSimilarityMode;
+      constexpr HardwareSimilarityMode kModes[] = {HardwareSimilarityMode::kTwoLevel,
+                                                   HardwareSimilarityMode::kThreeLevel,
+                                                   HardwareSimilarityMode::kFourLevel};
+      plan.config.similarity.hw_mode = kModes[*n - 2];
       continue;
     }
     if (arg == "--fleet") {
-      const auto v = value();
-      const auto n = v ? parse_int(*v) : std::nullopt;
-      if (!n || *n <= 0) return fail("--fleet needs a positive device count");
+      const auto n = integer(1, kMaxLong);
+      if (!n) return fail("--fleet needs a positive device count");
       plan.fleet_devices = static_cast<std::uint64_t>(*n);
       continue;
     }
-    if (arg == "--cohorts") {
-      const auto v = value();
-      if (!v) return fail("--cohorts needs a path");
-      plan.cohorts_path = *v;
-      continue;
-    }
-    if (arg == "--fleet-csv") {
-      const auto v = value();
-      if (!v) return fail("--fleet-csv needs a path");
-      plan.fleet_csv_path = *v;
-      continue;
-    }
     if (arg == "--snapshot-at") {
-      const auto v = value();
-      const auto m = v ? parse_double(*v) : std::nullopt;
+      const auto m = number();
       if (!m || *m <= 0.0) return fail("--snapshot-at needs positive minutes");
       plan.snapshot_at_minutes = *m;
-      continue;
-    }
-    if (arg == "--save-snapshot") {
-      const auto v = value();
-      if (!v) return fail("--save-snapshot needs a path");
-      plan.save_snapshot_path = *v;
-      continue;
-    }
-    if (arg == "--restore-snapshot") {
-      const auto v = value();
-      if (!v) return fail("--restore-snapshot needs a path");
-      plan.restore_snapshot_path = *v;
-      continue;
-    }
-    if (arg == "--csv") {
-      const auto v = value();
-      if (!v) return fail("--csv needs a path");
-      plan.csv_path = *v;
-      continue;
-    }
-    if (arg == "--delivery-log") {
-      const auto v = value();
-      if (!v) return fail("--delivery-log needs a path");
-      plan.delivery_log_path = *v;
-      continue;
-    }
-    if (arg == "--trace") {
-      const auto v = value();
-      if (!v) return fail("--trace needs a path");
-      plan.trace_path = *v;
-      continue;
-    }
-    if (arg == "--trace-json") {
-      const auto v = value();
-      if (!v) return fail("--trace-json needs a path");
-      plan.trace_json_path = *v;
-      continue;
-    }
-    if (arg == "--waveform") {
-      const auto v = value();
-      if (!v) return fail("--waveform needs a path");
-      plan.waveform_path = *v;
       continue;
     }
     return fail("unknown flag: " + arg);

@@ -58,33 +58,7 @@ struct ParseResult {
   bool ok() const { return plan.has_value(); }
 };
 
-/// Parses argv (excluding argv[0]).
-///
-/// Flags:
-///   --policy native|simty|exact|simty-dur|fixed|all (repeatable, comma ok)
-///   --workload light|heavy|synthetic
-///   --apps N           synthetic app count
-///   --beta F           grace factor in [0, 1)
-///   --hours H | --minutes M   standby duration
-///   --seed N           base seed
-///   --reps N           repetitions (averaged)
-///   --jobs N|auto      parallel workers for repetitions (deterministic)
-///   --no-system-alarms
-///   --hw-levels 2|3|4  hardware-similarity granularity
-///   --fixed-interval S slot seconds for --policy fixed
-///   --drx-cycle MS     downlink DRX/paging scenario, this paging cycle
-///   --wur              answer pages via the wake-up receiver
-///   --wur-budget MS    batch pages this long after a WuR trigger
-///   --snapshot-at M    pause the base-seed run at ~M minutes (quiescent)
-///   --save-snapshot PATH    write PATH.<POLICY> snapshot files and exit
-///   --restore-snapshot PATH resume from PATH.<POLICY> files
-///   --csv PATH         write per-column results CSV
-///   --delivery-log PATH  write the delivery log of the LAST run
-///   --waveform PATH    write the power waveform of the LAST run
-///   --trace PATH       write the binary run trace of the LAST policy's
-///                      base-seed run (compare with tools/trace_diff)
-///   --trace-json PATH  same run as Chrome trace-event JSON (Perfetto)
-///   --help
+/// Parses argv (excluding argv[0]); usage() documents the flags.
 ParseResult parse_args(const std::vector<std::string>& args);
 
 /// The --help text.

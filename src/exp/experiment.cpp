@@ -1,11 +1,19 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cmath>
 #include <type_traits>
 
+#include "alarm/duration_policy.hpp"
+#include "alarm/exact_policy.hpp"
+#include "alarm/fixed_interval_policy.hpp"
+#include "alarm/native_policy.hpp"
+#include "alarm/simty_policy.hpp"
 #include "common/check.hpp"
 #include "exp/parallel_runner.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace simty::exp {
 
@@ -27,6 +35,21 @@ const char* to_string(WorkloadKind w) {
     case WorkloadKind::kSynthetic: return "synthetic";
   }
   return "?";
+}
+
+std::unique_ptr<alarm::AlignmentPolicy> make_policy(const ExperimentConfig& config) {
+  switch (config.policy) {
+    case PolicyKind::kNative: return std::make_unique<alarm::NativePolicy>();
+    case PolicyKind::kSimty:
+      return std::make_unique<alarm::SimtyPolicy>(config.similarity);
+    case PolicyKind::kExact: return std::make_unique<alarm::ExactPolicy>();
+    case PolicyKind::kSimtyDuration:
+      return std::make_unique<alarm::DurationSimtyPolicy>(config.similarity);
+    case PolicyKind::kFixedInterval:
+      return std::make_unique<alarm::FixedIntervalPolicy>(config.fixed_interval);
+  }
+  SIMTY_CHECK_MSG(false, "unknown policy kind");
+  return nullptr;
 }
 
 namespace {
@@ -52,6 +75,223 @@ std::optional<PolicyKind> parse_policy(std::string_view name) {
 
 std::optional<WorkloadKind> parse_workload(std::string_view name) {
   return parse_lowercase(name, WorkloadKind::kSynthetic);
+}
+
+namespace {
+
+// Field lists of the structs inside ExperimentConfig, in wire order; the
+// codec below recurses through them.
+template <typename T, typename F>
+void for_each_field(T& v, F&& f) {
+  using S = std::remove_const_t<T>;
+  if constexpr (std::is_same_v<S, alarm::SimilarityConfig>) {
+    f("hw_mode", v.hw_mode);
+    f("time_mode", v.time_mode);
+    f("energy_hungry", v.energy_hungry);
+  } else if constexpr (std::is_same_v<S, apps::AppProfile>) {
+    f("name", v.name);
+    f("repeat", v.repeat);
+    f("alpha", v.alpha);
+    f("mode", v.mode);
+    f("hardware", v.hardware);
+    f("base_hold", v.base_hold);
+    f("hold_jitter", v.hold_jitter);
+    f("in_light", v.in_light);
+    f("irregular", v.irregular);
+    f("payload_bytes", v.payload_bytes);
+    f("retry_probability", v.retry_probability);
+    f("retry_backoff", v.retry_backoff);
+  } else if constexpr (std::is_same_v<S, ExperimentConfig::BetaSwitch>) {
+    f("at", v.at);  // the switch's β is a config field of its own
+  } else if constexpr (std::is_same_v<S, net::DrxConfig>) {
+    f("paging_cycle", v.paging_cycle);
+    f("on_duration", v.on_duration);
+    f("listen", v.listen);
+    f("mean_page_gap", v.mean_page_gap);
+    f("page_hold", v.page_hold);
+    f("wur", v.wur);
+    f("wur_delay_budget", v.wur_delay_budget);
+  } else if constexpr (std::is_same_v<S, hw::WurConfig>) {
+    f("listen", v.listen);
+    f("wake_trigger", v.wake_trigger);
+    f("wake_latency", v.wake_latency);
+  } else if constexpr (std::is_same_v<S, hw::PowerModel>) {
+    f("sleep", v.sleep);
+    f("waking", v.waking);
+    f("awake_base", v.awake_base);
+    f("wake_transition", v.wake_transition);
+    f("wake_latency", v.wake_latency);
+    f("idle_linger", v.idle_linger);
+    f("handler_floor", v.handler_floor);
+    f("components", v.components);
+  } else {
+    static_assert(std::is_same_v<S, hw::ComponentPower>, "config type without a codec");
+    f("activation", v.activation);
+    f("active", v.active);
+    f("serial_fraction", v.serial_fraction);
+    f("tail", v.tail);
+    f("tail_power", v.tail_power);
+  }
+}
+
+using OptionalSwitch = std::optional<ExperimentConfig::BetaSwitch>;
+
+// One visitor per direction. Each overload codes one field type; the
+// catch-all template codes enums as a byte and recurses into records.
+struct ConfigWriter {
+  snapshot::Writer& w;
+  bool beta_blind;
+
+  void operator()(const char*, bool v) const { w.boolean(v); }
+  void operator()(const char*, std::uint64_t v) const { w.u64(v); }
+  void operator()(const char*, double v) const { w.f64(v); }
+  void operator()(const char*, Duration v) const { w.i64(v.us()); }
+  void operator()(const char*, Power v) const { w.f64(v.mw()); }
+  void operator()(const char*, Energy v) const { w.f64(v.mj()); }
+  void operator()(const char*, hw::ComponentSet v) const { w.u32(v.bits()); }
+  void operator()(const char*, const std::string& v) const { w.str(v); }
+  void operator()(const char*, SwitchBeta<const OptionalSwitch> v) const {
+    if (!beta_blind) w.f64(v.beta_switch ? v.beta_switch->beta : 0.0);
+  }
+  template <typename T>
+  void operator()(const char* name, const std::optional<T>& v) const {
+    w.boolean(v.has_value());
+    if (v) (*this)(name, *v);
+  }
+  template <typename T>
+  void operator()(const char* name, const std::vector<T>& v) const {
+    w.u64(v.size());
+    for (const T& x : v) (*this)(name, x);
+  }
+  template <typename T, std::size_t N>
+  void operator()(const char* name, const std::array<T, N>& v) const {
+    for (const T& x : v) (*this)(name, x);
+  }
+  template <typename T>
+  void operator()(const char*, const T& v) const {
+    if constexpr (std::is_enum_v<T>) {
+      w.u8(static_cast<std::uint8_t>(v));
+    } else {
+      for_each_field(v, *this);
+    }
+  }
+};
+
+struct ConfigReader {
+  snapshot::SectionReader& s;
+  const char* field = "";  // the top-level field being read
+
+  // Throws naming the field, and `leaf` when it is nested, unless `ok`.
+  void require(bool ok, const char* leaf, const char* what) const {
+    SIMTY_CHECK_MSG(ok, std::string("config field '") + field +
+                            (leaf == field ? "" : std::string(".") + leaf) +
+                            "': " + what);
+  }
+  double quantity(const char* name) const {
+    const double v = s.f64();
+    require(std::isfinite(v) && v >= 0.0, name, "must be finite and >= 0");
+    return v;
+  }
+
+  void operator()(const char* name, bool& v) const {
+    const std::uint8_t raw = s.u8();
+    require(raw <= 1, name, "must be 0 or 1");
+    v = raw == 1;
+  }
+  void operator()(const char*, std::uint64_t& v) const { v = s.u64(); }
+  void operator()(const char* name, double& v) const { v = quantity(name); }
+  void operator()(const char* name, Duration& v) const {
+    v = Duration::micros(s.i64());
+    require(!v.is_negative(), name, "must be >= 0");
+  }
+  void operator()(const char* name, Power& v) const {
+    v = Power::milliwatts(quantity(name));
+  }
+  void operator()(const char* name, Energy& v) const {
+    v = Energy::millijoules(quantity(name));
+  }
+  void operator()(const char* name, hw::ComponentSet& v) const {
+    const std::uint32_t bits = s.u32();
+    require(bits < (1u << hw::kComponentCount), name, "unknown component");
+    v = hw::ComponentSet::from_bits(bits);
+  }
+  void operator()(const char*, std::string& v) const { v = s.str(); }
+  void operator()(const char* name, SwitchBeta<OptionalSwitch> v) const {
+    const double beta = s.f64();
+    require(v.beta_switch ? std::isfinite(beta) && beta > 0.0 : beta == 0.0, name,
+            "must be finite and > 0 with a switch, 0 without");
+    if (v.beta_switch) v.beta_switch->beta = beta;
+  }
+  template <typename T>
+  void operator()(const char* name, std::optional<T>& v) const {
+    bool present = false;
+    (*this)(name, present);
+    v.reset();
+    if (present) (*this)(name, v.emplace());
+  }
+  template <typename T>
+  void operator()(const char* name, std::vector<T>& v) const {
+    // Grows only as elements decode: a hostile count fails on the
+    // truncated payload, never on a huge reserve.
+    const std::uint64_t n = s.u64();
+    v.clear();
+    for (std::uint64_t i = 0; i < n; ++i) (*this)(name, v.emplace_back());
+  }
+  template <typename T, std::size_t N>
+  void operator()(const char* name, std::array<T, N>& v) const {
+    for (T& x : v) (*this)(name, x);
+  }
+  template <typename T>
+  void operator()(const char* name, T& v) const {
+    if constexpr (std::is_enum_v<T>) {
+      v = static_cast<T>(s.u8());
+      // Each enum's to_string names every enumerator and gives "?" otherwise.
+      require(std::string_view(to_string(v)) != "?", name, "unknown enumerator");
+    } else {
+      for_each_field(v, *this);
+    }
+  }
+};
+
+}  // namespace
+
+void write_config(snapshot::Writer& w, const ExperimentConfig& c, bool beta_blind) {
+  for_each_config_field(c, ConfigWriter{w, beta_blind});
+}
+
+ExperimentConfig read_config(snapshot::SectionReader& s) {
+  ExperimentConfig c;
+  ConfigReader r{s};
+  for_each_config_field(c, [&r](const char* name, auto&& member) {
+    r.field = name;
+    r(name, member);
+  });
+  r.field = "duration";
+  r.require(c.duration > Duration::zero(), r.field, "must be > 0");
+  r.field = "beta_switch";
+  r.require(!c.beta_switch || c.beta_switch->at <= c.duration, "at", "outside the run");
+  return c;
+}
+
+std::string encode_config(const ExperimentConfig& c, bool beta_blind) {
+  snapshot::Writer w;
+  w.begin_section("config", 0);
+  write_config(w, c, beta_blind);
+  return std::string(w.payload());
+}
+
+const char* first_differing_field(const ExperimentConfig& c, std::string_view encoding,
+                                  bool beta_blind) {
+  // Fields are self-delimiting: the first one whose running encoding stops
+  // being a prefix of `encoding` is the one that differs.
+  snapshot::Writer w;
+  w.begin_section("config", 0);
+  const char* differing = nullptr;
+  for_each_config_field(c, [&](const char* name, const auto& member) {
+    ConfigWriter{w, beta_blind}(name, member);
+    if (differing == nullptr && !encoding.starts_with(w.payload())) differing = name;
+  });
+  return differing;
 }
 
 RunResult::HwCounts cpu_wakeups(const RunResult& r) {

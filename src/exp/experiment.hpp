@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "alarm/alarm_manager.hpp"
@@ -26,6 +27,11 @@
 
 namespace simty::trace {
 class Tracer;
+}
+
+namespace simty::snapshot {
+class Writer;
+class SectionReader;
 }
 
 namespace simty::exp {
@@ -132,6 +138,64 @@ struct ExperimentConfig {
   ArenaOptions arena_opts;
 };
 
+/// The β of an optional beta switch as a field of its own (0 on the wire
+/// when there is no switch); see for_each_config_field.
+template <typename Switch>
+struct SwitchBeta {
+  Switch& beta_switch;  // [const] std::optional<ExperimentConfig::BetaSwitch>
+};
+
+/// Calls f(name, member) for each ExperimentConfig field that can change
+/// a result bit, in wire order: the config's one encoding, behind the
+/// serve request, both serve cache keys and the Run snapshot fingerprint.
+/// The runtime attachments (tracer, arena_opts, the extra_* hooks,
+/// capture_delivery_log) are not fields. `beta_switch` carries the
+/// switch's presence and instant; its β comes last, after `seed`, so the
+/// β-blind encoding (prefix key, fingerprint) drops the last field and the
+/// seed-blind result key skips the fixed-size one before it.
+template <typename Config, typename F>
+void for_each_config_field(Config& c, F&& f) {
+  f("policy", c.policy);
+  f("similarity", c.similarity);
+  f("workload", c.workload);
+  f("synthetic_apps", c.synthetic_apps);
+  f("custom_profiles", c.custom_profiles);
+  f("beta", c.beta);
+  f("duration", c.duration);
+  f("system_alarms", c.system_alarms);
+  f("fixed_interval", c.fixed_interval);
+  f("doze", c.doze);
+  f("beta_switch", c.beta_switch);
+  f("drx", c.drx);
+  f("wur", c.wur);
+  f("power_model", c.power_model);
+  f("seed", c.seed);
+  f("beta_switch.beta",
+    SwitchBeta<std::remove_reference_t<decltype((c.beta_switch))>>{c.beta_switch});
+}
+
+/// Encoded size of each of the last two fields (a tag byte + 8 bytes).
+inline constexpr std::size_t kConfigTailFieldBytes = 9;
+
+/// Writes the config's fields into the open section of `w`; `beta_blind`
+/// leaves out the last one (beta_switch.beta).
+void write_config(snapshot::Writer& w, const ExperimentConfig& c,
+                  bool beta_blind = false);
+
+/// Reads what write_config wrote, into a config with default runtime
+/// attachments. Throws std::logic_error naming the field on a value the run
+/// cannot honour: an unknown enumerator, a negative or non-finite quantity,
+/// duration <= 0, or a switch outside the run or with β <= 0.
+ExperimentConfig read_config(snapshot::SectionReader& s);
+
+/// write_config's bytes on their own.
+std::string encode_config(const ExperimentConfig& c, bool beta_blind = false);
+
+/// The first field of `c` whose encoding departs from `encoding` (an
+/// encode_config output), or nullptr if `encoding` starts with all of c's.
+const char* first_differing_field(const ExperimentConfig& c, std::string_view encoding,
+                                  bool beta_blind = false);
+
 /// All metrics of one run (or the mean over several runs; counts become
 /// fractional after averaging). A new scalar is a member here, a line in
 /// SIMTY_RUN_RESULT_SCALARS and its assignment in Run::finalize.
@@ -218,6 +282,9 @@ void for_each_scalar(F&& f) {
 
 /// The CPU row of the Table 4 wakeup breakdown (zero counts when absent).
 RunResult::HwCounts cpu_wakeups(const RunResult& r);
+
+/// The alignment policy `config.policy` names, set up from its fields.
+std::unique_ptr<alarm::AlignmentPolicy> make_policy(const ExperimentConfig& config);
 
 /// Runs one seeded experiment.
 RunResult run_experiment(const ExperimentConfig& config);

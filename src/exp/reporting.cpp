@@ -28,16 +28,17 @@ std::string render_energy_figure(const std::vector<NamedResult>& columns) {
   t.add_separator();
 
   // Savings of each column vs the first column (the NATIVE baseline of its
-  // pair by convention: pass columns as N, S, N, S...).
+  // pair by convention: pass columns as N, S, N, S...). A baseline that
+  // spent nothing (a run too short to wake) has no saving to report.
+  const auto saving = [](Energy e, Energy base) {
+    return base == Energy::zero() ? std::string("n/a") : percent(1.0 - e.ratio(base));
+  };
   std::vector<std::string> awake_row{"awake saving vs col 1"};
   std::vector<std::string> total_row{"total saving vs col 1"};
   const RunResult& base = columns.front().result;
   for (const NamedResult& c : columns) {
-    const double awake_save =
-        1.0 - c.result.energy.awake_total().ratio(base.energy.awake_total());
-    const double total_save = 1.0 - c.result.energy.total().ratio(base.energy.total());
-    awake_row.push_back(percent(awake_save));
-    total_row.push_back(percent(total_save));
+    awake_row.push_back(saving(c.result.energy.awake_total(), base.energy.awake_total()));
+    total_row.push_back(saving(c.result.energy.total(), base.energy.total()));
   }
   t.add_row(std::move(awake_row));
   t.add_row(std::move(total_row));

@@ -2,11 +2,6 @@
 
 #include <utility>
 
-#include "alarm/duration_policy.hpp"
-#include "alarm/exact_policy.hpp"
-#include "alarm/fixed_interval_policy.hpp"
-#include "alarm/native_policy.hpp"
-#include "alarm/simty_policy.hpp"
 #include "common/check.hpp"
 #include "hw/battery.hpp"
 #include "snapshot/snapshot.hpp"
@@ -14,21 +9,6 @@
 namespace simty::exp {
 
 namespace {
-
-std::unique_ptr<alarm::AlignmentPolicy> make_policy(const ExperimentConfig& config) {
-  switch (config.policy) {
-    case PolicyKind::kNative: return std::make_unique<alarm::NativePolicy>();
-    case PolicyKind::kSimty:
-      return std::make_unique<alarm::SimtyPolicy>(config.similarity);
-    case PolicyKind::kExact: return std::make_unique<alarm::ExactPolicy>();
-    case PolicyKind::kSimtyDuration:
-      return std::make_unique<alarm::DurationSimtyPolicy>(config.similarity);
-    case PolicyKind::kFixedInterval:
-      return std::make_unique<alarm::FixedIntervalPolicy>(config.fixed_interval);
-  }
-  SIMTY_CHECK_MSG(false, "unknown policy kind");
-  return nullptr;
-}
 
 apps::Workload make_workload(const ExperimentConfig& config) {
   apps::WorkloadConfig wc;
@@ -66,7 +46,8 @@ int wire_listeners(hw::PowerBus& bus, power::EnergyAccountant& accountant,
 // Section schema versions; bump a component's entry when its field list
 // changes so old snapshots fail loudly instead of misparsing.
 // v2: hw::Component gained kWur (accountant per-component array grew).
-constexpr std::uint32_t kSectionVersion = 2;
+// v3: the run section carries the config fingerprint, not the horizon.
+constexpr std::uint32_t kSectionVersion = 3;
 
 }  // namespace
 
@@ -170,161 +151,100 @@ std::string Run::save_snapshot() const {
                   "Run::save_snapshot requires a quiescent device "
                   "(advance_to_quiescent first)");
   snapshot::Writer w;
-  w.begin_section("sim", kSectionVersion);
-  sim_.save(w);
-  w.end_section();
-  w.begin_section("device", kSectionVersion);
-  device_.save(w);
-  w.end_section();
-  w.begin_section("wakelocks", kSectionVersion);
-  wakelocks_.save(w);
-  w.end_section();
-  w.begin_section("alarms", kSectionVersion);
-  manager_.save(w);
-  w.end_section();
-  w.begin_section("rtc", kSectionVersion);
-  rtc_.save(w);
-  w.end_section();
-  w.begin_section("doze", kSectionVersion);
-  doze_.save(w);
-  w.end_section();
-  w.begin_section("workload", kSectionVersion);
-  workload_.save(w);
-  w.end_section();
-  if (system_alarms_) {
-    w.begin_section("system-alarms", kSectionVersion);
-    system_alarms_->save(w);
+  // One section per component; restore_snapshot restores them in this order.
+  const auto section = [&w](const char* name, auto&& save) {
+    w.begin_section(name, kSectionVersion);
+    save();
     w.end_section();
-  }
-  if (cellular_) {
-    w.begin_section("cellular", kSectionVersion);
-    cellular_->save(w);
-    w.end_section();
-  }
-  if (wur_) {
-    w.begin_section("wur", kSectionVersion);
-    wur_->save(w);
-    w.end_section();
-  }
-  w.begin_section("accountant", kSectionVersion);
-  accountant_.save(w);
-  w.end_section();
-  w.begin_section("metrics", kSectionVersion);
-  delays_.save(w);
-  audit_.save(w);
-  wakeup_accounting_.save(w);
-  w.u64(perceptible_misses_);
-  w.u64(one_shots_);
-  w.end_section();
-  if (config_.tracer != nullptr) {
-    w.begin_section("tracer", kSectionVersion);
-    config_.tracer->save(w);
-    w.end_section();
-  }
+  };
+  section("sim", [&] { sim_.save(w); });
+  section("device", [&] { device_.save(w); });
+  section("wakelocks", [&] { wakelocks_.save(w); });
+  section("alarms", [&] { manager_.save(w); });
+  section("rtc", [&] { rtc_.save(w); });
+  section("doze", [&] { doze_.save(w); });
+  section("workload", [&] { workload_.save(w); });
+  if (system_alarms_) section("system-alarms", [&] { system_alarms_->save(w); });
+  if (cellular_) section("cellular", [&] { cellular_->save(w); });
+  if (wur_) section("wur", [&] { wur_->save(w); });
+  section("accountant", [&] { accountant_.save(w); });
+  section("metrics", [&] {
+    delays_.save(w);
+    audit_.save(w);
+    wakeup_accounting_.save(w);
+    w.u64(perceptible_misses_);
+    w.u64(one_shots_);
+  });
+  if (config_.tracer != nullptr) section("tracer", [&] { config_.tracer->save(w); });
   if (config_.capture_delivery_log) {
-    w.begin_section("delivery-log", kSectionVersion);
-    capture_log_.save(w);
-    w.end_section();
+    section("delivery-log", [&] { capture_log_.save(w); });
   }
-  w.begin_section("run", kSectionVersion);
-  w.i64(horizon_.us());
-  w.boolean(beta_switch_event_.has_value());
-  if (beta_switch_event_) w.u64(beta_switch_event_->value);
-  w.end_section();
+  section("run", [&] {
+    w.bytes(encode_config(config_, /*beta_blind=*/true));
+    w.boolean(beta_switch_event_.has_value());
+    if (beta_switch_event_) w.u64(beta_switch_event_->value);
+  });
   return w.finish();
 }
 
 void Run::restore_snapshot(const std::string& bytes) {
   SIMTY_CHECK_MSG(!finished_, "Run::restore_snapshot after finish()");
   const snapshot::Reader r(bytes);
-  {
-    snapshot::SectionReader s = r.section("sim", kSectionVersion);
-    sim_.restore(s);
+  // The fingerprint goes first: a snapshot of another config must not
+  // touch any component.
+  snapshot::SectionReader run_section = r.section("run", kSectionVersion);
+  const std::string fingerprint = run_section.bytes();
+  if (fingerprint != encode_config(config_, /*beta_blind=*/true)) {
+    const char* field = first_differing_field(config_, fingerprint, /*beta_blind=*/true);
+    SIMTY_CHECK_MSG(false, std::string("Run::restore_snapshot: the snapshot was "
+                                       "saved under another config (field '") +
+                               (field != nullptr ? field : "?") + "' differs)");
   }
-  {
-    snapshot::SectionReader s = r.section("device", kSectionVersion);
-    device_.restore(s);
-  }
-  {
-    snapshot::SectionReader s = r.section("wakelocks", kSectionVersion);
-    wakelocks_.restore(s);
-  }
-  {
-    snapshot::SectionReader s = r.section("alarms", kSectionVersion);
-    manager_.restore(s, handler_resolver());
-  }
-  {
-    snapshot::SectionReader s = r.section("rtc", kSectionVersion);
-    rtc_.restore(s, manager_.rtc_handler());
-  }
-  {
-    snapshot::SectionReader s = r.section("doze", kSectionVersion);
-    doze_.restore(s);
-  }
-  {
-    snapshot::SectionReader s = r.section("workload", kSectionVersion);
-    workload_.restore(s, sim_, manager_);
-  }
-  SIMTY_CHECK_MSG(r.has_section("system-alarms") == (system_alarms_ != nullptr),
-                  "Run::restore_snapshot: system-alarms config mismatch");
+  const auto section = [&r](const char* name, auto&& restore) {
+    snapshot::SectionReader s = r.section(name, kSectionVersion);
+    restore(s);
+  };
+  section("sim", [&](auto& s) { sim_.restore(s); });
+  section("device", [&](auto& s) { device_.restore(s); });
+  section("wakelocks", [&](auto& s) { wakelocks_.restore(s); });
+  section("alarms", [&](auto& s) { manager_.restore(s, handler_resolver()); });
+  section("rtc", [&](auto& s) { rtc_.restore(s, manager_.rtc_handler()); });
+  section("doze", [&](auto& s) { doze_.restore(s); });
+  section("workload", [&](auto& s) { workload_.restore(s, sim_, manager_); });
   if (system_alarms_) {
-    snapshot::SectionReader s = r.section("system-alarms", kSectionVersion);
-    system_alarms_->restore(s);
+    section("system-alarms", [&](auto& s) { system_alarms_->restore(s); });
   }
-  SIMTY_CHECK_MSG(r.has_section("cellular") == (cellular_ != nullptr),
-                  "Run::restore_snapshot: DRX/paging config mismatch");
-  if (cellular_) {
-    snapshot::SectionReader s = r.section("cellular", kSectionVersion);
-    cellular_->restore(s);
-  }
-  SIMTY_CHECK_MSG(r.has_section("wur") == (wur_ != nullptr),
-                  "Run::restore_snapshot: wake-up receiver config mismatch");
-  if (wur_) {
-    snapshot::SectionReader s = r.section("wur", kSectionVersion);
-    wur_->restore(s);
-  }
-  {
-    snapshot::SectionReader s = r.section("accountant", kSectionVersion);
-    // Device::restore re-published the asleep rail above; this overwrite is
-    // what makes the republish invisible in the accounting.
-    accountant_.restore(s);
-  }
-  {
-    snapshot::SectionReader s = r.section("metrics", kSectionVersion);
+  if (cellular_) section("cellular", [&](auto& s) { cellular_->restore(s); });
+  if (wur_) section("wur", [&](auto& s) { wur_->restore(s); });
+  // Device::restore re-published the asleep rail above; this overwrite is
+  // what makes the republish invisible in the accounting.
+  section("accountant", [&](auto& s) { accountant_.restore(s); });
+  section("metrics", [&](auto& s) {
     delays_.restore(s);
     audit_.restore(s);
     wakeup_accounting_.restore(s);
     perceptible_misses_ = s.u64();
     one_shots_ = s.u64();
-  }
+  });
   if (config_.tracer != nullptr) {
     SIMTY_CHECK_MSG(r.has_section("tracer"),
                     "Run::restore_snapshot: snapshot carries no tracer section");
-    snapshot::SectionReader s = r.section("tracer", kSectionVersion);
-    config_.tracer->restore(s);
+    section("tracer", [&](auto& s) { config_.tracer->restore(s); });
   }
   if (config_.capture_delivery_log) {
     SIMTY_CHECK_MSG(r.has_section("delivery-log"),
                     "Run::restore_snapshot: snapshot carries no delivery log");
-    snapshot::SectionReader s = r.section("delivery-log", kSectionVersion);
-    capture_log_.restore(s);
+    section("delivery-log", [&](auto& s) { capture_log_.restore(s); });
   }
-  {
-    snapshot::SectionReader s = r.section("run", kSectionVersion);
-    const TimePoint horizon = TimePoint::from_us(s.i64());
-    SIMTY_CHECK_MSG(horizon == horizon_, "Run::restore_snapshot: horizon mismatch");
-    beta_switch_event_.reset();  // the ctor's instance died with the queue
-    if (s.boolean()) {
-      SIMTY_CHECK_MSG(config_.beta_switch.has_value(),
-                      "Run::restore_snapshot: snapshot has a pending beta "
-                      "switch but the config has none");
-      beta_switch_event_ = sim::EventId{s.u64()};
-      const double beta = config_.beta_switch->beta;
-      sim_.rebind(*beta_switch_event_, [this, beta] {
-        beta_switch_event_.reset();
-        manager_.apply_grace_factor(beta);
-      });
-    }
+  beta_switch_event_.reset();  // the ctor's instance died with the queue
+  if (run_section.boolean()) {
+    beta_switch_event_ = sim::EventId{run_section.u64()};
+    // The fingerprint matched, so the config has the switch that is pending.
+    const double beta = config_.beta_switch.value().beta;
+    sim_.rebind(*beta_switch_event_, [this, beta] {
+      beta_switch_event_.reset();
+      manager_.apply_grace_factor(beta);
+    });
   }
   SIMTY_CHECK_MSG(sim_.fully_bound(),
                   "Run::restore_snapshot: restored events left unbound");

@@ -78,8 +78,9 @@ class Run {
   /// Restores state saved by save_snapshot() on a Run constructed from an
   /// identical config — identical except beta_switch.beta, which is
   /// intentionally outside the serialized state (warm starts resume the
-  /// shared prefix under this config's β). Throws on any mismatch it can
-  /// detect (horizon, section layout, unbound events).
+  /// shared prefix under this config's β). Throws on a config mismatch
+  /// (naming the first field that differs from the snapshot's β-blind
+  /// encode_config fingerprint), a bad section layout or unbound events.
   void restore_snapshot(const std::string& bytes);
 
   /// Runs to the horizon, finalizes every integrator, and builds the

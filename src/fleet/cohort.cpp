@@ -9,24 +9,13 @@
 
 #include "apps/app_catalog.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 
 namespace simty::fleet {
 
 namespace {
-
-// FNV-1a over the cohort name: mixes the name into the stream seed so two
-// cohorts never share a device stream. Deterministic by construction (no
-// std::hash — its value is implementation-defined).
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 const std::vector<apps::AppProfile>& table3() {
   static const std::vector<apps::AppProfile> kTable = apps::table3_catalog();
@@ -83,7 +72,7 @@ DeviceSample sample_device(const CohortSpec& spec, std::uint64_t fleet_seed,
   // One PCG32 stream per device: counter-keyed on the device index, seeded
   // by the fleet seed mixed with the cohort name. The draw order below is
   // fixed, so the sample depends on nothing but (spec, seed, index).
-  Rng rng(fleet_seed ^ fnv1a64(spec.name), device_index);
+  Rng rng(fleet_seed ^ common::fnv1a64(spec.name), device_index);
 
   DeviceSample s;
   s.device_index = device_index;

@@ -3,36 +3,13 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "exp/run.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace simty::serve {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-exp::ExperimentConfig to_config(const Request& req) {
-  exp::ExperimentConfig c;
-  c.policy = req.policy;
-  c.workload = req.workload;
-  c.duration = req.duration;
-  c.seed = req.seed;
-  c.doze = req.doze;
-  c.system_alarms = req.system_alarms;
-  c.beta_switch = req.beta_switch;
-  return c;
-}
 
 Response to_response(const exp::RunResult& r) {
   Response resp;
@@ -53,15 +30,7 @@ void get(snapshot::SectionReader& s, std::uint64_t& v) { v = s.u64(); }
 std::string encode_request(const Request& req) {
   snapshot::Writer w;
   w.begin_section("simty-request", kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(req.policy));
-  w.u8(static_cast<std::uint8_t>(req.workload));
-  w.i64(req.duration.us());
-  w.u64(req.seed);
-  w.boolean(req.doze);
-  w.boolean(req.system_alarms);
-  w.boolean(req.beta_switch.has_value());
-  w.i64(req.beta_switch ? req.beta_switch->at.us() : 0);
-  w.f64(req.beta_switch ? req.beta_switch->beta : 0.0);
+  exp::write_config(w, req);
   w.end_section();
   return w.finish();
 }
@@ -69,33 +38,7 @@ std::string encode_request(const Request& req) {
 Request decode_request(const std::string& bytes) {
   const snapshot::Reader reader(bytes);
   snapshot::SectionReader s = reader.section("simty-request", kProtocolVersion);
-  Request req;
-  const std::uint8_t policy = s.u8();
-  const auto fixed = static_cast<std::uint8_t>(exp::PolicyKind::kFixedInterval);
-  SIMTY_CHECK_MSG(policy <= fixed, "serve: unknown policy kind");
-  SIMTY_CHECK_MSG(policy != fixed, "serve: requests carry no fixed_interval");
-  req.policy = static_cast<exp::PolicyKind>(policy);
-  const std::uint8_t workload = s.u8();
-  SIMTY_CHECK_MSG(
-      workload <= static_cast<std::uint8_t>(exp::WorkloadKind::kSynthetic),
-      "serve: unknown workload kind");
-  req.workload = static_cast<exp::WorkloadKind>(workload);
-  const std::int64_t duration_us = s.i64();
-  SIMTY_CHECK_MSG(duration_us > 0, "serve: duration must be positive");
-  req.duration = Duration::micros(duration_us);
-  req.seed = s.u64();
-  req.doze = s.boolean();
-  req.system_alarms = s.boolean();
-  const bool has_switch = s.boolean();
-  const std::int64_t at_us = s.i64();
-  const double beta = s.f64();
-  if (has_switch) {
-    SIMTY_CHECK_MSG(at_us >= 0 && at_us <= duration_us,
-                    "serve: beta switch outside the run");
-    SIMTY_CHECK_MSG(beta > 0.0, "serve: beta must be positive");
-    req.beta_switch =
-        exp::ExperimentConfig::BetaSwitch{Duration::micros(at_us), beta};
-  }
+  Request req = exp::read_config(s);
   SIMTY_CHECK_MSG(s.at_end(), "serve: trailing bytes in request");
   return req;
 }
@@ -152,16 +95,15 @@ ServeStats decode_stats(const std::string& bytes) {
   return stats;
 }
 
-std::uint64_t config_hash(const Request& req) {
-  Request canonical = req;
-  canonical.seed = 0;
-  return fnv1a64(encode_request(canonical));
-}
-
-std::uint64_t prefix_hash(const Request& req) {
-  Request canonical = req;
-  if (canonical.beta_switch) canonical.beta_switch->beta = 0.0;
-  return fnv1a64(encode_request(canonical));
+CacheKeys cache_keys(const Request& req) {
+  // The encoding ends with the seed, then the switch β (both fixed-size).
+  const std::string bytes = exp::encode_config(req);
+  const std::string_view v = bytes;
+  const std::size_t n = exp::kConfigTailFieldBytes;
+  const std::size_t seed_at = v.size() - 2 * n;
+  const std::uint64_t head = common::fnv1a64(v.substr(0, seed_at));
+  return {common::fnv1a64(v.substr(seed_at + n), head),
+          common::fnv1a64(v.substr(seed_at, n), head)};
 }
 
 ServeCore::ServeCore(std::size_t max_snapshots)
@@ -188,40 +130,39 @@ void ServeCore::store_insert(std::uint64_t key, std::string bytes) {
   }
 }
 
-Response ServeCore::run_request(const Request& req) {
-  const exp::ExperimentConfig config = to_config(req);
+Response ServeCore::run_request(const Request& req, std::uint64_t prefix_key) {
   // Warm starts only make sense with a β switch late enough that the
   // shared prefix is worth snapshotting.
   const bool warm_eligible =
       req.beta_switch && req.beta_switch->at > kPrefixMargin;
   if (warm_eligible) {
-    const std::uint64_t key = prefix_hash(req);
-    if (const std::string* prefix = store_lookup(key)) {
+    if (const std::string* prefix = store_lookup(prefix_key)) {
       ++stats_.prefix_hits;
-      exp::Run run(config);
+      exp::Run run(req);
       run.restore_snapshot(*prefix);
       Response resp = to_response(run.finish());
       resp.warm_started = true;
       return resp;
     }
     ++stats_.prefix_misses;
-    exp::Run run(config);
+    exp::Run run(req);
     const TimePoint target =
         TimePoint::origin() + (req.beta_switch->at - kPrefixMargin);
     run.advance_to_quiescent(target);
     // Only park the snapshot if quiescence stepping stayed strictly before
     // the switch — past it the prefix would have baked in this point's β.
     if (run.now() < TimePoint::origin() + req.beta_switch->at) {
-      store_insert(key, run.save_snapshot());
+      store_insert(prefix_key, run.save_snapshot());
     }
     return to_response(run.finish());
   }
-  return to_response(exp::run_experiment(config));
+  return to_response(exp::run_experiment(req));
 }
 
 Response ServeCore::handle(const Request& req) {
   ++stats_.requests;
-  const auto key = std::make_pair(config_hash(req), req.seed);
+  const CacheKeys keys = cache_keys(req);
+  const auto key = std::make_pair(keys.config_hash, req.seed);
   const auto it = results_.find(key);
   if (it != results_.end()) {
     ++stats_.result_hits;
@@ -230,7 +171,7 @@ Response ServeCore::handle(const Request& req) {
     return resp;
   }
   ++stats_.result_misses;
-  const Response resp = run_request(req);
+  const Response resp = run_request(req, keys.prefix_hash);
   results_.emplace(key, resp);
   return resp;
 }

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -29,20 +28,13 @@
 namespace simty::serve {
 
 /// Protocol version for every section the serve layer writes.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// v2: the request is the full ExperimentConfig encoding; paging rows.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
-/// The subset of ExperimentConfig a sweep client can pose. Kept small on
-/// purpose: every field participates in the config hash, so adding one is
-/// a cache-compatibility change.
-struct Request {
-  exp::PolicyKind policy = exp::PolicyKind::kSimty;
-  exp::WorkloadKind workload = exp::WorkloadKind::kLight;
-  Duration duration = Duration::hours(3);
-  std::uint64_t seed = 1;
-  bool doze = false;
-  bool system_alarms = true;
-  std::optional<exp::ExperimentConfig::BetaSwitch> beta_switch;
-};
+/// A request is a whole experiment config: its frame is the canonical
+/// encoding (exp::write_config), so any config can be served. Runtime
+/// attachments (tracer, hooks) stay in-process and never travel.
+using Request = exp::ExperimentConfig;
 
 /// Wire types of the served metrics.
 namespace wire {
@@ -54,22 +46,28 @@ using u64 = std::uint64_t;
 /// source), `source` being an expression over a RunResult's members. The
 /// list declares Response's members and drives to_response, the response
 /// codec (wire order = list order) and simty_query's output.
-#define SIMTY_RESPONSE_METRICS(X)                          \
-  X(total_j, f64, energy.total().joules_f())               \
-  X(awake_total_j, f64, energy.awake_total().joules_f())   \
-  X(average_power_mw, f64, average_power_mw)               \
-  X(projected_standby_hours, f64, projected_standby_hours) \
-  X(delay_perceptible, f64, delay_perceptible)             \
-  X(delay_imperceptible, f64, delay_imperceptible)         \
-  X(delay_imperceptible_p95, f64, delay_imperceptible_p95) \
-  X(deliveries, f64, deliveries)                           \
-  X(batches_delivered, f64, batches_delivered)             \
-  X(one_shots, f64, one_shots)                             \
-  X(awake_seconds, f64, awake_seconds)                     \
-  X(asleep_seconds, f64, asleep_seconds)                   \
-  X(worst_gap_ratio, f64, worst_gap_ratio)                 \
-  X(gap_violations, u64, gap_violations)                   \
-  X(perceptible_window_misses, u64, perceptible_window_misses)
+#define SIMTY_RESPONSE_METRICS(X)                              \
+  X(total_j, f64, energy.total().joules_f())                   \
+  X(awake_total_j, f64, energy.awake_total().joules_f())       \
+  X(average_power_mw, f64, average_power_mw)                   \
+  X(projected_standby_hours, f64, projected_standby_hours)     \
+  X(delay_perceptible, f64, delay_perceptible)                 \
+  X(delay_imperceptible, f64, delay_imperceptible)             \
+  X(delay_imperceptible_p95, f64, delay_imperceptible_p95)     \
+  X(deliveries, f64, deliveries)                               \
+  X(batches_delivered, f64, batches_delivered)                 \
+  X(one_shots, f64, one_shots)                                 \
+  X(awake_seconds, f64, awake_seconds)                         \
+  X(asleep_seconds, f64, asleep_seconds)                       \
+  X(worst_gap_ratio, f64, worst_gap_ratio)                     \
+  X(gap_violations, u64, gap_violations)                       \
+  X(perceptible_window_misses, u64, perceptible_window_misses) \
+  X(pages_answered, f64, pages_answered)                       \
+  X(page_delay_avg_s, f64, page_delay_avg_s)                   \
+  X(page_delay_p95_s, f64, page_delay_p95_s)                   \
+  X(drx_listen_seconds, f64, drx_listen_seconds)               \
+  X(wur_listen_seconds, f64, wur_listen_seconds)               \
+  X(wur_triggers, f64, wur_triggers)
 
 /// The metric rows of SIMTY_RESPONSE_METRICS, plus cache provenance.
 struct Response {
@@ -129,15 +127,15 @@ std::string encode_stats_request();
 std::string encode_stats(const ServeStats& stats);
 ServeStats decode_stats(const std::string& bytes);
 
-/// FNV-1a over the canonical request encoding with the seed zeroed —
-/// requests differing only in seed share one config hash (the result cache
-/// key is the (hash, seed) pair).
-std::uint64_t config_hash(const Request& req);
-
-/// Same, but additionally β-blind: beta_switch.beta is zeroed, so sweep
-/// points share the hash that keys their common-prefix snapshot. Unlike
-/// config_hash this one keeps the seed — a prefix is seed-specific.
-std::uint64_t prefix_hash(const Request& req);
+/// The two cache keys of a request, from one FNV-1a pass over its
+/// encoding. `config_hash` skips the seed, which the result cache pairs
+/// with it; `prefix_hash` stops before beta_switch.beta, so sweep points
+/// share it, and keeps the seed, because a prefix is seed-specific.
+struct CacheKeys {
+  std::uint64_t config_hash = 0;
+  std::uint64_t prefix_hash = 0;
+};
+CacheKeys cache_keys(const Request& req);
 
 /// Transport-free server core. Single-threaded, like the stack it runs.
 class ServeCore {
@@ -162,7 +160,7 @@ class ServeCore {
   /// margin absorbs advance_to_quiescent stepping past the target.
   static constexpr Duration kPrefixMargin = Duration::minutes(1);
 
-  Response run_request(const Request& req);
+  Response run_request(const Request& req, std::uint64_t prefix_key);
   const std::string* store_lookup(std::uint64_t key);
   void store_insert(std::uint64_t key, std::string bytes);
 

@@ -8,6 +8,7 @@
 
 #include "common/annotations.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace simty::sim {
@@ -19,12 +20,7 @@ namespace {
 struct LabelHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view s) const noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(common::fnv1a64(s));
   }
   // Interner-only overload for the pool's own elements; never on the
   // per-event path.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 
 namespace simty::snapshot {
@@ -64,55 +65,39 @@ void Writer::require_open() const {
   SIMTY_CHECK_MSG(open_, "snapshot::Writer: field written outside a section");
 }
 
+std::string& Writer::tagged(FieldType type) {
+  require_open();
+  std::string& p = sections_.back().payload;
+  p.push_back(static_cast<char>(type));
+  return p;
+}
+
 void Writer::u8(std::uint8_t v) {
-  require_open();
-  std::string& p = sections_.back().payload;
-  p.push_back(static_cast<char>(FieldType::kU8));
-  p.push_back(static_cast<char>(v));
+  tagged(FieldType::kU8).push_back(static_cast<char>(v));
 }
-
-void Writer::u32(std::uint32_t v) {
-  require_open();
-  std::string& p = sections_.back().payload;
-  p.push_back(static_cast<char>(FieldType::kU32));
-  append_u32(p, v);
-}
-
-void Writer::u64(std::uint64_t v) {
-  require_open();
-  std::string& p = sections_.back().payload;
-  p.push_back(static_cast<char>(FieldType::kU64));
-  append_u64(p, v);
-}
+void Writer::u32(std::uint32_t v) { append_u32(tagged(FieldType::kU32), v); }
+void Writer::u64(std::uint64_t v) { append_u64(tagged(FieldType::kU64), v); }
 
 void Writer::i64(std::int64_t v) {
-  require_open();
-  std::string& p = sections_.back().payload;
-  p.push_back(static_cast<char>(FieldType::kI64));
-  append_u64(p, static_cast<std::uint64_t>(v));
+  append_u64(tagged(FieldType::kI64), static_cast<std::uint64_t>(v));
 }
 
 void Writer::f64(double v) {
-  require_open();
-  std::string& p = sections_.back().payload;
-  p.push_back(static_cast<char>(FieldType::kF64));
-  append_u64(p, std::bit_cast<std::uint64_t>(v));
+  append_u64(tagged(FieldType::kF64), std::bit_cast<std::uint64_t>(v));
 }
 
-void Writer::str(std::string_view v) {
-  require_open();
-  std::string& p = sections_.back().payload;
-  p.push_back(static_cast<char>(FieldType::kStr));
+void Writer::str(std::string_view v) { blob(FieldType::kStr, v); }
+void Writer::bytes(std::string_view v) { blob(FieldType::kBytes, v); }
+
+void Writer::blob(FieldType type, std::string_view v) {
+  std::string& p = tagged(type);
   append_u64(p, v.size());
   p.append(v);
 }
 
-void Writer::bytes(std::string_view v) {
+std::string_view Writer::payload() const {
   require_open();
-  std::string& p = sections_.back().payload;
-  p.push_back(static_cast<char>(FieldType::kBytes));
-  append_u64(p, v.size());
-  p.append(v);
+  return sections_.back().payload;
 }
 
 std::string Writer::finish() {
@@ -150,53 +135,32 @@ std::uint8_t SectionReader::peek_tag() const {
   return static_cast<std::uint8_t>(payload_[pos_]);
 }
 
-std::uint8_t SectionReader::take_tag(FieldType want) {
-  SIMTY_CHECK_MSG(remaining() >= 1, "snapshot: truncated section payload");
-  const auto tag = static_cast<std::uint8_t>(payload_[pos_]);
-  SIMTY_CHECK_MSG(tag == static_cast<std::uint8_t>(want),
+std::uint64_t SectionReader::take(FieldType want, std::size_t n) {
+  SIMTY_CHECK_MSG(peek_tag() == static_cast<std::uint8_t>(want),
                   "snapshot: field type mismatch (schema skew or corruption)");
   ++pos_;
-  return tag;
+  return read_le(n);
 }
 
 std::uint8_t SectionReader::u8() {
-  take_tag(FieldType::kU8);
-  return static_cast<std::uint8_t>(read_le(1));
+  return static_cast<std::uint8_t>(take(FieldType::kU8, 1));
 }
-
 std::uint32_t SectionReader::u32() {
-  take_tag(FieldType::kU32);
-  return static_cast<std::uint32_t>(read_le(4));
+  return static_cast<std::uint32_t>(take(FieldType::kU32, 4));
 }
-
-std::uint64_t SectionReader::u64() {
-  take_tag(FieldType::kU64);
-  return read_le(8);
-}
-
+std::uint64_t SectionReader::u64() { return take(FieldType::kU64, 8); }
 std::int64_t SectionReader::i64() {
-  take_tag(FieldType::kI64);
-  return static_cast<std::int64_t>(read_le(8));
+  return static_cast<std::int64_t>(take(FieldType::kI64, 8));
 }
+double SectionReader::f64() { return std::bit_cast<double>(take(FieldType::kF64, 8)); }
 
-double SectionReader::f64() {
-  take_tag(FieldType::kF64);
-  return std::bit_cast<double>(read_le(8));
-}
+std::string SectionReader::str() { return blob(FieldType::kStr); }
+std::string SectionReader::bytes() { return blob(FieldType::kBytes); }
 
-std::string SectionReader::str() {
-  take_tag(FieldType::kStr);
-  const std::uint64_t n = read_le(8);
-  SIMTY_CHECK_MSG(n <= remaining() && n < kMaxBlob, "snapshot: string overruns payload");
-  std::string out(payload_.substr(pos_, static_cast<std::size_t>(n)));
-  pos_ += static_cast<std::size_t>(n);
-  return out;
-}
-
-std::string SectionReader::bytes() {
-  take_tag(FieldType::kBytes);
-  const std::uint64_t n = read_le(8);
-  SIMTY_CHECK_MSG(n <= remaining() && n < kMaxBlob, "snapshot: bytes overrun payload");
+std::string SectionReader::blob(FieldType type) {
+  const std::uint64_t n = take(type, 8);
+  SIMTY_CHECK_MSG(n <= remaining() && n < kMaxBlob,
+                  std::string("snapshot: ") + to_string(type) + " overruns payload");
   std::string out(payload_.substr(pos_, static_cast<std::size_t>(n)));
   pos_ += static_cast<std::size_t>(n);
   return out;
@@ -310,13 +274,8 @@ std::string printable(const std::string& s) {
     }
   }
   if (clean) return "'" + s + "'";
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
   return str_format("[%zu bytes, fnv 0x%016llx]", s.size(),
-                    static_cast<unsigned long long>(h));
+                    static_cast<unsigned long long>(common::fnv1a64(s)));
 }
 
 }  // namespace

@@ -64,6 +64,9 @@ class Writer {
   void str(std::string_view v);
   void bytes(std::string_view v);
 
+  /// The open section's fields so far (to hash or embed an encoding).
+  std::string_view payload() const;
+
   /// Assembles magic + header + all sections. The writer is spent after.
   std::string finish();
 
@@ -74,6 +77,9 @@ class Writer {
     std::string payload;
   };
   void require_open() const;
+  // The open section's payload, with `type`'s tag byte appended.
+  std::string& tagged(FieldType type);
+  void blob(FieldType type, std::string_view v);  // str/bytes: length + data
   std::vector<Section> sections_;
   bool open_ = false;
 };
@@ -111,7 +117,9 @@ class SectionReader {
   std::uint8_t peek_tag() const;
 
  private:
-  std::uint8_t take_tag(FieldType want);
+  // Checks the next tag is `want`, then reads its n-byte value.
+  std::uint64_t take(FieldType want, std::size_t n);
+  std::string blob(FieldType type);  // str/bytes
   std::uint64_t read_le(std::size_t n);
   std::string_view name_;
   std::uint32_t version_ = 0;

@@ -6,6 +6,7 @@
 #include <map>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/strings.hpp"
@@ -20,7 +21,8 @@ thread_local Tracer* g_current = nullptr;
 // Binary format (all integers little-endian, independent of host order):
 //   magic "SMTYTRC1"
 //   u32 label_count, then per label: u32 byte length + raw bytes
-//   u64 dropped (ring overwrites)
+//   u64 dropped events (always 0: the tracer never drops; the field keeps
+//       the format stable)
 //   u64 event_count, then per event:
 //     i64 t_us | u32 label index | u8 kind | u8 category | i64 arg
 constexpr char kMagic[8] = {'S', 'M', 'T', 'Y', 'T', 'R', 'C', '1'};
@@ -79,6 +81,25 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+// Labels deduplicated by CONTENT in first-appearance order, and each
+// event's index into them: two runs recording the same event sequence get
+// identical tables even though the label pointers differ between
+// processes (or interner states). binary() and save() share it, so a
+// save/restore round trip re-exports byte-identical artifacts.
+std::pair<std::vector<const char*>, std::vector<std::uint32_t>> label_table(
+    const std::vector<TraceEvent>& events) {
+  std::map<std::string, std::uint32_t> ids;
+  std::vector<const char*> table;
+  std::vector<std::uint32_t> event_label(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto [it, inserted] =
+        ids.emplace(events[i].label, static_cast<std::uint32_t>(table.size()));
+    if (inserted) table.push_back(events[i].label);
+    event_label[i] = it->second;
+  }
+  return {table, event_label};
+}
+
 std::string json_escape(const char* s) {
   std::string out;
   for (const char* p = s; *p != '\0'; ++p) {
@@ -131,32 +152,20 @@ const char* to_string(TraceEventKind k) {
   return "?";
 }
 
-Tracer::Tracer(std::size_t ring_capacity, common::Arena* arena)
-    : ring_capacity_(ring_capacity), arena_(arena), chunks_(arena), ring_(arena) {
-  if (ring_capacity_ > 0) {
-    ring_.resize(ring_capacity_);
-  } else {
-    // Pre-allocate the first chunk so steady state never allocates on the
-    // recording path until a chunk boundary.
-    chunks_.emplace_back(arena_);
-    chunks_[0].reserve(kChunkEvents);
-  }
+Tracer::Tracer() {
+  // Pre-allocate the first chunk so steady state never allocates on the
+  // recording path until a chunk boundary.
+  chunks_.emplace_back();
+  chunks_[0].reserve(kChunkEvents);
 }
 
 void Tracer::record(const TraceEvent& e) {
-  if (ring_capacity_ > 0) {
-    if (ring_full_) ++dropped_;
-    ring_[ring_next_] = e;
-    ring_next_ = (ring_next_ + 1) % ring_capacity_;
-    if (ring_next_ == 0 && !ring_full_) ring_full_ = true;
-    return;
-  }
   if (chunks_[current_chunk_].size() == kChunkEvents) {
     // Advance into a chunk retained by clear() when one exists; only a
     // fresh high-water mark allocates.
     ++current_chunk_;
     if (current_chunk_ == chunks_.size()) {
-      chunks_.emplace_back(arena_);
+      chunks_.emplace_back();
       chunks_[current_chunk_].reserve(kChunkEvents);
     }
   }
@@ -187,40 +196,22 @@ void Tracer::counter(TimePoint when, TraceCategory category, const char* label,
 }
 
 std::size_t Tracer::size() const {
-  if (ring_capacity_ > 0) return ring_full_ ? ring_capacity_ : ring_next_;
   std::size_t n = 0;
   for (const auto& chunk : chunks_) n += chunk.size();
   return n;
 }
 
 void Tracer::clear() {
-  if (ring_capacity_ > 0) {
-    ring_next_ = 0;
-    ring_full_ = false;
-  } else {
-    // Retain every grown chunk (and its capacity) for the next run.
-    for (std::size_t i = 0; i <= current_chunk_; ++i) chunks_[i].clear();
-    current_chunk_ = 0;
-  }
-  dropped_ = 0;
+  // Retain every grown chunk (and its capacity) for the next run.
+  for (std::size_t i = 0; i <= current_chunk_; ++i) chunks_[i].clear();
+  current_chunk_ = 0;
   open_spans_ = 0;
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(size());
-  if (ring_capacity_ > 0) {
-    if (ring_full_) {
-      out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_),
-                 ring_.end());
-    }
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_));
-  } else {
-    for (const auto& chunk : chunks_) {
-      out.insert(out.end(), chunk.begin(), chunk.end());
-    }
-  }
+  for (const auto& chunk : chunks_) out.insert(out.end(), chunk.begin(), chunk.end());
   return out;
 }
 
@@ -268,19 +259,7 @@ std::string Tracer::chrome_json() const {
 
 std::string Tracer::binary() const {
   const std::vector<TraceEvent> events = snapshot();
-
-  // Dedup labels by CONTENT in first-appearance order: two runs recording
-  // the same event sequence get identical tables even though the label
-  // pointers differ between processes (or interner states).
-  std::map<std::string, std::uint32_t> ids;
-  std::vector<const char*> table;
-  std::vector<std::uint32_t> event_label(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto [it, inserted] =
-        ids.emplace(events[i].label, static_cast<std::uint32_t>(table.size()));
-    if (inserted) table.push_back(events[i].label);
-    event_label[i] = it->second;
-  }
+  const auto [table, event_label] = label_table(events);
 
   std::string out(kMagic, sizeof(kMagic));
   append_u32(out, static_cast<std::uint32_t>(table.size()));
@@ -289,7 +268,7 @@ std::string Tracer::binary() const {
     append_u32(out, static_cast<std::uint32_t>(s.size()));
     out.append(s);
   }
-  append_u64(out, dropped_);
+  append_u64(out, 0);  // dropped
   append_u64(out, static_cast<std::uint64_t>(events.size()));
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
@@ -304,22 +283,11 @@ std::string Tracer::binary() const {
 
 void Tracer::save(snapshot::Writer& w) const {
   const std::vector<TraceEvent> events = snapshot();
-
-  // Same content-dedup-in-first-appearance-order table as binary(), so a
-  // save/restore round trip re-exports byte-identical artifacts.
-  std::map<std::string, std::uint32_t> ids;
-  std::vector<const char*> table;
-  std::vector<std::uint32_t> event_label(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto [it, inserted] =
-        ids.emplace(events[i].label, static_cast<std::uint32_t>(table.size()));
-    if (inserted) table.push_back(events[i].label);
-    event_label[i] = it->second;
-  }
+  const auto [table, event_label] = label_table(events);
 
   w.u64(table.size());
   for (const char* label : table) w.str(label);
-  w.u64(dropped_);
+  w.u64(0);  // dropped, as in binary()
   w.i64(open_spans_);
   w.u64(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -341,7 +309,7 @@ void Tracer::restore(snapshot::SectionReader& s) {
   for (std::uint64_t i = 0; i < label_count; ++i) {
     restored_labels_.push_back(std::make_unique<std::string>(s.str()));
   }
-  const std::uint64_t dropped = s.u64();
+  SIMTY_CHECK_MSG(s.u64() == 0, "Tracer::restore: snapshot counts dropped events");
   const std::int64_t open_spans = s.i64();
   SIMTY_CHECK_MSG(open_spans >= 0, "Tracer::restore: negative open span count");
   const std::uint64_t event_count = s.u64();
@@ -365,9 +333,6 @@ void Tracer::restore(snapshot::SectionReader& s) {
     e.arg = s.i64();
     record(e);
   }
-  // record() in ring mode counts wraparound drops; the saved counters are
-  // authoritative for the restored state.
-  dropped_ = dropped;
   open_spans_ = open_spans;
 }
 

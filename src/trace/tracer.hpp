@@ -12,9 +12,8 @@
 //
 // Hot-path rules (same as the event queue's): labels are `const char*`
 // string literals (intern_label() for computed ones), events are fixed-size
-// PODs, and storage is slab-backed — a growable arena of fixed-size chunks
-// (the default; allocation only on a chunk boundary) or a fixed-capacity
-// ring that overwrites the oldest events and counts the drops.
+// PODs, and storage is slab-backed: a growable arena of fixed-size chunks
+// that allocates only on a chunk boundary.
 //
 // Enabling has three layers:
 //   - compiled out: -DSIMTY_TRACING=OFF defines SIMTY_TRACE_DISABLED and
@@ -32,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/time.hpp"
 
 namespace simty::snapshot {
@@ -71,12 +69,7 @@ struct TraceEvent {
 /// enablement model. Not thread-safe — one tracer per (thread-local) run.
 class Tracer {
  public:
-  /// `ring_capacity == 0` (default) selects the growable chunked arena;
-  /// a positive capacity selects a fixed ring that overwrites the oldest
-  /// events once full (dropped() counts the overwrites). A non-null
-  /// `arena` backs the event storage (chunk payloads / the ring buffer);
-  /// it must outlive the tracer and must not be reset while it lives.
-  explicit Tracer(std::size_t ring_capacity = 0, common::Arena* arena = nullptr);
+  Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -90,11 +83,8 @@ class Tracer {
   void counter(TimePoint when, TraceCategory category, const char* label,
                std::int64_t value);
 
-  /// Events currently held (ring mode: at most the capacity).
+  /// Events currently held.
   std::size_t size() const;
-
-  /// Events overwritten by ring wraparound (always 0 in arena mode).
-  std::uint64_t dropped() const { return dropped_; }
 
   /// Current span nesting depth (begins minus ends); span_end below zero
   /// throws, which is how unbalanced instrumentation fails fast.
@@ -105,7 +95,7 @@ class Tracer {
   /// its high-water mark.
   void clear();
 
-  /// Copies the held events out in record order (ring mode: oldest first).
+  /// Copies the held events out in record order.
   std::vector<TraceEvent> snapshot() const;
 
   /// Chrome trace-event JSON (load in Perfetto / chrome://tracing).
@@ -119,7 +109,7 @@ class Tracer {
   void save_binary(const std::string& path) const;
 
   /// Serializes the held events (labels deduplicated by content, like
-  /// binary()) plus the drop and open-span counters. restore() replaces
+  /// binary()) plus the open-span counter. restore() replaces
   /// this tracer's contents; restored labels are owned by the tracer, so
   /// subsequent exports are byte-identical to the saved run's.
   void save(snapshot::Writer& w) const;
@@ -130,16 +120,10 @@ class Tracer {
 
   static constexpr std::size_t kChunkEvents = 16384;
 
-  std::size_t ring_capacity_;  // 0 = chunked mode
-  common::Arena* arena_;       // optional backing for chunks_/ring_ payloads
   // Chunked storage: chunks_[0..current_chunk_] hold events; chunks past
   // current_chunk_ are empty, retained by clear() for reuse.
-  common::ArenaVector<common::ArenaVector<TraceEvent>> chunks_;
+  std::vector<std::vector<TraceEvent>> chunks_;
   std::size_t current_chunk_ = 0;
-  common::ArenaVector<TraceEvent> ring_;  // ring storage
-  std::size_t ring_next_ = 0;
-  bool ring_full_ = false;
-  std::uint64_t dropped_ = 0;
   std::int64_t open_spans_ = 0;
   // Labels brought in by restore(); unique_ptr keeps the c_str() addresses
   // stable across vector growth, which TraceEvent::label relies on.

@@ -1,11 +1,6 @@
 #include "usage/interactive.hpp"
 
 #include "alarm/alarm_manager.hpp"
-#include "alarm/duration_policy.hpp"
-#include "alarm/exact_policy.hpp"
-#include "alarm/fixed_interval_policy.hpp"
-#include "alarm/native_policy.hpp"
-#include "alarm/simty_policy.hpp"
 #include "apps/system_alarms.hpp"
 #include "common/check.hpp"
 #include "hw/power_bus.hpp"
@@ -49,25 +44,6 @@ double MixedDayResult::battery_days(Energy capacity) const {
   return capacity.ratio(energy.total());
 }
 
-namespace {
-
-std::unique_ptr<alarm::AlignmentPolicy> make_policy(const exp::ExperimentConfig& c) {
-  switch (c.policy) {
-    case exp::PolicyKind::kNative: return std::make_unique<alarm::NativePolicy>();
-    case exp::PolicyKind::kSimty:
-      return std::make_unique<alarm::SimtyPolicy>(c.similarity);
-    case exp::PolicyKind::kExact: return std::make_unique<alarm::ExactPolicy>();
-    case exp::PolicyKind::kSimtyDuration:
-      return std::make_unique<alarm::DurationSimtyPolicy>(c.similarity);
-    case exp::PolicyKind::kFixedInterval:
-      return std::make_unique<alarm::FixedIntervalPolicy>(c.fixed_interval);
-  }
-  SIMTY_CHECK_MSG(false, "unknown policy kind");
-  return nullptr;
-}
-
-}  // namespace
-
 MixedDayResult simulate_day_mixed(const exp::ExperimentConfig& standby_config,
                                   const UsagePattern& pattern, std::uint64_t seed) {
   sim::Simulator sim;
@@ -78,7 +54,7 @@ MixedDayResult simulate_day_mixed(const exp::ExperimentConfig& standby_config,
   hw::Rtc rtc(sim, device);
   hw::WakelockManager wakelocks(sim, standby_config.power_model, bus);
   alarm::AlarmManager manager(sim, device, rtc, wakelocks,
-                              make_policy(standby_config));
+                              exp::make_policy(standby_config));
 
   std::uint64_t nonwakeup = 0;
   manager.add_delivery_observer([&](const alarm::DeliveryRecord& r) {

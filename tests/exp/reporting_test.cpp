@@ -32,6 +32,18 @@ TEST(Reporting, EnergyFigureShowsRowsAndSavings) {
   EXPECT_NE(out.find("20.0%"), std::string::npos);
 }
 
+TEST(Reporting, EnergyFigureSavingIsNaWithoutBaselineAwakeEnergy) {
+  // A run too short to wake (simty_run --minutes 1) spends no awake
+  // energy; the saving against that baseline is undefined, not a crash.
+  const std::vector<NamedResult> cols = {{"NATIVE", sample(1.5, 0)},
+                                         {"SIMTY", sample(1.5, 0)}};
+  const std::string out = render_energy_figure(cols);
+  EXPECT_NE(out.find("| awake saving vs col 1 | n/a    | n/a   |"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("| total saving vs col 1 | 0.0%   | 0.0%  |"), std::string::npos)
+      << out;
+}
+
 TEST(Reporting, DelayFigureShowsPercentages) {
   const std::vector<NamedResult> cols = {{"SIMTY", sample(700, 460)}};
   const std::string out = render_delay_figure(cols);

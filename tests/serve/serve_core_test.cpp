@@ -2,7 +2,8 @@
 // requests without re-simulating (hit counter increments), warm-started
 // sweep points must match their cold straight runs bit-for-bit, the
 // protocol codec must round-trip, and hostile frames must be rejected with
-// std::logic_error — never crash the core.
+// std::logic_error — never crash the core, never decode to a config that
+// does not re-encode.
 
 #include <gtest/gtest.h>
 
@@ -10,14 +11,18 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "exp/run.hpp"
 #include "serve/serve_core.hpp"
 #include "serve/server.hpp"
+#include "support/corrupt.hpp"
 #include "support/result_equality.hpp"
 
 namespace simty::serve {
@@ -40,25 +45,52 @@ Request quick_request(double beta = 0.0) {
 using support::expect_identical;
 
 // Frame sizes and FNV-1a digests of the WireBytesArePinned frames.
-constexpr std::size_t kRequestBytes = 91;
-constexpr std::uint64_t kRequestDigest = 6593342681654424619ull;
-constexpr std::size_t kResponseBytes = 203;
-constexpr std::uint64_t kResponseDigest = 5832451668890079113ull;
+constexpr std::size_t kRequestBytes = 689;
+constexpr std::uint64_t kRequestDigest = 14133869477993746988ull;
+constexpr std::size_t kResponseBytes = 257;
+constexpr std::uint64_t kResponseDigest = 9931696667696111434ull;
 constexpr std::size_t kStatsBytes = 106;
-constexpr std::uint64_t kStatsDigest = 6291284426734716578ull;
+constexpr std::uint64_t kStatsDigest = 16112542700533300853ull;
+
+// A config with every optional part present and off-default values, the
+// paging scenario included.
+Request rich_request() {
+  Request req = quick_request(0.7);
+  req.policy = exp::PolicyKind::kFixedInterval;
+  req.fixed_interval = Duration::seconds(240);
+  req.similarity.hw_mode = alarm::HardwareSimilarityMode::kFourLevel;
+  req.beta = 0.8;
+  req.doze = true;
+  req.drx.emplace();
+  req.drx->wur = true;
+  req.drx->wur_delay_budget = Duration::seconds(10);
+  req.wur.listen = Power::milliwatts(0.2);
+  req.power_model = hw::PowerModel::wearable();
+  apps::AppProfile app;
+  app.name = "Line";
+  app.repeat = Duration::seconds(200);
+  app.alpha = 0.75;
+  app.hardware = hw::ComponentSet{hw::Component::kWifi};
+  app.base_hold = Duration::seconds(2);
+  req.custom_profiles = {app, app};
+  req.custom_profiles[1].name = "Kakao";
+  return req;
+}
 
 TEST(ServeCodec, RequestRoundTripsExactly) {
-  const Request req = quick_request(0.7);
-  const Request back = decode_request(encode_request(req));
-  EXPECT_EQ(back.policy, req.policy);
-  EXPECT_EQ(back.workload, req.workload);
-  EXPECT_EQ(back.duration.us(), req.duration.us());
-  EXPECT_EQ(back.seed, req.seed);
-  EXPECT_EQ(back.doze, req.doze);
-  EXPECT_EQ(back.system_alarms, req.system_alarms);
+  // Every field of the config travels: the decoded config re-encodes to
+  // the same frame.
+  const Request req = rich_request();
+  const std::string frame = encode_request(req);
+  const Request back = decode_request(frame);
+  EXPECT_EQ(encode_request(back), frame);
+  EXPECT_EQ(back.power_model.sleep, hw::PowerModel::wearable().sleep);
+  ASSERT_EQ(back.custom_profiles.size(), 2u);
+  EXPECT_EQ(back.custom_profiles[1].name, "Kakao");
+  ASSERT_TRUE(back.drx.has_value());
+  EXPECT_TRUE(back.drx->wur);
   ASSERT_TRUE(back.beta_switch.has_value());
-  EXPECT_EQ(back.beta_switch->at.us(), req.beta_switch->at.us());
-  EXPECT_EQ(back.beta_switch->beta, req.beta_switch->beta);
+  EXPECT_EQ(back.beta_switch->beta, 0.7);
 }
 
 TEST(ServeCodec, ResponseAndStatsRoundTrip) {
@@ -79,21 +111,12 @@ TEST(ServeCodec, ResponseAndStatsRoundTrip) {
   EXPECT_EQ(back.prefix_hits, 5u);
 }
 
-// FNV-1a over a whole frame: pins wire bytes without a hex dump.
-std::uint64_t digest(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 TEST(ServeCodec, WireBytesArePinned) {
   // Deployed clients and daemons must keep talking: the field order and
   // encoding of every frame is part of the protocol, so each one is pinned
   // here. Every response field carries a distinct value, so swapping two
-  // fields changes the bytes.
+  // fields changes the bytes. The request carries the default power model,
+  // so recalibrating PowerModel::nexus5() re-pins its digest too.
   Request req;
   req.policy = exp::PolicyKind::kSimtyDuration;
   req.workload = exp::WorkloadKind::kHeavy;
@@ -102,9 +125,11 @@ TEST(ServeCodec, WireBytesArePinned) {
   req.doze = true;
   req.system_alarms = false;
   req.beta_switch = exp::ExperimentConfig::BetaSwitch{Duration::minutes(70), 0.625};
+  req.drx.emplace();
+  req.drx->wur_delay_budget = Duration::millis(2500);
   const std::string req_bytes = encode_request(req);
   EXPECT_EQ(req_bytes.size(), kRequestBytes);
-  EXPECT_EQ(digest(req_bytes), kRequestDigest);
+  EXPECT_EQ(common::fnv1a64(req_bytes), kRequestDigest);
 
   Response resp;
   resp.cached = true;
@@ -125,9 +150,15 @@ TEST(ServeCodec, WireBytesArePinned) {
   resp.worst_gap_ratio = 1.13;
   resp.gap_violations = 114;
   resp.perceptible_window_misses = 115;
+  resp.pages_answered = 116.0;
+  resp.page_delay_avg_s = 1.17;
+  resp.page_delay_p95_s = 1.18;
+  resp.drx_listen_seconds = 119.5;
+  resp.wur_listen_seconds = 120.5;
+  resp.wur_triggers = 121.0;
   const std::string resp_bytes = encode_response(resp);
   EXPECT_EQ(resp_bytes.size(), kResponseBytes);
-  EXPECT_EQ(digest(resp_bytes), kResponseDigest);
+  EXPECT_EQ(common::fnv1a64(resp_bytes), kResponseDigest);
 
   ServeStats stats;
   stats.requests = 201;
@@ -139,7 +170,7 @@ TEST(ServeCodec, WireBytesArePinned) {
   stats.snapshots_evicted = 207;
   const std::string stats_bytes = encode_stats(stats);
   EXPECT_EQ(stats_bytes.size(), kStatsBytes);
-  EXPECT_EQ(digest(stats_bytes), kStatsDigest);
+  EXPECT_EQ(common::fnv1a64(stats_bytes), kStatsDigest);
 }
 
 TEST(ServeCodec, RejectsMalformedFrames) {
@@ -154,22 +185,61 @@ TEST(ServeCodec, RejectsMalformedFrames) {
     EXPECT_THROW(core.handle_frame(good.substr(0, keep)), std::logic_error)
         << "kept " << keep << " bytes";
   }
-  // Domain validation: a switch instant past the horizon.
+  // Domain validation names the field: values the run cannot honour.
+  const auto expect_rejected = [](const Request& bad, const std::string& field) {
+    try {
+      decode_request(encode_request(bad));
+      ADD_FAILURE() << field << " decoded";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + field + "'"), std::string::npos)
+          << e.what();
+    }
+  };
   Request bad = quick_request(0.5);
   bad.beta_switch->at = bad.duration + Duration::seconds(1);
-  EXPECT_THROW(decode_request(encode_request(bad)), std::logic_error);
-  // FIXED needs a slot length the request schema does not carry; the
-  // rejection names that, not an "unknown" policy.
-  Request fixed = quick_request();
-  fixed.policy = exp::PolicyKind::kFixedInterval;
-  try {
-    decode_request(encode_request(fixed));
-    FAIL() << "FIXED request decoded";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("requests carry no fixed_interval"),
-              std::string::npos)
-        << e.what();
+  expect_rejected(bad, "beta_switch.at");
+  bad = quick_request(0.5);
+  bad.beta_switch->beta = -0.5;
+  expect_rejected(bad, "beta_switch.beta");
+  bad = quick_request();
+  bad.duration = Duration::zero();
+  expect_rejected(bad, "duration");
+  bad = quick_request();
+  bad.beta = -0.1;
+  expect_rejected(bad, "beta");
+  bad = quick_request();
+  bad.power_model.sleep = Power::milliwatts(std::nan(""));
+  expect_rejected(bad, "power_model.sleep");
+  bad = quick_request();
+  bad.drx.emplace();
+  bad.drx->page_hold = Duration::micros(-1);
+  expect_rejected(bad, "drx.page_hold");
+}
+
+TEST(ServeCodec, RandomizedRequestCorruptionNeverEscapesTheChecks) {
+  // The snapshot container's corruption sweep, aimed at request frames:
+  // each mangled frame either decodes to a config whose re-encoding
+  // decodes to the same config again, or is rejected with
+  // std::logic_error. Anything else (crash, other exception type) fails
+  // the test; UB is caught by the sanitizer job running this sweep.
+  const std::string good = encode_request(rich_request());
+  Rng rng(0xf02e, 18);
+  int rejected = 0, survived = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::string bytes = support::corrupt(good, rng);
+    Request decoded;
+    try {
+      decoded = decode_request(bytes);
+    } catch (const std::logic_error&) {
+      ++rejected;
+      continue;
+    }
+    ++survived;
+    const std::string again = encode_request(decoded);
+    EXPECT_EQ(encode_request(decode_request(again)), again) << "round " << round;
   }
+  EXPECT_GT(rejected, 100);
+  EXPECT_GT(survived, 10);
 }
 
 TEST(ServeHash, SeedAndBetaFactorOutAsDesigned) {
@@ -180,11 +250,16 @@ TEST(ServeHash, SeedAndBetaFactorOutAsDesigned) {
   c.seed = 99;
 
   // Result-cache key: β matters, seed is factored out into the pair.
-  EXPECT_NE(config_hash(a), config_hash(b));
-  EXPECT_EQ(config_hash(a), config_hash(c));
+  EXPECT_NE(cache_keys(a).config_hash, cache_keys(b).config_hash);
+  EXPECT_EQ(cache_keys(a).config_hash, cache_keys(c).config_hash);
   // Prefix key: β is blind (the whole point), seed matters.
-  EXPECT_EQ(prefix_hash(a), prefix_hash(b));
-  EXPECT_NE(prefix_hash(a), prefix_hash(c));
+  EXPECT_EQ(cache_keys(a).prefix_hash, cache_keys(b).prefix_hash);
+  EXPECT_NE(cache_keys(a).prefix_hash, cache_keys(c).prefix_hash);
+  // Every other field is in both keys, the paging scenario included.
+  Request d = a;
+  d.drx.emplace();
+  EXPECT_NE(cache_keys(a).config_hash, cache_keys(d).config_hash);
+  EXPECT_NE(cache_keys(a).prefix_hash, cache_keys(d).prefix_hash);
 }
 
 TEST(ServeCore, RepeatedIdenticalRequestsHitTheResultCache) {
@@ -217,13 +292,7 @@ TEST(ServeCore, WarmStartedSweepPointMatchesColdRun) {
   EXPECT_EQ(core.stats().prefix_hits, 1u);
 
   // …and must equal a from-scratch run of that config exactly.
-  exp::ExperimentConfig config;
-  config.policy = hi.policy;
-  config.workload = hi.workload;
-  config.duration = hi.duration;
-  config.seed = hi.seed;
-  config.beta_switch = hi.beta_switch;
-  const exp::RunResult straight = exp::run_experiment(config);
+  const exp::RunResult straight = exp::run_experiment(hi);
   EXPECT_EQ(warm.total_j, straight.energy.total().joules_f());
   EXPECT_EQ(warm.average_power_mw, straight.average_power_mw);
   EXPECT_EQ(warm.delay_imperceptible, straight.delay_imperceptible);
@@ -233,6 +302,33 @@ TEST(ServeCore, WarmStartedSweepPointMatchesColdRun) {
   // The differing-β results are genuinely different runs (the switch did
   // something), or the warm-start test would be vacuous.
   EXPECT_NE(lo.total_j, warm.total_j);
+}
+
+TEST(ServeCore, PagingRequestRepliesCarryThePagingRows) {
+  // A DRX+WuR config is served like any other: the cold reply and its
+  // cached repeat both carry run_experiment's paging numbers.
+  ServeCore core;
+  Request req = quick_request();
+  req.duration = Duration::minutes(30);
+  req.drx.emplace();
+  req.drx->wur = true;
+  req.drx->wur_delay_budget = Duration::seconds(10);
+  const exp::RunResult straight = exp::run_experiment(req);
+  ASSERT_GT(straight.pages_answered, 0.0);
+  ASSERT_GT(straight.wur_triggers, 0.0);
+
+  const Response cold = core.handle(req);
+  const Response cached = decode_response(core.handle_frame(encode_request(req)));
+  EXPECT_FALSE(cold.cached);
+  EXPECT_TRUE(cached.cached);
+  for (const Response* r : {&cold, &cached}) {
+    EXPECT_EQ(r->pages_answered, straight.pages_answered);
+    EXPECT_EQ(r->page_delay_avg_s, straight.page_delay_avg_s);
+    EXPECT_EQ(r->page_delay_p95_s, straight.page_delay_p95_s);
+    EXPECT_EQ(r->drx_listen_seconds, straight.drx_listen_seconds);
+    EXPECT_EQ(r->wur_listen_seconds, straight.wur_listen_seconds);
+    EXPECT_EQ(r->wur_triggers, straight.wur_triggers);
+  }
 }
 
 TEST(ServeCore, PrefixStoreEvictsLeastRecentlyUsed) {

@@ -262,16 +262,75 @@ TEST(RunSnapshotTest, RestoreRejectsPagingConfigMismatch) {
   EXPECT_THROW(into_wur.restore_snapshot(drx_snap), std::logic_error);
 }
 
+// Restoring `snap` into a Run of `config` throws naming `field`.
+void expect_fingerprint_mismatch(const std::string& snap, const ExperimentConfig& config,
+                                 const std::string& field) {
+  exp::Run run(config);
+  try {
+    run.restore_snapshot(snap);
+    ADD_FAILURE() << "restored under a different " << field;
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("field '" + field + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+std::string snapshot_at_30min(const ExperimentConfig& config) {
+  exp::Run run(config);
+  run.advance_to_quiescent(TimePoint::origin() + Duration::minutes(30));
+  return run.save_snapshot();
+}
+
 TEST(RunSnapshotTest, RestoreRejectsHorizonMismatch) {
   const ExperimentConfig config = base_config(PolicyKind::kNative);
-  exp::Run first(config);
-  first.advance_to_quiescent(TimePoint::origin() + Duration::minutes(30));
-  const std::string snap = first.save_snapshot();
-
   ExperimentConfig longer = config;
   longer.duration = Duration::hours(3);
-  exp::Run other(longer);
-  EXPECT_THROW(other.restore_snapshot(snap), std::logic_error);
+  expect_fingerprint_mismatch(snapshot_at_30min(config), longer, "duration");
+}
+
+TEST(RunSnapshotTest, RestoreRejectsAnotherConfigNamingTheField) {
+  // The snapshot's config fingerprint is compared before any component
+  // restores: a run resumed under another seed, policy, power model or
+  // paging scenario would mix state from two experiments.
+  ExperimentConfig saved = base_config(PolicyKind::kSimty);
+  saved.seed = 99;
+  const std::string snap = snapshot_at_30min(saved);
+
+  ExperimentConfig other = saved;
+  other.seed = 1;
+  expect_fingerprint_mismatch(snap, other, "seed");
+  other = saved;
+  other.policy = PolicyKind::kNative;
+  expect_fingerprint_mismatch(snap, other, "policy");
+  other = saved;
+  other.power_model.component(hw::Component::kWifi).active += Power::milliwatts(1.0);
+  expect_fingerprint_mismatch(snap, other, "power_model");
+  other = saved;
+  other.drx.emplace();
+  expect_fingerprint_mismatch(snap, other, "drx");
+
+  ExperimentConfig with_drx = saved;
+  with_drx.drx.emplace();
+  expect_fingerprint_mismatch(snapshot_at_30min(with_drx), saved, "drx");
+}
+
+TEST(RunSnapshotTest, RestoreIgnoresOnlyTheSwitchBeta) {
+  // β alone is outside the fingerprint: a prefix saved under one switch β
+  // resumes under another, bit-identical to a straight run of that β
+  // (BetaSwitchPrefixIsSharedAcrossSweepPoints checks the full outputs).
+  ExperimentConfig lo = base_config(PolicyKind::kSimty);
+  lo.beta_switch = ExperimentConfig::BetaSwitch{Duration::hours(1), 0.3};
+  ExperimentConfig hi = lo;
+  hi.beta_switch->beta = 0.9;
+  const std::string snap = snapshot_at_30min(lo);
+  exp::Run straight(hi);
+  exp::Run warm(hi);
+  warm.restore_snapshot(snap);
+  expect_identical(straight.finish(), warm.finish());
+  // The switch instant, unlike its β, is part of the fingerprint.
+  ExperimentConfig later = lo;
+  later.beta_switch->at = Duration::minutes(61);
+  expect_fingerprint_mismatch(snap, later, "beta_switch");
 }
 
 TEST(RunSnapshotTest, SaveRequiresQuiescence) {

@@ -14,6 +14,7 @@
 
 #include "common/rng.hpp"
 #include "snapshot/snapshot.hpp"
+#include "support/corrupt.hpp"
 
 namespace simty::snapshot {
 namespace {
@@ -126,27 +127,7 @@ TEST(SnapshotFormat, RandomizedCorruptionNeverEscapesTheChecks) {
   Rng rng(0xf02d, 17);
   int rejected = 0, survived = 0;
   for (int round = 0; round < 4000; ++round) {
-    std::string bytes = good;
-    const std::uint32_t kind = rng.next_below(4);
-    if (kind == 0) {  // single byte flip
-      bytes[rng.next_below(static_cast<std::uint32_t>(bytes.size()))] ^=
-          static_cast<char>(1 + rng.next_below(255));
-    } else if (kind == 1) {  // stomp a run of bytes
-      const std::size_t at =
-          rng.next_below(static_cast<std::uint32_t>(bytes.size()));
-      const std::size_t len =
-          std::min<std::size_t>(1 + rng.next_below(8), bytes.size() - at);
-      for (std::size_t i = 0; i < len; ++i) {
-        bytes[at + i] = static_cast<char>(rng.next_u32());
-      }
-    } else if (kind == 2) {  // truncate
-      bytes.resize(rng.next_below(static_cast<std::uint32_t>(bytes.size())));
-    } else {  // inflate: graft random tail bytes
-      const std::size_t extra = 1 + rng.next_below(32);
-      for (std::size_t i = 0; i < extra; ++i) {
-        bytes.push_back(static_cast<char>(rng.next_u32()));
-      }
-    }
+    const std::string bytes = support::corrupt(good, rng);
     try {
       const DecodedSnapshot decoded = decode_snapshot(bytes);
       // Data-byte corruption can still be a well-formed container;

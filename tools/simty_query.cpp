@@ -4,19 +4,23 @@
 //   simty_query --socket /tmp/simty.sock --stats
 //   simty_query --socket /tmp/simty.sock --shutdown
 //
-// Run options mirror the serve request schema:
-//   --policy native|simty|exact|simty-dur   (default simty)
-//   --workload light|heavy|synthetic        (default light)
-//   --hours H | --minutes M                 (default 3 hours)
-//   --seed N                                (default 1)
+// A request is a whole exp::ExperimentConfig (serve::Request), so the
+// daemon serves any config; these flags set the fields a β-sweep varies
+// and leave the rest at their ExperimentConfig defaults:
+//   --policy native|simty|exact|simty-dur|fixed   (default simty)
+//   --workload light|heavy|synthetic              (default light)
+//   --hours H | --minutes M                       (default 3 hours)
+//   --seed N                                      (default 1)
 //   --doze
 //   --no-system-alarms
-//   --beta-switch-at-minutes M --beta B     (the sweep lever)
+//   --beta-switch-at-minutes M --beta B           (the sweep lever)
+// --beta is the switch's β, not the base β of simty_run --beta.
 //
 // Counts are whole numbers, --beta is finite and > 0; a malformed value
 // ("3h", "-1", "nan") is a usage error (exit 2), never another request.
 //
-// Output is one key=value line per response field, machine-greppable:
+// Output is one key=value line per response field, machine-greppable, the
+// paging rows (pages_answered ... wur_triggers) included:
 //   cached=1 warm_started=0 total_j=... average_power_mw=...
 
 #include <cstdio>
@@ -67,6 +71,7 @@ int main(int argc, char** argv) {
   std::string socket_path;
   bool stats = false, shutdown = false;
   simty::serve::Request req;
+  req.policy = simty::exp::PolicyKind::kSimty;
   std::optional<long long> switch_minutes;
   std::optional<double> beta;
   // Durations are bounded so their microsecond count cannot overflow.
@@ -78,7 +83,7 @@ int main(int argc, char** argv) {
     else if (arg == "--shutdown") shutdown = true;
     else if (arg == "--policy" && i + 1 < argc) {
       const auto p = simty::exp::parse_policy(argv[++i]);
-      if (!p || *p == simty::exp::PolicyKind::kFixedInterval) return usage();
+      if (!p) return usage();
       req.policy = *p;
     } else if (arg == "--workload" && i + 1 < argc) {
       const auto w = simty::exp::parse_workload(argv[++i]);
