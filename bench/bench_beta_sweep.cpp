@@ -13,7 +13,7 @@
 
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "exp/parallel_runner.hpp"
+#include "exp/experiment.hpp"
 
 using namespace simty;
 
@@ -40,7 +40,7 @@ exp::RunResult group_mean(const std::vector<exp::RunResult>& all,
 int main() {
   const double kBetas[] = {0.75, 0.80, 0.85, 0.90, 0.96};
   const int kReps = 3;
-  const int kJobs = exp::ParallelRunner::default_jobs();
+  const int kJobs = exp::default_jobs();
 
   for (const exp::WorkloadKind workload :
        {exp::WorkloadKind::kLight, exp::WorkloadKind::kHeavy}) {

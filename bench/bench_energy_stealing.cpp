@@ -9,7 +9,7 @@
 
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "exp/experiment.hpp"
+#include "exp/run.hpp"
 #include "power/app_attribution.hpp"
 
 using namespace simty;
@@ -21,8 +21,9 @@ std::map<std::string, double> tag_energy(exp::PolicyKind policy) {
   exp::ExperimentConfig c;
   c.policy = policy;
   c.workload = exp::WorkloadKind::kHeavy;
-  c.extra_session_observer = attributor.observer();
-  (void)exp::run_experiment(c);
+  exp::Run run(c);
+  run.alarm_manager().add_session_observer(attributor.observer());
+  (void)run.finish();
   std::map<std::string, double> out;
   for (const power::EnergyShare& s : attributor.by_tag()) {
     out[s.label] = s.energy.joules_f();

@@ -6,17 +6,17 @@
 // amortizes wakeups and activations regardless of transfer speed).
 
 #include <cstdio>
-#include <future>
+#include <iterator>
 #include <memory>
 #include <vector>
 
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
 #include "apps/workload.hpp"
+#include "common/parallel_map.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
-#include "exp/parallel_runner.hpp"
+#include "exp/experiment.hpp"
 #include "hw/device.hpp"
 #include "hw/power_bus.hpp"
 #include "hw/rtc.hpp"
@@ -75,33 +75,32 @@ int main() {
   const int reps = 3;
 
   // Each session owns its full simulator/link stack, so the whole sweep
-  // fans out over the pool; futures are consumed in submission order and
-  // the per-row accumulation below matches the old serial loop exactly.
-  ThreadPool pool(
-      static_cast<std::size_t>(exp::ParallelRunner::default_jobs()));
-  std::vector<std::future<Outcome>> futures;
-  for (const std::int64_t bad_s : kBadDwells) {
-    // Fix the good dwell, lengthen the bad dwell: the link spends ever more
-    // time at 500 kbps.
-    net::WifiLinkConfig cfg;
-    cfg.good_rate_kbps = 20000.0;
-    cfg.bad_rate_kbps = 500.0;
-    cfg.mean_good_dwell = Duration::seconds(120);
-    cfg.mean_bad_dwell = Duration::seconds(std::max<std::int64_t>(bad_s, 1));
-    if (bad_s == 0) cfg.mean_good_dwell = Duration::hours(100);  // never degrade
-    for (int i = 0; i < reps; ++i) {
-      const auto seed = static_cast<std::uint64_t>(i + 1);
-      futures.push_back(pool.submit([cfg, seed] { return run(false, cfg, seed); }));
-      futures.push_back(pool.submit([cfg, seed] { return run(true, cfg, seed); }));
-    }
-  }
+  // fans out through one parallel_map; outcomes come back in index order
+  // and the per-row accumulation below matches the old serial loop exactly.
+  // Session k is (bad dwell k / (2 * reps), seed k / 2 % reps + 1, SIMTY iff
+  // k is odd).
+  const std::size_t per_dwell = 2 * static_cast<std::size_t>(reps);
+  const std::vector<Outcome> outcomes = common::parallel_map(
+      std::size(kBadDwells) * per_dwell, exp::default_jobs(), [&](std::size_t k) {
+        const std::int64_t bad_s = kBadDwells[k / per_dwell];
+        // Fix the good dwell, lengthen the bad dwell: the link spends ever
+        // more time at 500 kbps.
+        net::WifiLinkConfig cfg;
+        cfg.good_rate_kbps = 20000.0;
+        cfg.bad_rate_kbps = 500.0;
+        cfg.mean_good_dwell = Duration::seconds(120);
+        cfg.mean_bad_dwell = Duration::seconds(std::max<std::int64_t>(bad_s, 1));
+        if (bad_s == 0) cfg.mean_good_dwell = Duration::hours(100);  // never degrade
+        const auto seed = static_cast<std::uint64_t>(k % per_dwell / 2 + 1);
+        return run(k % 2 == 1, cfg, seed);
+      });
 
   std::size_t next = 0;
   for (const std::int64_t bad_s : kBadDwells) {
     double native_j = 0.0, simty_j = 0.0, good = 0.0;
     for (int i = 0; i < reps; ++i) {
-      const Outcome n = futures[next++].get();
-      const Outcome s = futures[next++].get();
+      const Outcome& n = outcomes[next++];
+      const Outcome& s = outcomes[next++];
       native_j += n.total_j / reps;
       simty_j += s.total_j / reps;
       good += n.good_fraction / reps;

@@ -30,7 +30,6 @@
 #include "bench_json.hpp"
 #include "common/strings.hpp"
 #include "exp/experiment.hpp"
-#include "exp/parallel_runner.hpp"
 
 using namespace simty;
 
@@ -73,7 +72,7 @@ bool identical(const exp::RunResult& a, const exp::RunResult& b) {
 
 int main(int argc, char** argv) {
   const auto json_path = bench::json_path_from_args(argc, argv);
-  const int kJobs = exp::ParallelRunner::default_jobs();
+  const int kJobs = exp::default_jobs();
 
   // --- Section 1: uplink beta frontier (unchanged shape). ---
   const auto beta_start = Clock::now();

@@ -13,7 +13,7 @@
 
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "exp/parallel_runner.hpp"
+#include "exp/experiment.hpp"
 
 using namespace simty;
 
@@ -39,7 +39,7 @@ int main() {
     }
   }
   const std::vector<exp::RunResult> all =
-      exp::run_sweep(batch, exp::ParallelRunner::default_jobs());
+      exp::run_sweep(batch, exp::default_jobs());
 
   TextTable t("Scalability: synthetic workloads, 3-hour standby, 3 seeds");
   t.set_header({"apps", "EXACT total (J)", "NATIVE total (J)", "SIMTY total (J)",

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/strings.hpp"
-#include "exp/parallel_runner.hpp"
+#include "exp/experiment.hpp"
 
 namespace simty::cli {
 
@@ -132,7 +132,7 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       const auto v = value();
       if (!v) return fail("--jobs needs a positive integer or 'auto'");
       if (*v == "auto") {
-        plan.jobs = exp::ParallelRunner::default_jobs();
+        plan.jobs = exp::default_jobs();
         continue;
       }
       const auto n = parse_int(*v, 1, kMaxInt);

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <climits>
 #include <cmath>
+#include <cstdlib>
+#include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "alarm/duration_policy.hpp"
 #include "alarm/exact_policy.hpp"
@@ -12,7 +16,8 @@
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
 #include "common/check.hpp"
-#include "exp/parallel_runner.hpp"
+#include "common/parallel_map.hpp"
+#include "common/strings.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace simty::exp {
@@ -353,6 +358,38 @@ RunResult average_results(const std::vector<RunResult>& results) {
   return mean;
 }
 
+std::vector<RunResult> run_sweep(const std::vector<ExperimentConfig>& configs,
+                                 int jobs) {
+  // A caller-supplied arena is single-threaded state shared by every run
+  // that carries it: those sweeps must not fan out.
+  if (std::any_of(configs.begin(), configs.end(), [](const ExperimentConfig& c) {
+        return c.arena_opts.arena != nullptr;
+      })) {
+    jobs = 1;
+  }
+  return common::parallel_map(configs.size(), jobs, [&configs](std::size_t i) {
+    ExperimentConfig config = configs[i];
+    if (config.arena_opts.arena == nullptr) {
+      // Reset-then-run on the executing thread's arena: run i + 1 reuses
+      // the blocks run i grew, so a sweep's steady state allocates nothing
+      // per run. Arena presence never changes a result bit.
+      thread_local common::Arena arena;
+      arena.reset();
+      config.arena_opts.arena = &arena;
+    }
+    return run_experiment(config);
+  });
+}
+
+int default_jobs() {
+  // Worker count only changes scheduling, never results (run_sweep).
+  if (const char* env = std::getenv("SIMTY_JOBS")) {  // simty-analyze: allow(taint)
+    if (const auto v = parse_int(env, 1, INT_MAX)) return static_cast<int>(*v);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
 namespace {
 
 std::vector<ExperimentConfig> seeded_configs(const ExperimentConfig& config,
@@ -369,27 +406,17 @@ std::vector<ExperimentConfig> seeded_configs(const ExperimentConfig& config,
   return configs;
 }
 
-// Caller-supplied hooks (delivery/session observers, power listeners) are
-// owned by the caller and invoked from whichever run carries them; they are
-// not required to be thread-safe, so their presence forces the serial path.
-bool has_external_hooks(const ExperimentConfig& c) {
-  return c.extra_power_listener != nullptr ||
-         static_cast<bool>(c.extra_delivery_observer) ||
-         static_cast<bool>(c.extra_session_observer);
-}
-
 }  // namespace
 
 RunResult run_repeated(ExperimentConfig config, int repetitions, int jobs) {
-  SIMTY_CHECK(repetitions > 0);
-  if (has_external_hooks(config)) jobs = 1;
-  return average_results(run_sweep(seeded_configs(config, repetitions), jobs));
+  return run_repeated_stats(std::move(config), repetitions, jobs).mean;
 }
 
 RepeatedStats run_repeated_stats(ExperimentConfig config, int repetitions,
                                  int jobs) {
   SIMTY_CHECK(repetitions > 0);
-  if (has_external_hooks(config)) jobs = 1;
+  // A caller-owned power listener need not be thread-safe.
+  if (config.extra_power_listener != nullptr) jobs = 1;
   const std::vector<RunResult> results =
       run_sweep(seeded_configs(config, repetitions), jobs);
   RepeatedStats out;

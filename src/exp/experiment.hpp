@@ -1,9 +1,9 @@
 #pragma once
 // Experiment harness: assembles the full stack (simulator, device, RTC,
-// wakelocks, power monitor, energy accountant, alarm manager, workload,
-// system alarms), runs a connected-standby session, and collects every
-// metric the paper reports. Repetitions over seeds are averaged, matching
-// the paper's "three times, reported the average" protocol.
+// wakelocks, energy accountant, alarm manager, workload, system alarms),
+// runs a connected-standby session, and collects every metric the paper
+// reports. Repetitions over seeds are averaged, matching the paper's "three
+// times, reported the average" protocol.
 
 #include <cstdint>
 #include <memory>
@@ -102,22 +102,20 @@ struct ExperimentConfig {
   std::optional<BetaSwitch> beta_switch;
 
   /// Captures a trace::DeliveryLog inside the run (exp::Run::delivery_log).
-  /// Unlike extra_delivery_observer, the internal log serializes with the
-  /// run's snapshot, so a checkpoint-resumed run exports a byte-identical
-  /// CSV. Does not force the serial path.
+  /// Unlike an observer attached through Run::alarm_manager(), the internal
+  /// log serializes with the run's snapshot, so a checkpoint-resumed run
+  /// exports a byte-identical CSV. Does not force the serial path.
   bool capture_delivery_log = false;
 
-  /// Optional extra observers wired into the run's alarm manager (e.g. a
-  /// trace::DeliveryLog or a power::AppEnergyAttributor).
-  alarm::DeliveryObserver extra_delivery_observer;
-  alarm::SessionObserver extra_session_observer;
-
   /// Optional extra power-bus listener (e.g. a caller-owned PowerMonitor
-  /// capturing the waveform). Must outlive the run.
+  /// capturing the waveform). Must outlive the run. Caller-owned and not
+  /// required to be thread-safe, so it forces the serial path in
+  /// run_repeated. Delivery and session observers attach through
+  /// Run::alarm_manager() after construction instead.
   hw::PowerListener* extra_power_listener = nullptr;
 
   /// Optional structured run tracer (see trace/tracer.hpp). Unlike the
-  /// observer hooks above it does NOT force the serial path: the tracer is
+  /// power listener above it does NOT force the serial path: the tracer is
   /// installed thread-locally inside the one run that carries it, and
   /// run_repeated keeps it on the base seed only — which is exactly what
   /// makes serial-vs-parallel trace comparison a meaningful determinism
@@ -148,7 +146,7 @@ struct SwitchBeta {
 /// Calls f(name, member) for each ExperimentConfig field that can change
 /// a result bit, in wire order: the config's one encoding, behind the
 /// serve request, both serve cache keys and the Run snapshot fingerprint.
-/// The runtime attachments (tracer, arena_opts, the extra_* hooks,
+/// The runtime attachments (tracer, arena_opts, extra_power_listener,
 /// capture_delivery_log) are not fields. `beta_switch` carries the
 /// switch's presence and instant; its β comes last, after `seed`, so the
 /// β-blind encoding (prefix key, fingerprint) drops the last field and the
@@ -289,12 +287,25 @@ std::unique_ptr<alarm::AlignmentPolicy> make_policy(const ExperimentConfig& conf
 /// Runs one seeded experiment.
 RunResult run_experiment(const ExperimentConfig& config);
 
+/// Runs every config and returns the results in the order given, fanned
+/// out over `jobs` threads with common::parallel_map (whose doc comment
+/// holds the ordering and first-failure contract; `jobs` <= 1 is the
+/// serial path). Each executing thread backs its runs with one
+/// thread_local arena, reset per run; a config carrying its own arena
+/// forces the whole sweep onto the serial path.
+std::vector<RunResult> run_sweep(const std::vector<ExperimentConfig>& configs,
+                                 int jobs = 1);
+
+/// Worker count for `--jobs auto` and the benches: $SIMTY_JOBS when it is
+/// an integer in [1, INT_MAX], else std::thread::hardware_concurrency
+/// (at least 1).
+int default_jobs();
+
 /// Runs `repetitions` experiments with seeds seed, seed+1, ... and returns
-/// the component-wise mean. `jobs > 1` fans the seeds out over a thread
-/// pool (see exp/parallel_runner.hpp); results are reduced in seed order,
-/// so the mean is byte-identical to the serial path. Configs carrying
-/// extra observers or power listeners always run serially — those hooks
-/// are caller-owned and not required to be thread-safe.
+/// the component-wise mean: run_repeated_stats(...).mean. `jobs > 1` fans
+/// the seeds out through run_sweep; results are reduced in seed order, so
+/// the mean is byte-identical to the serial path. A config carrying an
+/// extra_power_listener always runs serially.
 RunResult run_repeated(ExperimentConfig config, int repetitions, int jobs = 1);
 
 /// Component-wise mean of per-seed results (exposed for tests).

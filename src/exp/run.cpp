@@ -34,9 +34,8 @@ int begin_run_span(std::uint64_t seed) {
 }
 
 int wire_listeners(hw::PowerBus& bus, power::EnergyAccountant& accountant,
-                   power::PowerMonitor& monitor, const ExperimentConfig& config) {
+                   const ExperimentConfig& config) {
   bus.add_listener(&accountant);
-  bus.add_listener(&monitor);
   if (config.extra_power_listener != nullptr) {
     bus.add_listener(config.extra_power_listener);
   }
@@ -56,7 +55,7 @@ Run::Run(const ExperimentConfig& config)
       trace_scope_(config_.tracer),
       run_span_(begin_run_span(config_.seed)),
       sim_(config_.arena_opts.arena),
-      listeners_wired_(wire_listeners(bus_, accountant_, monitor_, config_)),
+      listeners_wired_(wire_listeners(bus_, accountant_, config_)),
       device_(sim_, config_.power_model, bus_),
       rtc_(sim_, device_),
       wakelocks_(sim_, config_.power_model, bus_),
@@ -79,12 +78,6 @@ Run::Run(const ExperimentConfig& config)
       ++perceptible_misses_;
     }
   });
-  if (config_.extra_delivery_observer) {
-    manager_.add_delivery_observer(config_.extra_delivery_observer);
-  }
-  if (config_.extra_session_observer) {
-    manager_.add_session_observer(config_.extra_session_observer);
-  }
   if (config_.capture_delivery_log) {
     manager_.add_delivery_observer(capture_log_.observer());
   }
@@ -259,7 +252,6 @@ RunResult Run::finish() {
   if (cellular_) cellular_->finalize(horizon_);
   if (wur_) wur_->finalize(horizon_);
   accountant_.finalize(horizon_);
-  monitor_.finalize(horizon_);
   SIMTY_TRACE_SPAN_END(horizon_, trace::TraceCategory::kExp, "run",
                        static_cast<std::int64_t>(config_.seed));
 

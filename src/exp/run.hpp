@@ -42,7 +42,6 @@
 #include "metrics/interval_audit.hpp"
 #include "metrics/wakeup_breakdown.hpp"
 #include "power/energy_accounting.hpp"
-#include "power/monitor.hpp"
 #include "sim/simulator.hpp"
 #include "trace/delivery_log.hpp"
 #include "trace/tracer.hpp"
@@ -108,7 +107,6 @@ class Run {
   sim::Simulator sim_;
   hw::PowerBus bus_;
   power::EnergyAccountant accountant_;
-  power::PowerMonitor monitor_;
   // Listeners must attach before the Device constructor publishes its
   // initial state; listeners_wired_ exists only for its initializer.
   int listeners_wired_;

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <future>
 #include <stdexcept>
 
 #include "common/arena.hpp"
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_map.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/tracer.hpp"
 
@@ -33,7 +32,7 @@ namespace {
 
 /// A contiguous device-major slice of one cohort.
 struct Shard {
-  std::size_t index = 0;  // ordinal in submission order (checkpoint file name)
+  std::size_t index = 0;  // ordinal in shard order (checkpoint file name)
   std::size_t cohort = 0;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
@@ -154,27 +153,10 @@ FleetResult run_fleet(const FleetConfig& config) {
   SIMTY_TRACE_SPAN_BEGIN(TimePoint::origin(), trace::TraceCategory::kExp,
                          "fleet", static_cast<std::int64_t>(config.devices));
 
-  std::vector<CohortAggregate> shard_aggs;
-  shard_aggs.reserve(shards.size());
-  if (config.jobs > 1 && shards.size() > 1) {
-    const auto workers = std::min<std::size_t>(
-        static_cast<std::size_t>(config.jobs), shards.size());
-    ThreadPool pool(workers);
-    std::vector<std::future<CohortAggregate>> futures;
-    futures.reserve(shards.size());
-    for (const Shard& shard : shards) {
-      const CohortSpec& spec = cohorts[shard.cohort];
-      futures.push_back(pool.submit(
-          [&spec, &config, shard] { return run_shard(spec, config, shard); }));
-    }
-    // Submission-order collection: get() rethrows the first failure in
-    // submission order; the pool destructor drains the rest.
-    for (std::future<CohortAggregate>& f : futures) shard_aggs.push_back(f.get());
-  } else {
-    for (const Shard& shard : shards) {
-      shard_aggs.push_back(run_shard(cohorts[shard.cohort], config, shard));
-    }
-  }
+  std::vector<CohortAggregate> shard_aggs =
+      common::parallel_map(shards.size(), config.jobs, [&](std::size_t i) {
+        return run_shard(cohorts[shards[i].cohort], config, shards[i]);
+      });
 
   FleetResult result;
   result.policy_name = exp::to_string(config.policy);

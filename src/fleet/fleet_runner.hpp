@@ -1,20 +1,20 @@
 #pragma once
-// Fleet runner: shards a device population over the thread pool and reduces
-// per-shard aggregates deterministically.
+// Fleet runner: shards a device population over common::parallel_map and
+// reduces per-shard aggregates deterministically.
 //
-// Contract (the same one exp::ParallelRunner proves for seed sweeps):
-// run_fleet at any jobs count produces aggregates bit-identical to the
-// serial path. Three ingredients:
+// Contract: run_fleet at any jobs count produces aggregates bit-identical
+// to the serial path. Three ingredients:
 //   1. sample_device is counter-keyed — device i's sample and run seed
 //      never depend on fleet size, shard partition or worker count;
 //   2. the shard partition is a fixed device-major slicing by
 //      shard_devices, deliberately NOT derived from jobs (a jobs-derived
 //      partition would change Welford merge order and thus float rounding);
-//   3. futures are collected in submission order and shard aggregates fold
-//      through the merge_pairwise tree, whose shape depends only on the
-//      shard count.
+//   3. parallel_map returns the shard aggregates in shard order (its doc
+//      comment holds the ordering and first-failure contract), and they
+//      fold through the merge_pairwise tree, whose shape depends only on
+//      the shard count.
 // Each shard owns its aggregate state (arena-friendly: one CohortAggregate
-// per task, no sharing), so the only cross-thread coupling is the final
+// per shard, no sharing), so the only cross-thread coupling is the final
 // reduction on the calling thread.
 
 #include <cstdint>
@@ -70,7 +70,7 @@ struct FleetConfig {
   std::uint64_t checkpoint_every = 64;
 
   /// Fault injection for restart tests: the shard with this index (in
-  /// submission order) throws std::runtime_error after processing
+  /// shard order) throws std::runtime_error after processing
   /// `fault_after_devices` devices in the current invocation. -1 disables.
   std::int64_t fault_shard = -1;
   std::uint64_t fault_after_devices = 0;
@@ -91,8 +91,8 @@ exp::ExperimentConfig device_config(const CohortSpec& spec,
                                     exp::PolicyKind policy,
                                     const alarm::SimilarityConfig& similarity);
 
-/// Runs the fleet. If any device run throws, the first exception in
-/// submission order is rethrown after the pool drains.
+/// Runs the fleet. If any device run throws, the exception of the first
+/// failing shard in shard order is rethrown (parallel_map's contract).
 FleetResult run_fleet(const FleetConfig& config);
 
 }  // namespace simty::fleet

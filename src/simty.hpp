@@ -61,7 +61,6 @@
 // Workloads & traces
 #include "apps/app.hpp"            // IWYU pragma: export
 #include "apps/app_catalog.hpp"    // IWYU pragma: export
-#include "apps/external_events.hpp"// IWYU pragma: export
 #include "apps/system_alarms.hpp"  // IWYU pragma: export
 #include "apps/trace_replay.hpp"   // IWYU pragma: export
 #include "apps/workload.hpp"       // IWYU pragma: export

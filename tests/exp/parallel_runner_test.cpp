@@ -1,17 +1,19 @@
-// Determinism conformance: the parallel runner must produce results that
-// are bit-identical to the serial path — every RunResult field, not just
-// the totals — for every policy, regardless of worker scheduling.
-
-#include "exp/parallel_runner.hpp"
+// Determinism conformance: run_sweep / run_repeated fanned out over
+// common::parallel_map must produce results that are bit-identical to the
+// serial path — every RunResult field, not just the totals — for every
+// policy, regardless of worker scheduling.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "exp/experiment.hpp"
+#include "hw/power_bus.hpp"
 #include "support/result_equality.hpp"
 
 namespace simty::exp {
@@ -91,11 +93,25 @@ TEST(ParallelRunner, SweepMatchesSerialAcrossMixedConfigs) {
     }
   }
   const std::vector<RunResult> serial = run_sweep(configs, 1);
-  const std::vector<RunResult> parallel = run_sweep(configs, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(serial[i], parallel[i]);
+  // Job counts below 1 clamp to the serial path.
+  for (const int jobs : {-5, 0, 4}) {
+    SCOPED_TRACE(jobs);
+    const std::vector<RunResult> other = run_sweep(configs, jobs);
+    ASSERT_EQ(serial.size(), other.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_identical(serial[i], other[i]);
+    }
+  }
+}
+
+TEST(ParallelRunner, JobsClampToAtLeastOne) {
+  // Job counts below 1 run the serial path for repetitions too.
+  const ExperimentConfig c = quick(PolicyKind::kSimty);
+  const RunResult serial = run_repeated(c, 3, /*jobs=*/1);
+  for (const int jobs : {-5, 0}) {
+    SCOPED_TRACE(jobs);
+    expect_identical(serial, run_repeated(c, 3, jobs));
   }
 }
 
@@ -106,25 +122,38 @@ TEST(ParallelRunner, MoreJobsThanConfigsIsFine) {
   expect_identical(r[0], r[1]);  // same config twice → same result
 }
 
+/// Counts device-state notifications and notes any that arrive off the
+/// thread that constructed it.
+struct CountingListener : hw::PowerListener {
+  const std::thread::id caller = std::this_thread::get_id();
+  int notifications = 0;
+  bool off_caller = false;
+  void on_device_state(TimePoint, hw::DeviceState, Power) override {
+    ++notifications;
+    off_caller = off_caller || std::this_thread::get_id() != caller;
+  }
+};
+
 TEST(ParallelRunner, ExternalHooksForceTheSerialPath) {
-  // A caller-owned observer is not thread-safe; run_repeated must fall back
-  // to serial execution (and thus not race) while producing the same mean.
-  std::atomic<int> seen{0};
+  // A caller-owned power listener is not thread-safe; run_repeated must run
+  // every seed inline on the caller (so nothing races on the plain counter)
+  // while producing the same mean.
+  CountingListener listener;
   ExperimentConfig c = quick(PolicyKind::kSimty);
-  c.extra_delivery_observer = [&seen](const alarm::DeliveryRecord&) { ++seen; };
+  c.extra_power_listener = &listener;
   const RunResult hooked = run_repeated(c, 2, /*jobs=*/4);
-  EXPECT_GT(seen.load(), 0);
+  EXPECT_GT(listener.notifications, 0);
+  EXPECT_FALSE(listener.off_caller);
   ExperimentConfig plain = quick(PolicyKind::kSimty);
   const RunResult serial = run_repeated(plain, 2, /*jobs=*/1);
-  EXPECT_EQ(hooked.deliveries, serial.deliveries);
-  EXPECT_EQ(hooked.energy.total().mj(), serial.energy.total().mj());
+  expect_identical(hooked, serial);
 }
 
 TEST(ParallelRunner, ShardExceptionPropagatesCleanly) {
   // Poison one config in the middle of a sweep: make_policy throws for an
-  // unknown kind inside the worker task. The sweep must surface that
-  // exception on the calling thread — same type and message at any job
-  // count — and the pool must drain without leaking queued tasks.
+  // unknown kind inside the worker. The sweep must surface that exception
+  // on the calling thread — same type and message at any job count — and
+  // join every worker.
   std::vector<ExperimentConfig> configs;
   for (int i = 0; i < 6; ++i) configs.push_back(quick(PolicyKind::kSimty));
   configs[3].policy = static_cast<PolicyKind>(99);
@@ -142,8 +171,8 @@ TEST(ParallelRunner, ShardExceptionPropagatesCleanly) {
   }
   // Deterministic failure: serial and parallel report the same error.
   EXPECT_EQ(serial_what, parallel_what);
-  // Nothing leaked: a healthy sweep on a fresh pool still works and is
-  // unaffected by the earlier failure.
+  // Nothing leaked: a healthy sweep still works and is unaffected by the
+  // earlier failure.
   configs[3].policy = PolicyKind::kSimty;
   const std::vector<RunResult> ok = run_sweep(configs, 4);
   ASSERT_EQ(ok.size(), 6u);
@@ -157,18 +186,19 @@ TEST(ParallelRunner, BadRepetitionCountThrows) {
 }
 
 TEST(ParallelRunner, DefaultJobsHonoursEnvOverride) {
-  ::setenv("SIMTY_JOBS", "3", 1);
-  EXPECT_EQ(ParallelRunner::default_jobs(), 3);
-  ::setenv("SIMTY_JOBS", "not-a-number", 1);
-  EXPECT_GE(ParallelRunner::default_jobs(), 1);
   ::unsetenv("SIMTY_JOBS");
-  EXPECT_GE(ParallelRunner::default_jobs(), 1);
-}
-
-TEST(ParallelRunner, JobsClampToAtLeastOne) {
-  EXPECT_EQ(ParallelRunner(-5).jobs(), 1);
-  EXPECT_EQ(ParallelRunner(0).jobs(), 1);
-  EXPECT_EQ(ParallelRunner(8).jobs(), 8);
+  const int hardware = default_jobs();
+  EXPECT_GE(hardware, 1);
+  ::setenv("SIMTY_JOBS", "3", 1);
+  EXPECT_EQ(default_jobs(), 3);
+  // Anything but a whole integer in [1, INT_MAX] falls back to the hardware
+  // count: 2^32 + 1 must not wrap to 1, nor "3abc" parse as 3.
+  for (const char* bad : {"not-a-number", "0", "-2", "4294967297", "3abc", ""}) {
+    SCOPED_TRACE(bad);
+    ::setenv("SIMTY_JOBS", bad, 1);
+    EXPECT_EQ(default_jobs(), hardware);
+  }
+  ::unsetenv("SIMTY_JOBS");
 }
 
 }  // namespace

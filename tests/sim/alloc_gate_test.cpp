@@ -14,9 +14,9 @@
 // changes, wakelocks, the default metrics observers), and whole exp::Run
 // experiments. A whole run still allocates where it registers alarms — each
 // registration owns its Alarm, registry node, handler and tag — and where
-// run-length stores (the power monitor's samples) grow geometrically, so the
-// run-level gate budgets allocations per registration and none per delivery,
-// wake or state change. Assembly and finish() stay out of scope.
+// run-length stores (batch member buffers, the tag store) grow
+// geometrically, so the run-level gate budgets allocations per registration
+// and none per delivery, wake or state change. Assembly and finish() stay out of scope.
 
 #include <gtest/gtest.h>
 
@@ -303,13 +303,13 @@ INSTANTIATE_TEST_SUITE_P(Policies, DeliveryAllocGateTest, ::testing::Values(fals
 // ---------------------------------------------------------------------------
 
 // Measured allocations per registration (light and heavy, NATIVE and SIMTY,
-// seed 1): 4.3-4.5. Each registration allocates its Alarm, its registry
+// seed 1): 4.2-4.4. Each registration allocates its Alarm, its registry
 // node, its tag in the manager's tag store, and (for tags over 15 chars, such
 // as "system.oneshot.N") the caller's tag string; the remainder is amortized
-// growth (batch member buffers, the tag store's deque blocks, the power
-// monitor's sample vector). K = 5 keeps about 10% headroom and no budget
-// for deliveries, wakes or state changes: one allocation per delivery would
-// exceed it on its own (see the sanity check below).
+// growth (batch member buffers, the tag store's deque blocks). K = 5 keeps
+// at least 10% headroom and no budget for deliveries, wakes or state
+// changes: one allocation per delivery would exceed it on its own (see the
+// sanity check below).
 constexpr std::uint64_t kAllocsPerRegistration = 5;
 
 struct RunCase {

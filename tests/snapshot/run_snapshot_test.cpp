@@ -123,16 +123,15 @@ TEST(RunSnapshotTest, CheckpointInsideBatchNeighborhoodMatches) {
   // snapshot lands between two batch groups, never inside one — this test
   // pins that the surrounding machinery (staged pops, wakelock tails,
   // device sleep-back) restores exactly.
-  ExperimentConfig probe = base_config(PolicyKind::kSimty);
   TimePoint batch_instant;
-  probe.extra_delivery_observer = [&](const alarm::DeliveryRecord& r) {
-    if (batch_instant == TimePoint() && r.batch_size >= 2 &&
-        r.delivered > TimePoint::origin() + Duration::minutes(30)) {
-      batch_instant = r.delivered;
-    }
-  };
   {
-    exp::Run probe_run(probe);
+    exp::Run probe_run(base_config(PolicyKind::kSimty));
+    probe_run.alarm_manager().add_delivery_observer([&](const alarm::DeliveryRecord& r) {
+      if (batch_instant == TimePoint() && r.batch_size >= 2 &&
+          r.delivered > TimePoint::origin() + Duration::minutes(30)) {
+        batch_instant = r.delivered;
+      }
+    });
     probe_run.finish();
   }
   ASSERT_NE(batch_instant, TimePoint()) << "workload produced no batched delivery";
