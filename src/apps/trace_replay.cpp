@@ -1,30 +1,59 @@
 #include "apps/trace_replay.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace simty::apps {
 
+namespace {
+
+// Lognormal-ish hold: exp(N(0, sigma)) scaling of the base hold, clamped
+// to a sane band so a single sample cannot outlast the repeat interval.
+Duration irregular_hold(const AppProfile& profile, Rng& rng) {
+  const double sigma = std::max(0.2, profile.hold_jitter);
+  double factor = std::exp(rng.normal(0.0, sigma));
+  factor = std::min(std::max(factor, 0.25), 4.0);
+  Duration hold = profile.base_hold * factor;
+  const Duration cap = profile.repeat * 0.5;
+  if (hold > cap) hold = cap;
+  return hold;
+}
+
+}  // namespace
+
 IrregularApp::IrregularApp(AppProfile profile, Rng rng)
     : ResidentApp(std::move(profile), rng) {}
 
 alarm::TaskSpec IrregularApp::next_task() {
-  // Lognormal-ish hold: exp(N(0, sigma)) scaling of the base hold, clamped
-  // to a sane band so a single sample cannot outlast the repeat interval.
-  const double sigma = std::max(0.2, profile_.hold_jitter);
-  double factor = std::exp(rng_.normal(0.0, sigma));
-  factor = std::min(std::max(factor, 0.25), 4.0);
-  Duration hold = profile_.base_hold * factor;
-  const Duration cap = profile_.repeat * 0.5;
-  if (hold > cap) hold = cap;
-  return alarm::TaskSpec{profile_.hardware, hold};
+  return alarm::TaskSpec{profile_.hardware, irregular_hold(profile_, rng_)};
 }
 
 ImitatedApp::ImitatedApp(AppProfile profile, AppTrace trace)
-    : ResidentApp(std::move(profile), Rng(0)), trace_(std::move(trace)) {
-  SIMTY_CHECK_MSG(!trace_.entries.empty(), "imitated app needs a non-empty trace");
+    : ResidentApp(std::move(profile), Rng(0)),
+      trace_(std::move(trace)),
+      length_(trace_.entries.size()),
+      recorder_(0) {
+  SIMTY_CHECK_MSG(length_ > 0, "imitated app needs a non-empty trace");
+}
+
+ImitatedApp::ImitatedApp(AppProfile profile, std::size_t length, std::uint64_t seed)
+    : ResidentApp(std::move(profile), Rng(0)), length_(length), recorder_(seed) {
+  SIMTY_CHECK_MSG(length_ > 0, "imitated app needs a non-empty trace");
+  // Recording happens on the delivery path, which must not allocate.
+  trace_.entries.reserve(length_);
+}
+
+const TraceEntry& ImitatedApp::entry(std::size_t i) {
+  SIMTY_CHECK_MSG(i < length_, "ImitatedApp::entry: index past the trace");
+  while (trace_.entries.size() <= i) {
+    trace_.entries.push_back(
+        TraceEntry{profile_.hardware, irregular_hold(profile_, recorder_)});
+  }
+  return trace_.entries[i];
 }
 
 void ImitatedApp::save(snapshot::Writer& w) const {
@@ -35,14 +64,16 @@ void ImitatedApp::save(snapshot::Writer& w) const {
 void ImitatedApp::restore(snapshot::SectionReader& s) {
   ResidentApp::restore(s);
   const std::uint64_t cursor = s.u64();
-  SIMTY_CHECK_MSG(cursor < trace_.entries.size(),
-                  "ImitatedApp::restore: replay cursor past the trace");
+  SIMTY_CHECK_MSG(cursor < length_, "ImitatedApp::restore: replay cursor " +
+                                         std::to_string(cursor) +
+                                         " past the trace length " +
+                                         std::to_string(length_));
   cursor_ = static_cast<std::size_t>(cursor);
 }
 
 alarm::TaskSpec ImitatedApp::next_task() {
-  const TraceEntry& e = trace_.entries[cursor_];
-  cursor_ = (cursor_ + 1) % trace_.entries.size();
+  const TraceEntry& e = entry(cursor_);
+  cursor_ = (cursor_ + 1) % length_;
   return alarm::TaskSpec{e.hardware, e.hold};
 }
 
@@ -50,20 +81,13 @@ AppTrace record_trace(const AppProfile& profile, std::size_t deliveries,
                       std::uint64_t seed) {
   SIMTY_CHECK(deliveries > 0);
   // A profiling pass does not need the full device stack: we sample the
-  // app's task generator directly, which is exactly what the framework
+  // app's hold distribution directly, which is exactly what the framework
   // hooks observed on the phone.
-  class Probe : public IrregularApp {
-   public:
-    using IrregularApp::IrregularApp;
-    alarm::TaskSpec sample() { return next_task(); }
-  };
-  Probe probe(profile, Rng(seed));
-  AppTrace trace;
-  trace.app_name = profile.name;
+  Rng rng(seed);
+  AppTrace trace{profile.name, {}};
   trace.entries.reserve(deliveries);
   for (std::size_t i = 0; i < deliveries; ++i) {
-    const alarm::TaskSpec t = probe.sample();
-    trace.entries.push_back(TraceEntry{t.hardware, t.hold});
+    trace.entries.push_back(TraceEntry{profile.hardware, irregular_hold(profile, rng)});
   }
   return trace;
 }

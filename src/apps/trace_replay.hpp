@@ -5,7 +5,7 @@
 // run to run, and replaced them with "imitated apps" that replay the time
 // and hardware patterns logged in a profiling pass. We reproduce that
 // methodology: IrregularApp models the erratic original (heavy-tailed
-// holds), TraceRecorder captures its per-delivery holds, and ImitatedApp
+// holds), record_trace() captures its per-delivery holds, and ImitatedApp
 // replays the recorded trace verbatim — making NATIVE-vs-SIMTY comparisons
 // fair, exactly as in the paper.
 
@@ -27,6 +27,9 @@ struct AppTrace {
   std::vector<TraceEntry> entries;
 };
 
+/// Entries logged per irregular app in the workloads' profiling pass.
+inline constexpr std::size_t kImitatedTraceLength = 256;
+
 /// Models an irregular original: holds follow a heavy-tailed (lognormal-
 /// like) distribution around the profile's base hold instead of the
 /// bounded uniform jitter of well-behaved apps.
@@ -38,12 +41,23 @@ class IrregularApp : public ResidentApp {
   alarm::TaskSpec next_task() override;
 };
 
-/// Replays a pre-recorded trace cyclically; fully deterministic.
+/// Replays a trace cyclically; fully deterministic.
 class ImitatedApp : public ResidentApp {
  public:
+  /// Replays a caller-supplied trace verbatim (e.g. one extracted from a
+  /// delivery log).
   ImitatedApp(AppProfile profile, AppTrace trace);
 
-  const AppTrace& trace() const { return trace_; }
+  /// Replays record_trace(profile, length, seed), recording entry i on
+  /// first use: each entry is the next draw of the seed's stream, so the
+  /// trace is prefix-stable and a run records only the entries it replays.
+  ImitatedApp(AppProfile profile, std::size_t length, std::uint64_t seed);
+
+  std::size_t trace_length() const { return length_; }
+
+  /// Entry `i` (< trace_length()) of the replayed trace; records the
+  /// entries through `i` first if they are not recorded yet.
+  const TraceEntry& entry(std::size_t i);
 
   /// Base state plus the replay cursor; the trace itself is reconstructed
   /// from config (same name-hash seed), not serialized.
@@ -54,12 +68,14 @@ class ImitatedApp : public ResidentApp {
   alarm::TaskSpec next_task() override;
 
  private:
-  AppTrace trace_;
+  AppTrace trace_;       // the entries recorded so far, reserved to length_
+  std::size_t length_;   // the replay wraps here
+  Rng recorder_;         // the recording stream, positioned after trace_
   std::size_t cursor_ = 0;
 };
 
-/// Profiles an irregular app offline: samples `deliveries` tasks from an
-/// IrregularApp with the given seed and returns the logged trace. This is
+/// Profiles an irregular app offline: samples `deliveries` holds of an
+/// IrregularApp seeded with `seed` and returns the logged trace. This is
 /// the "logged in advance" step of the paper's §4.1.
 AppTrace record_trace(const AppProfile& profile, std::size_t deliveries,
                       std::uint64_t seed);

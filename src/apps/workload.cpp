@@ -16,14 +16,14 @@ void Workload::add_profiles(const std::vector<AppProfile>& profiles, Rng& rng) {
     }
     if (p.irregular) {
       // The paper's methodology: irregular apps are replaced by imitated
-      // apps replaying a pre-recorded trace. The trace seed is derived from
-      // the app name only, NOT the run seed — the same trace is replayed
-      // under NATIVE and SIMTY for a fair comparison. The hash starts from
+      // apps replaying a pre-recorded trace (here recorded on demand, a
+      // prefix of one fixed stream). The trace seed is derived from the app
+      // name only, NOT the run seed — the same trace is replayed under
+      // NATIVE and SIMTY for a fair comparison. The hash starts from
       // the FNV offset basis with its last digit dropped, as it always has:
       // the standard basis would re-record every imitated trace.
-      AppTrace trace = record_trace(p, config_.trace_length,
-                                    common::fnv1a64(p.name, 1469598103934665603ull));
-      apps_.push_back(std::make_unique<ImitatedApp>(p, std::move(trace)));
+      apps_.push_back(std::make_unique<ImitatedApp>(
+          p, kImitatedTraceLength, common::fnv1a64(p.name, 1469598103934665603ull)));
     } else {
       apps_.push_back(std::make_unique<ResidentApp>(p, rng.fork(apps_.size())));
     }

@@ -36,9 +36,6 @@ struct WorkloadConfig {
   Duration first_launch = Duration::seconds(5);
   Duration launch_gap = Duration::seconds(7);
 
-  /// Trace length recorded per irregular app before the run.
-  std::size_t trace_length = 256;
-
   /// Overrides every profile's retry probability when set (>= 0). The
   /// paper workloads keep retries off; the knob exists for composition
   /// studies of one-shot traffic.

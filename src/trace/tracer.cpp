@@ -359,6 +359,11 @@ DecodedTrace decode_trace(const std::string& bytes) {
   }
   DecodedTrace t;
   const std::uint32_t label_count = in.read_u32();
+  // Each label takes at least its u32 length, so a count the input cannot
+  // hold is rejected before it sizes an allocation.
+  if (label_count > in.remaining() / 4) {
+    throw std::runtime_error("trace: label_count exceeds the input");
+  }
   t.labels.reserve(label_count);
   for (std::uint32_t i = 0; i < label_count; ++i) {
     const std::uint32_t len = in.read_u32();
@@ -366,8 +371,10 @@ DecodedTrace decode_trace(const std::string& bytes) {
   }
   t.dropped = in.read_u64();
   const std::uint64_t event_count = in.read_u64();
-  if (in.remaining() != event_count * kRecordBytes) {
-    throw std::runtime_error("trace: event payload size mismatch");
+  // Divide rather than multiply: event_count * kRecordBytes can wrap.
+  if (in.remaining() % kRecordBytes != 0 ||
+      event_count != in.remaining() / kRecordBytes) {
+    throw std::runtime_error("trace: event_count does not match the event payload");
   }
   t.events.reserve(event_count);
   for (std::uint64_t i = 0; i < event_count; ++i) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "alarm/native_policy.hpp"
 #include "apps/app_catalog.hpp"
+#include "snapshot/snapshot.hpp"
 #include "support/framework_fixture.hpp"
 
 namespace simty::apps {
@@ -61,6 +64,93 @@ TEST(RecordTrace, RejectsZeroDeliveries) {
 TEST(ImitatedApp, RejectsEmptyTrace) {
   EXPECT_THROW(ImitatedApp(profile_by_name("Moves"), AppTrace{"Moves", {}}),
                std::logic_error);
+}
+
+// An imitated app whose replayed tasks the test can draw directly.
+class Replay : public ImitatedApp {
+ public:
+  using ImitatedApp::ImitatedApp;
+  TraceEntry sample() {
+    const alarm::TaskSpec t = next_task();
+    return TraceEntry{t.hardware, t.hold};
+  }
+};
+
+std::vector<AppProfile> irregular_profiles() {
+  std::vector<AppProfile> out;
+  for (const AppProfile& p : table3_catalog()) {
+    if (p.irregular) out.push_back(p);
+  }
+  return out;
+}
+
+TEST(ImitatedApp, LazyReplayEqualsTheRecordedTraceReadCyclically) {
+  const std::vector<AppProfile> profiles = irregular_profiles();
+  ASSERT_EQ(profiles.size(), 5u);
+  std::uint64_t seed = 1000;
+  for (const AppProfile& p : profiles) {
+    SCOPED_TRACE(p.name);
+    const AppTrace eager = record_trace(p, kImitatedTraceLength, ++seed);
+    Replay lazy(p, kImitatedTraceLength, seed);
+    // Two full passes plus three entries: the replay wraps at the length.
+    for (std::size_t i = 0; i < 2 * kImitatedTraceLength + 3; ++i) {
+      const TraceEntry& want = eager.entries[i % kImitatedTraceLength];
+      const TraceEntry got = lazy.sample();
+      ASSERT_EQ(got.hold, want.hold) << "task " << i;
+      ASSERT_EQ(got.hardware, want.hardware) << "task " << i;
+    }
+  }
+}
+
+std::string snapshot_of(const ImitatedApp& app) {
+  snapshot::Writer w;
+  w.begin_section("app", 1);
+  app.save(w);
+  w.end_section();
+  return w.finish();
+}
+
+void restore_from(ImitatedApp& app, const std::string& bytes) {
+  const snapshot::Reader reader(bytes);
+  snapshot::SectionReader s = reader.section("app", 1);
+  app.restore(s);
+}
+
+TEST(ImitatedApp, RestoredFreshAppContinuesTheStraightReplay) {
+  // A restored app has recorded nothing yet; it must still resume on the
+  // entries the saving app would have replayed next.
+  const AppProfile p = profile_by_name("Moves");
+  for (const std::size_t cursor : {0u, 1u, 137u, 255u}) {
+    SCOPED_TRACE(cursor);
+    Replay straight(p, kImitatedTraceLength, 5);
+    for (std::size_t i = 0; i < cursor; ++i) straight.sample();
+    const std::string snap = snapshot_of(straight);
+    Replay resumed(p, kImitatedTraceLength, 5);
+    restore_from(resumed, snap);
+    for (std::size_t i = 0; i < kImitatedTraceLength + 3; ++i) {
+      ASSERT_EQ(resumed.sample().hold, straight.sample().hold) << "task " << i;
+    }
+  }
+}
+
+TEST(ImitatedApp, RestoreRejectsACursorPastTheTraceLength) {
+  const AppProfile p = profile_by_name("Moves");
+  const ImitatedApp saved(p, kImitatedTraceLength, 5);
+  snapshot::Writer w;
+  w.begin_section("app", 1);
+  saved.ResidentApp::save(w);
+  w.u64(kImitatedTraceLength);  // one past the last entry
+  w.end_section();
+  const std::string snap = w.finish();
+
+  ImitatedApp fresh(p, kImitatedTraceLength, 5);
+  try {
+    restore_from(fresh, snap);
+    ADD_FAILURE() << "cursor " << kImitatedTraceLength << " restored";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("replay cursor 256"), std::string::npos)
+        << e.what();
+  }
 }
 
 class ImitatedAppTest : public test::FrameworkFixture {};

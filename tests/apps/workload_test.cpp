@@ -75,13 +75,15 @@ TEST_F(WorkloadTest, ImitatedTracesIndependentOfRunSeed) {
   Workload w1 = Workload::heavy(c1);
   Workload w2 = Workload::heavy(c2);
   for (std::size_t i = 0; i < w1.apps().size(); ++i) {
-    const auto* a = dynamic_cast<const ImitatedApp*>(w1.apps()[i].get());
-    const auto* b = dynamic_cast<const ImitatedApp*>(w2.apps()[i].get());
+    auto* a = dynamic_cast<ImitatedApp*>(w1.apps()[i].get());
+    auto* b = dynamic_cast<ImitatedApp*>(w2.apps()[i].get());
     ASSERT_EQ(a == nullptr, b == nullptr);
     if (a == nullptr) continue;
-    ASSERT_EQ(a->trace().entries.size(), b->trace().entries.size());
-    for (std::size_t j = 0; j < a->trace().entries.size(); ++j) {
-      EXPECT_EQ(a->trace().entries[j].hold, b->trace().entries[j].hold);
+    ASSERT_EQ(a->trace_length(), kImitatedTraceLength);
+    ASSERT_EQ(b->trace_length(), kImitatedTraceLength);
+    for (std::size_t j = 0; j < kImitatedTraceLength; ++j) {
+      EXPECT_EQ(a->entry(j).hold, b->entry(j).hold) << j;
+      EXPECT_EQ(a->entry(j).hardware, b->entry(j).hardware) << j;
     }
   }
 }

@@ -2,8 +2,9 @@
 // resumed in a fresh Run must finish byte-identical to a straight run — the
 // delivery CSV, the binary trace, and every result field. This is the
 // contract the warm-start sweep server and the fleet shard checkpoints are
-// built on, so it is tested across all four policies, with doze on, and
-// with a checkpoint inside a same-instant batch neighborhood.
+// built on, so it is tested across all four policies on the light and heavy
+// workloads, with doze on, and with a checkpoint inside a same-instant batch
+// neighborhood.
 
 #include <gtest/gtest.h>
 
@@ -31,22 +32,28 @@ using support::expect_identical;
 class RunSnapshotPolicyTest : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(RunSnapshotPolicyTest, CheckpointResumeMatchesStraightRun) {
-  const ExperimentConfig config = base_config(GetParam());
+  // Heavy adds the five imitated apps, whose replay cursors must resume
+  // into apps that have recorded none of their trace yet.
+  for (const WorkloadKind workload : {WorkloadKind::kLight, WorkloadKind::kHeavy}) {
+    SCOPED_TRACE(to_string(workload));
+    ExperimentConfig config = base_config(GetParam());
+    config.workload = workload;
 
-  exp::Run straight(config);
-  const RunResult expected = straight.finish();
-  const std::string expected_csv = straight.delivery_log().to_csv();
+    exp::Run straight(config);
+    const RunResult expected = straight.finish();
+    const std::string expected_csv = straight.delivery_log().to_csv();
 
-  exp::Run first(config);
-  first.advance_to_quiescent(TimePoint::origin() + Duration::hours(1));
-  const std::string snap = first.save_snapshot();
+    exp::Run first(config);
+    first.advance_to_quiescent(TimePoint::origin() + Duration::hours(1));
+    const std::string snap = first.save_snapshot();
 
-  exp::Run resumed(config);
-  resumed.restore_snapshot(snap);
-  const RunResult actual = resumed.finish();
+    exp::Run resumed(config);
+    resumed.restore_snapshot(snap);
+    const RunResult actual = resumed.finish();
 
-  expect_identical(expected, actual);
-  EXPECT_EQ(expected_csv, resumed.delivery_log().to_csv());
+    expect_identical(expected, actual);
+    EXPECT_EQ(expected_csv, resumed.delivery_log().to_csv());
+  }
 }
 
 TEST_P(RunSnapshotPolicyTest, SnapshotIsDeterministic) {

@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+
+#include "common/rng.hpp"
+#include "support/corrupt.hpp"
 
 namespace simty::trace {
 namespace {
@@ -176,6 +180,63 @@ TEST(Tracer, DecodeRejectsMalformedInput) {
   std::string bad_cat = good;
   bad_cat[bad_cat.size() - 9] = 9;
   EXPECT_THROW(decode_trace(bad_cat), std::runtime_error);
+}
+
+// Overwrites `width` little-endian bytes of `bytes` at `at` with `v`.
+std::string with_le(std::string bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] = static_cast<char>((v >> (8 * i)) & 0xffu);
+  }
+  return bytes;
+}
+
+// Decoding `bytes` throws std::runtime_error naming `field`.
+void expect_rejected_naming(const std::string& bytes, const std::string& field) {
+  try {
+    decode_trace(bytes);
+    ADD_FAILURE() << "decoded a hostile " << field;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(Tracer, DecodeRejectsCountsTheInputCannotHold) {
+  Tracer t;
+  t.instant(at_us(1), TraceCategory::kSim, "tick", 1);
+  const std::string good = t.binary();
+  // label_count follows the 8-byte magic; a u32 count must not reach
+  // reserve() when the input is too short to hold that many labels.
+  expect_rejected_naming(with_le(good, 8, 0xffffffffu, 4), "label_count");
+  // event_count sits before the one 22-byte record. 2^63 + 1 records times
+  // 22 bytes wraps a u64 to exactly 22, which a multiplying check accepts.
+  const std::size_t event_count_at = good.size() - 22 - 8;
+  expect_rejected_naming(with_le(good, event_count_at, (1ull << 63) + 1, 8),
+                         "event_count");
+}
+
+TEST(Tracer, DecodeSurvivesHostileInputSweep) {
+  // Every mangled trace either decodes or is rejected with
+  // std::runtime_error, never undefined behaviour or a huge allocation; the
+  // sanitizer CI job runs this same sweep.
+  Tracer t;
+  t.span_begin(at_us(0), TraceCategory::kExp, "run", 1);
+  for (int i = 0; i < 6; ++i) {
+    t.instant(at_us(10 * i), TraceCategory::kAlarm, i % 2 == 0 ? "batch" : "fire", i);
+  }
+  t.counter(at_us(70), TraceCategory::kSim, "queue", 3);
+  t.span_end(at_us(80), TraceCategory::kExp, "run", 1);
+  const std::string good = t.binary();
+  Rng rng(0x7ace, 3);
+  int rejected = 0, survived = 0;
+  for (int round = 0; round < 4000; ++round) {
+    try {
+      survived += static_cast<int>(!decode_trace(support::corrupt(good, rng)).events.empty());
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 100);
+  EXPECT_GT(survived, 10);
 }
 
 TEST(Tracer, DiffReportsEqualTraces) {
