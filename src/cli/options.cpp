@@ -1,9 +1,6 @@
 #include "cli/options.hpp"
 
-#include <algorithm>
-#include <iterator>
-#include <limits>
-#include <utility>
+#include <set>
 
 #include "common/strings.hpp"
 #include "exp/experiment.hpp"
@@ -12,211 +9,203 @@ namespace simty::cli {
 
 namespace {
 
-// Bound for flags stored as int, checked before the narrowing cast.
+using exp::ExperimentConfig;
+using K = FlagKind;
+
+// Bounds checked before the narrowing casts.
 constexpr long long kMaxInt = std::numeric_limits<int>::max();
-constexpr long long kMaxLong = std::numeric_limits<long long>::max();
+constexpr long long kMax = std::numeric_limits<long long>::max();
 
 ParseResult fail(const std::string& message) {
   return ParseResult{std::nullopt, message + " (see --help)"};
 }
 
-// Flags that take a path and only store it.
-const std::pair<const char*, std::optional<std::string> RunPlan::*> kPathFlags[] = {
-    {"--cohorts", &RunPlan::cohorts_path},
-    {"--fleet-csv", &RunPlan::fleet_csv_path},
-    {"--save-snapshot", &RunPlan::save_snapshot_path},
-    {"--restore-snapshot", &RunPlan::restore_snapshot_path},
-    {"--csv", &RunPlan::csv_path},
-    {"--delivery-log", &RunPlan::delivery_log_path},
-    {"--waveform", &RunPlan::waveform_path},
-    {"--trace", &RunPlan::trace_path},
-    {"--trace-json", &RunPlan::trace_json_path},
-};
+// The config flags both tools share, over `c`.
+std::vector<Flag> config_flags(ExperimentConfig& c) {
+  const auto drx = [&c]() -> net::DrxConfig& { return c.drx ? *c.drx : c.drx.emplace(); };
+  return {
+      {"--workload", K::kText,
+       [&c](const FlagValue& v) {
+         const auto w = exp::parse_workload(v.text);
+         if (w) c.workload = *w;
+         return w.has_value();
+       },
+       "needs light, heavy or synthetic"},
+      {"--apps", K::kInteger, store(c.synthetic_apps), "needs a positive integer", 1},
+      {"--hours", K::kDuration, store(c.duration), "needs a positive value", 1, kMax,
+       Duration::hours(1)},
+      {"--minutes", K::kDuration, store(c.duration), "needs a positive value", 1, kMax,
+       Duration::minutes(1)},
+      {"--seed", K::kInteger, store(c.seed), "needs a non-negative integer"},
+      {"--no-system-alarms", K::kSwitch,
+       [&c](const FlagValue&) {
+         c.system_alarms = false;
+         return true;
+       }},
+      {"--doze", K::kSwitch, store(c.doze)},
+      {"--fixed-interval", K::kDuration, store(c.fixed_interval), "needs positive seconds",
+       1, kMax, Duration::seconds(1)},
+      {"--drx-cycle", K::kDuration,
+       [drx](const FlagValue& v) {
+         drx().paging_cycle = v.duration;
+         return true;
+       },
+       "needs positive milliseconds", 1, kMax, Duration::millis(1)},
+      {"--wur", K::kSwitch,
+       [drx](const FlagValue&) {
+         drx().wur = true;
+         return true;
+       }},
+      {"--wur-budget", K::kDuration,
+       [drx](const FlagValue& v) {
+         drx().wur_delay_budget = v.duration;
+         return true;
+       },
+       "needs non-negative milliseconds", 0, kMax, Duration::millis(1)},
+      {"--hw-levels", K::kInteger,
+       [&c](const FlagValue& v) {  // the modes are declared in level order
+         c.similarity.hw_mode = static_cast<alarm::HardwareSimilarityMode>(v.integer - 2);
+         return true;
+       },
+       "needs 2, 3 or 4", 2, 4},
+  };
+}
+
+// simty_run's own flags, over `p`.
+std::vector<Flag> run_flags(RunPlan& p) {
+  return {
+      {"--policy", K::kText,
+       [&p](const FlagValue& v) {
+         p.policies.clear();
+         for (const std::string& name : split(v.text, ',')) {
+           if (name == "all") {
+             using P = exp::PolicyKind;
+             p.policies.insert(p.policies.end(),
+                               {P::kExact, P::kNative, P::kSimty, P::kSimtyDuration});
+           } else if (const auto policy = exp::parse_policy(name)) {
+             p.policies.push_back(*policy);
+           } else {
+             return false;
+           }
+         }
+         return true;
+       },
+       "needs native|simty|exact|simty-dur|fixed|all"},
+      // The base β of every run; simty_query --beta is a switch's β instead.
+      {"--beta", K::kNumber,
+       [&p](const FlagValue& v) {
+         p.config.beta = v.number;
+         return v.number >= 0.0 && v.number < 1.0;
+       },
+       "needs a value in [0, 1)"},
+      {"--reps", K::kInteger, store(p.repetitions), "needs a positive integer", 1,
+       kMaxInt},
+      {"--jobs", K::kText,
+       [&p](const FlagValue& v) {
+         const auto n =
+             v.text == "auto" ? exp::default_jobs() : parse_int(v.text, 1, kMaxInt);
+         if (n) p.jobs = static_cast<int>(*n);
+         return n.has_value();
+       },
+       "needs a positive integer or 'auto'"},
+      {"--fleet", K::kInteger, store(p.fleet_devices), "needs a positive device count",
+       1},
+      {"--snapshot-at", K::kDuration, store(p.snapshot_at), "needs positive minutes", 1,
+       kMax, Duration::minutes(1)},
+      {"--cohorts", K::kText, store(p.cohorts_path), "needs a path"},
+      {"--fleet-csv", K::kText, store(p.fleet_csv_path), "needs a path"},
+      {"--save-snapshot", K::kText, store(p.save_snapshot_path), "needs a path"},
+      {"--restore-snapshot", K::kText, store(p.restore_snapshot_path), "needs a path"},
+      {"--csv", K::kText, store(p.csv_path), "needs a path"},
+      {"--delivery-log", K::kText, store(p.delivery_log_path), "needs a path"},
+      {"--waveform", K::kText, store(p.waveform_path), "needs a path"},
+      {"--trace", K::kText, store(p.trace_path), "needs a path"},
+      {"--trace-json", K::kText, store(p.trace_json_path), "needs a path"},
+  };
+}
+
+// Reads row `f`'s value from args[i + 1], advancing i, and applies it: "" or
+// the usage error (for a duration it names the largest count).
+std::string apply(const Flag& f, const std::vector<std::string>& args, std::size_t& i) {
+  const std::string error = std::string(f.name) + " " + f.error;
+  FlagValue v;
+  if (f.kind != K::kSwitch) {
+    if (i + 1 >= args.size()) return error;
+    v.text = args[++i];
+  }
+  if (f.kind == K::kInteger) {
+    const auto n = parse_int(v.text, f.min, f.max);
+    if (!n) return error;
+    v.integer = *n;
+  } else if (f.kind == K::kNumber) {
+    const auto n = parse_double(v.text);
+    if (!n) return error;
+    v.number = *n;
+  } else if (f.kind == K::kDuration) {
+    const auto d = parse_duration(v.text, f.unit);
+    if (!d || d->us() < f.min || d->us() > f.max) {
+      return error + str_format(" (at most %.6g)", static_cast<double>(f.max) /
+                                                       static_cast<double>(f.unit.us()));
+    }
+    v.duration = *d;
+  }
+  return f.set(v) ? "" : error;
+}
+
+const Flag* find(const std::vector<Flag>& table, const std::string& name) {
+  for (const Flag& f : table) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
 
 }  // namespace
 
+std::string parse_flags(const std::vector<std::string>& args,
+                        const std::vector<Flag>& own, ExperimentConfig& config) {
+  const std::vector<Flag> shared = config_flags(config);
+  std::set<std::string> seen;  // the shared flags given
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const Flag* f = find(own, args[i]);
+    if (f == nullptr) {
+      f = find(shared, args[i]);
+      if (f == nullptr) return "unknown flag: " + args[i];
+      seen.insert(args[i]);
+    }
+    if (std::string error = apply(*f, args, i); !error.empty()) return error;
+  }
+  if (seen.contains("--wur") && !seen.contains("--drx-cycle")) {
+    return "--wur requires --drx-cycle (it answers DRX pages)";
+  }
+  if (seen.contains("--wur-budget") && !seen.contains("--wur")) {
+    return "--wur-budget requires --wur";
+  }
+  if (config.drx && config.drx->on_duration >= config.drx->paging_cycle) {
+    return "--drx-cycle must exceed the 10 ms paging on-duration";
+  }
+  return "";
+}
+
 ParseResult parse_args(const std::vector<std::string>& args) {
   RunPlan plan;
-  bool policies_set = false;
-  bool wur = false;
-  std::optional<Duration> wur_budget;
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> std::optional<std::string> {
-      if (i + 1 >= args.size()) return std::nullopt;
-      return args[++i];
-    };
-    // The flag's value parsed as a finite number / an integer in range.
-    auto number = [&] {
-      const auto v = value();
-      return v ? parse_double(*v) : std::nullopt;
-    };
-    auto integer = [&](long long min, long long max) {
-      const auto v = value();
-      return v ? parse_int(*v, min, max) : std::nullopt;
-    };
-
+  for (const std::string& arg : args) {
     if (arg == "--help" || arg == "-h") {
       plan.show_help = true;
       return ParseResult{plan, ""};
     }
-    const auto path_flag =
-        std::find_if(std::begin(kPathFlags), std::end(kPathFlags),
-                     [&](const auto& flag) { return arg == flag.first; });
-    if (path_flag != std::end(kPathFlags)) {
-      const auto v = value();
-      if (!v) return fail(arg + " needs a path");
-      plan.*path_flag->second = *v;
-      continue;
-    }
-    if (arg == "--policy") {
-      const auto v = value();
-      if (!v) return fail("--policy needs a value");
-      if (!policies_set) {
-        plan.policies.clear();
-        policies_set = true;
-      }
-      for (const std::string& name : split(*v, ',')) {
-        if (name == "all") {
-          plan.policies = {exp::PolicyKind::kExact, exp::PolicyKind::kNative,
-                           exp::PolicyKind::kSimty, exp::PolicyKind::kSimtyDuration};
-          continue;
-        }
-        const auto p = exp::parse_policy(name);
-        if (!p) return fail("unknown policy: " + name);
-        plan.policies.push_back(*p);
-      }
-      continue;
-    }
-    if (arg == "--workload") {
-      const auto v = value();
-      if (!v) return fail("--workload needs a value");
-      const auto w = exp::parse_workload(*v);
-      if (!w) return fail("unknown workload: " + *v);
-      plan.config.workload = *w;
-      continue;
-    }
-    if (arg == "--apps") {
-      const auto n = integer(1, kMaxLong);
-      if (!n) return fail("--apps needs a positive integer");
-      plan.config.synthetic_apps = static_cast<std::size_t>(*n);
-      continue;
-    }
-    if (arg == "--beta") {
-      const auto b = number();
-      if (!b || *b < 0.0 || *b >= 1.0) return fail("--beta needs a value in [0, 1)");
-      plan.config.beta = *b;
-      continue;
-    }
-    if (arg == "--hours" || arg == "--minutes") {
-      const auto n = number();
-      if (!n || *n <= 0.0) return fail(arg + " needs a positive value");
-      const double unit_s = arg == "--hours" ? 3600.0 : 60.0;
-      plan.config.duration = Duration::from_seconds(*n * unit_s);
-      continue;
-    }
-    if (arg == "--seed") {
-      const auto n = integer(0, kMaxLong);
-      if (!n) return fail("--seed needs a non-negative integer");
-      plan.config.seed = static_cast<std::uint64_t>(*n);
-      continue;
-    }
-    if (arg == "--reps") {
-      const auto n = integer(1, kMaxInt);
-      if (!n) return fail("--reps needs a positive integer");
-      plan.repetitions = static_cast<int>(*n);
-      continue;
-    }
-    if (arg == "--jobs") {
-      const auto v = value();
-      if (!v) return fail("--jobs needs a positive integer or 'auto'");
-      if (*v == "auto") {
-        plan.jobs = exp::default_jobs();
-        continue;
-      }
-      const auto n = parse_int(*v, 1, kMaxInt);
-      if (!n) return fail("--jobs needs a positive integer or 'auto'");
-      plan.jobs = static_cast<int>(*n);
-      continue;
-    }
-    if (arg == "--no-system-alarms") {
-      plan.config.system_alarms = false;
-      continue;
-    }
-    if (arg == "--doze") {
-      plan.config.doze = true;
-      continue;
-    }
-    if (arg == "--fixed-interval") {
-      const auto s = number();
-      if (!s || *s <= 0.0) return fail("--fixed-interval needs positive seconds");
-      plan.config.fixed_interval = Duration::from_seconds(*s);
-      continue;
-    }
-    if (arg == "--drx-cycle") {
-      const auto ms = number();
-      if (!ms || *ms <= 0.0) return fail("--drx-cycle needs positive milliseconds");
-      if (!plan.config.drx) plan.config.drx.emplace();
-      plan.config.drx->paging_cycle = Duration::from_seconds(*ms / 1000.0);
-      continue;
-    }
-    if (arg == "--wur") {
-      wur = true;
-      continue;
-    }
-    if (arg == "--wur-budget") {
-      const auto ms = number();
-      if (!ms || *ms < 0.0) return fail("--wur-budget needs non-negative milliseconds");
-      wur_budget = Duration::from_seconds(*ms / 1000.0);
-      continue;
-    }
-    if (arg == "--hw-levels") {
-      const auto n = integer(2, 4);
-      if (!n) return fail("--hw-levels needs 2, 3 or 4");
-      using alarm::HardwareSimilarityMode;
-      constexpr HardwareSimilarityMode kModes[] = {HardwareSimilarityMode::kTwoLevel,
-                                                   HardwareSimilarityMode::kThreeLevel,
-                                                   HardwareSimilarityMode::kFourLevel};
-      plan.config.similarity.hw_mode = kModes[*n - 2];
-      continue;
-    }
-    if (arg == "--fleet") {
-      const auto n = integer(1, kMaxLong);
-      if (!n) return fail("--fleet needs a positive device count");
-      plan.fleet_devices = static_cast<std::uint64_t>(*n);
-      continue;
-    }
-    if (arg == "--snapshot-at") {
-      const auto m = number();
-      if (!m || *m <= 0.0) return fail("--snapshot-at needs positive minutes");
-      plan.snapshot_at_minutes = *m;
-      continue;
-    }
-    return fail("unknown flag: " + arg);
   }
-
+  if (const std::string error = parse_flags(args, run_flags(plan), plan.config);
+      !error.empty()) {
+    return fail(error);
+  }
   if (plan.policies.empty()) return fail("at least one --policy is required");
-  if (wur && !plan.config.drx) {
-    return fail("--wur requires --drx-cycle (it answers DRX pages)");
-  }
-  if (wur_budget && !wur) {
-    return fail("--wur-budget requires --wur");
-  }
-  if (plan.config.drx) {
-    plan.config.drx->wur = wur;
-    if (wur_budget) plan.config.drx->wur_delay_budget = *wur_budget;
-    if (plan.config.drx->on_duration >= plan.config.drx->paging_cycle) {
-      return fail("--drx-cycle must exceed the 10 ms paging on-duration");
-    }
-  }
   if (!plan.fleet_devices && plan.cohorts_path) {
     return fail("--cohorts requires --fleet");
   }
   if (!plan.fleet_devices && plan.fleet_csv_path) {
     return fail("--fleet-csv requires --fleet");
   }
-  if (plan.save_snapshot_path.has_value() != plan.snapshot_at_minutes.has_value()) {
+  if (plan.save_snapshot_path.has_value() != plan.snapshot_at.has_value()) {
     return fail("--save-snapshot and --snapshot-at go together");
   }
   if (plan.save_snapshot_path && plan.restore_snapshot_path) {
@@ -227,9 +216,7 @@ ParseResult parse_args(const std::vector<std::string>& args) {
     return fail("snapshot flags apply to experiment runs, not --fleet "
                 "(fleet shards checkpoint via FleetConfig::checkpoint_dir)");
   }
-  if (plan.snapshot_at_minutes &&
-      Duration::from_seconds(*plan.snapshot_at_minutes * 60.0) >=
-          plan.config.duration) {
+  if (plan.snapshot_at && *plan.snapshot_at >= plan.config.duration) {
     return fail("--snapshot-at must fall inside the run duration");
   }
   if (plan.waveform_path &&

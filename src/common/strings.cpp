@@ -78,6 +78,14 @@ std::optional<long long> parse_int(const std::string& s, long long min, long lon
   }
 }
 
+std::optional<Duration> parse_duration(const std::string& s, Duration unit) {
+  const std::optional<double> n = parse_double(s);
+  if (!n || *n < 0.0) return std::nullopt;
+  const double us = *n * static_cast<double>(unit.us());
+  if (!(us < 0x1p63)) return std::nullopt;  // 2^63: one past INT64_MAX
+  return Duration::micros(static_cast<std::int64_t>(std::llround(us)));
+}
+
 std::string percent(double fraction, int decimals) {
   return str_format("%.*f%%", decimals, fraction * 100.0);
 }

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/time.hpp"
+
 namespace simty {
 
 /// printf-style formatting into a std::string.
@@ -31,6 +33,12 @@ std::optional<double> parse_double(const std::string& s);
 std::optional<long long> parse_int(
     const std::string& s, long long min = std::numeric_limits<long long>::min(),
     long long max = std::numeric_limits<long long>::max());
+
+/// Parses a whole string as a count of `unit`s ("1.5" hours is 90
+/// minutes), rounded to the microsecond. Rejects what parse_double rejects,
+/// negative counts, and counts whose microseconds do not fit in int64, so
+/// text never reaches Duration::from_seconds, whose llround overflows.
+std::optional<Duration> parse_duration(const std::string& s, Duration unit);
 
 /// Formats a fraction as a percentage string, e.g. 0.179 -> "17.9%".
 std::string percent(double fraction, int decimals = 1);

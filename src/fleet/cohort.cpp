@@ -181,6 +181,20 @@ double parse_num(const std::string& token, std::size_t line_no) {
   return *v;
 }
 
+// One bound of `apps`: a whole number of Table 3 apps.
+std::size_t parse_app_count(const std::string& token, const std::string& cohort,
+                            std::size_t line_no) {
+  const auto catalog = static_cast<long long>(table3().size());
+  if (const std::optional<long long> n = parse_int(token, 1, catalog)) {
+    return static_cast<std::size_t>(*n);
+  }
+  if (parse_num(token, line_no) > static_cast<double>(catalog)) {
+    parse_fail(line_no, "cohort [" + cohort + "]: apps exceeds the Table 3 catalog");
+  }
+  parse_fail(line_no, "apps needs whole numbers in [1, " + std::to_string(catalog) +
+                          "]: " + token);
+}
+
 }  // namespace
 
 std::vector<CohortSpec> parse_cohorts(std::string_view text) {
@@ -232,15 +246,10 @@ std::vector<CohortSpec> parse_cohorts(std::string_view text) {
     if (key == "weight") {
       spec.weight = one();
     } else if (key == "apps") {
-      double lo = 0.0, hi = 0.0;
-      two(&lo, &hi);
-      if (lo < 1.0 || hi < lo) parse_fail(line_no, "apps needs 1 <= lo <= hi");
-      if (hi > static_cast<double>(table3().size())) {  // before the size_t cast
-        parse_fail(line_no,
-                   "cohort [" + spec.name + "]: apps exceeds the Table 3 catalog");
-      }
-      spec.min_apps = static_cast<std::size_t>(lo);
-      spec.max_apps = static_cast<std::size_t>(hi);
+      if (values.size() != 2) parse_fail(line_no, key + " needs two values");
+      spec.min_apps = parse_app_count(values[0], spec.name, line_no);
+      spec.max_apps = parse_app_count(values[1], spec.name, line_no);
+      if (spec.max_apps < spec.min_apps) parse_fail(line_no, "apps needs lo <= hi");
     } else if (key == "rein_jitter") {
       spec.rein_jitter = one();
     } else if (key == "alpha_jitter") {
@@ -256,9 +265,13 @@ std::vector<CohortSpec> parse_cohorts(std::string_view text) {
     } else if (key == "degraded_hold_max") {
       spec.degraded_hold_factor_max = one();
     } else if (key == "standby_minutes") {
-      const double m = one();
-      if (m <= 0.0) parse_fail(line_no, "standby_minutes must be positive");
-      spec.standby = Duration::from_seconds(m * 60.0);
+      one();  // a finite number, or "bad number"
+      const std::optional<Duration> d = parse_duration(values[0], Duration::minutes(1));
+      if (!d || d->is_zero()) {
+        parse_fail(line_no, "standby_minutes must be positive and fit in int64 "
+                            "microseconds");
+      }
+      spec.standby = *d;
     } else if (key == "system_alarms") {
       if (values.size() != 1 || (values[0] != "on" && values[0] != "off")) {
         parse_fail(line_no, "system_alarms needs on|off");

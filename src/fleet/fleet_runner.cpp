@@ -7,6 +7,7 @@
 #include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/parallel_map.hpp"
+#include "exp/config_codec.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/tracer.hpp"
 
@@ -38,25 +39,29 @@ struct Shard {
   std::uint64_t end = 0;
 };
 
-constexpr std::uint32_t kShardCkptVersion = 1;
+constexpr std::uint32_t kShardCkptVersion = 2;
+
+// for_each_fleet_field as a value, for the shared codec templates.
+constexpr auto kFleetFields = [](const FleetConfig& c, auto&& f) {
+  for_each_fleet_field(c, f);
+};
 
 std::string shard_ckpt_path(const FleetConfig& config, const Shard& shard) {
   return config.checkpoint_dir + "/shard_" + std::to_string(shard.index) +
          ".ckpt";
 }
 
-/// Writes the shard's resumable state: identity (index, cohort, range),
-/// the next device to run, and the exact aggregate so far. Atomic rename
-/// keeps a kill mid-write from leaving a torn checkpoint behind.
-void write_shard_ckpt(const std::string& path, const CohortSpec& spec,
+/// Writes the shard's resumable state: the fleet's encoding and the shard
+/// index (together they fix the cohort and device range), the next device
+/// to run, and the exact aggregate so far. Atomic rename keeps a kill
+/// mid-write from leaving a torn checkpoint behind.
+void write_shard_ckpt(const std::string& path, const FleetConfig& config,
                       const Shard& shard, std::uint64_t next_device,
                       const CohortAggregate& agg) {
   snapshot::Writer w;
   w.begin_section("fleet-shard", kShardCkptVersion);
+  w.bytes(exp::encode_fields(config, kFleetFields));
   w.u64(shard.index);
-  w.str(spec.name);
-  w.u64(shard.begin);
-  w.u64(shard.end);
   w.u64(next_device);
   agg.save(w);
   w.end_section();
@@ -64,16 +69,21 @@ void write_shard_ckpt(const std::string& path, const CohortSpec& spec,
 }
 
 /// Loads a checkpoint and verifies it belongs to this shard of this fleet
-/// (a stale directory from a different partition must fail loudly, not
-/// silently skew aggregates). Returns the device index to resume at.
-std::uint64_t read_shard_ckpt(const std::string& path, const CohortSpec& spec,
+/// (a directory reused under another config must fail loudly, naming the
+/// field, not silently skew aggregates). Returns the device index to
+/// resume at.
+std::uint64_t read_shard_ckpt(const std::string& path, const FleetConfig& config,
                               const Shard& shard, CohortAggregate& agg) {
   const snapshot::Reader reader(snapshot::read_file(path));
   snapshot::SectionReader s = reader.section("fleet-shard", kShardCkptVersion);
+  const std::string stored = s.bytes();
+  if (stored != exp::encode_fields(config, kFleetFields)) {
+    const char* field = exp::first_differing(config, stored, kFleetFields);
+    SIMTY_CHECK_MSG(false, std::string("shard checkpoint: written under another fleet "
+                                       "config (field '") +
+                               (field != nullptr ? field : "?") + "' differs)");
+  }
   SIMTY_CHECK_MSG(s.u64() == shard.index, "shard checkpoint: index mismatch");
-  SIMTY_CHECK_MSG(s.str() == spec.name, "shard checkpoint: cohort mismatch");
-  SIMTY_CHECK_MSG(s.u64() == shard.begin, "shard checkpoint: begin mismatch");
-  SIMTY_CHECK_MSG(s.u64() == shard.end, "shard checkpoint: end mismatch");
   const std::uint64_t next_device = s.u64();
   SIMTY_CHECK_MSG(next_device >= shard.begin && next_device <= shard.end,
                   "shard checkpoint: resume point outside shard");
@@ -83,15 +93,16 @@ std::uint64_t read_shard_ckpt(const std::string& path, const CohortSpec& spec,
   return next_device;
 }
 
-CohortAggregate run_shard(const CohortSpec& spec, const FleetConfig& config,
-                          const Shard& shard) {
+// `config` has its cohorts resolved.
+CohortAggregate run_shard(const FleetConfig& config, const Shard& shard) {
+  const CohortSpec& spec = config.cohorts[shard.cohort];
   CohortAggregate agg(spec.name);
   std::uint64_t resume_at = shard.begin;
   const bool checkpointing = !config.checkpoint_dir.empty();
   const std::string ckpt_path =
       checkpointing ? shard_ckpt_path(config, shard) : std::string();
   if (checkpointing && std::filesystem::exists(ckpt_path)) {
-    resume_at = read_shard_ckpt(ckpt_path, spec, shard, agg);
+    resume_at = read_shard_ckpt(ckpt_path, config, shard, agg);
   }
   // One arena per shard: each device run carves its event-queue slabs and
   // batch-index nodes from it, and the reset between devices rewinds the
@@ -115,22 +126,23 @@ CohortAggregate run_shard(const CohortSpec& spec, const FleetConfig& config,
     ++processed;
     if (checkpointing && config.checkpoint_every > 0 &&
         processed % config.checkpoint_every == 0) {
-      write_shard_ckpt(ckpt_path, spec, shard, d + 1, agg);
+      write_shard_ckpt(ckpt_path, config, shard, d + 1, agg);
     }
   }
   // Final checkpoint (cursor == end): a restart after this shard finished
   // restores the complete aggregate instead of recomputing the shard.
-  if (checkpointing) write_shard_ckpt(ckpt_path, spec, shard, shard.end, agg);
+  if (checkpointing) write_shard_ckpt(ckpt_path, config, shard, shard.end, agg);
   return agg;
 }
 
 }  // namespace
 
-FleetResult run_fleet(const FleetConfig& config) {
-  SIMTY_CHECK_MSG(config.devices > 0, "fleet needs at least one device");
-  SIMTY_CHECK_MSG(config.shard_devices > 0, "fleet shard size must be positive");
-  const std::vector<CohortSpec> cohorts =
-      config.cohorts.empty() ? default_cohorts() : config.cohorts;
+FleetResult run_fleet(const FleetConfig& fleet) {
+  SIMTY_CHECK_MSG(fleet.devices > 0, "fleet needs at least one device");
+  SIMTY_CHECK_MSG(fleet.shard_devices > 0, "fleet shard size must be positive");
+  FleetConfig config = fleet;
+  if (config.cohorts.empty()) config.cohorts = default_cohorts();
+  const std::vector<CohortSpec>& cohorts = config.cohorts;
   for (const CohortSpec& spec : cohorts) spec.validate();
   const std::vector<std::uint64_t> counts =
       apportion_devices(config.devices, cohorts);
@@ -155,7 +167,7 @@ FleetResult run_fleet(const FleetConfig& config) {
 
   std::vector<CohortAggregate> shard_aggs =
       common::parallel_map(shards.size(), config.jobs, [&](std::size_t i) {
-        return run_shard(cohorts[shards[i].cohort], config, shards[i]);
+        return run_shard(config, shards[i]);
       });
 
   FleetResult result;

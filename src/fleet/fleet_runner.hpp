@@ -62,7 +62,10 @@ struct FleetConfig {
   /// and directory resumes every shard from its last checkpoint and
   /// produces aggregates bit-identical to an uninterrupted run: each
   /// checkpoint snapshots the shard's CohortAggregate at a device
-  /// boundary, and resuming continues the exact same add-sequence.
+  /// boundary, and resuming continues the exact same add-sequence. Each
+  /// checkpoint carries the fleet's encoding (for_each_fleet_field, empty
+  /// cohorts resolved to the defaults): a directory reused under another
+  /// config fails, naming the first differing field.
   std::string checkpoint_dir;
 
   /// Devices between checkpoint writes within a shard. Checkpoint cadence
@@ -75,6 +78,23 @@ struct FleetConfig {
   std::int64_t fault_shard = -1;
   std::uint64_t fault_after_devices = 0;
 };
+
+/// Calls f(name, value) for each FleetConfig field that can change an
+/// aggregate bit, in wire order: the fleet's one encoding, which
+/// fingerprints shard checkpoints. Each cohort's fields follow the cohort
+/// count as fields of their own, so a mismatch names the cohort field (e.g.
+/// rein_jitter). jobs, tracer, the checkpoint settings and the fault
+/// injection are not fields.
+template <typename F>
+void for_each_fleet_field(const FleetConfig& c, F&& f) {
+  f("cohorts", static_cast<std::uint64_t>(c.cohorts.size()));
+  for (const CohortSpec& spec : c.cohorts) for_each_cohort_field(spec, f);
+  f("devices", c.devices);
+  f("policy", c.policy);
+  f("similarity", c.similarity);
+  f("seed", c.seed);
+  f("shard_devices", c.shard_devices);
+}
 
 /// Aggregated outcome of one fleet run.
 struct FleetResult {

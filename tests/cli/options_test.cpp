@@ -104,7 +104,7 @@ TEST(CliOptions, ParsesSnapshotFlags) {
   const ParseResult save = parse(
       {"--snapshot-at", "60", "--save-snapshot", "snap", "--hours", "3"});
   ASSERT_TRUE(save.ok());
-  EXPECT_DOUBLE_EQ(*save.plan->snapshot_at_minutes, 60.0);
+  EXPECT_EQ(*save.plan->snapshot_at, Duration::minutes(60));
   EXPECT_EQ(save.plan->save_snapshot_path, "snap");
   const ParseResult restore = parse({"--restore-snapshot", "snap"});
   ASSERT_TRUE(restore.ok());
@@ -182,6 +182,32 @@ TEST(CliOptions, RejectsNonFiniteAndHexDoubles) {
   // Ordinary decimal and scientific notation still parse.
   EXPECT_TRUE(parse({"--hours", "2.5"}).ok());
   EXPECT_TRUE(parse({"--hours", "1e1"}).ok());
+}
+
+TEST(CliOptions, RejectsDurationsPastInt64Microseconds) {
+  // Each used to reach Duration::from_seconds, whose llround overflowed to
+  // a negative duration: an abort, or --drx-cycle blaming the on-duration.
+  // Each is a usage error that names its flag.
+  const std::vector<std::vector<std::string>> rows = {
+      {"--hours", "1e300"},
+      {"--minutes", "1e300"},
+      {"--fixed-interval", "1e300"},
+      {"--snapshot-at", "1e300", "--save-snapshot", "s"},
+      {"--drx-cycle", "1e300"},
+      {"--drx-cycle", "1000", "--wur", "--wur-budget", "1e300"},
+  };
+  for (const std::vector<std::string>& args : rows) {
+    const std::string& flag = args[args.size() == 5 ? 3 : 0];
+    const ParseResult r = parse_args(args);
+    EXPECT_FALSE(r.ok()) << flag;
+    EXPECT_EQ(r.error.rfind(flag + " needs", 0), 0u) << r.error;
+  }
+  // The largest count that fits still parses, to the microsecond.
+  const ParseResult edge = parse({"--minutes", "153722867280"});
+  ASSERT_TRUE(edge.ok()) << edge.error;
+  EXPECT_EQ(edge.plan->config.duration, Duration::minutes(153722867280));
+  // A count that rounds to zero microseconds is not positive.
+  EXPECT_FALSE(parse({"--hours", "1e-12"}).ok());
 }
 
 TEST(CliOptions, ParsesFixedIntervalPolicy) {

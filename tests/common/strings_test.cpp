@@ -41,6 +41,21 @@ TEST(Strings, Trim) {
   EXPECT_EQ(trim("   "), "");
 }
 
+TEST(Strings, ParseDurationCountsUnitsAndRejectsOverflow) {
+  EXPECT_EQ(parse_duration("1.5", Duration::hours(1)), Duration::minutes(90));
+  EXPECT_EQ(parse_duration("1280", Duration::millis(1)), Duration::millis(1280));
+  EXPECT_EQ(parse_duration("0", Duration::seconds(1)), Duration::zero());
+  // Rounded to the microsecond.
+  EXPECT_EQ(parse_duration("0.0000004", Duration::seconds(1)), Duration::zero());
+  // The largest whole count of minutes that fits in int64 microseconds.
+  EXPECT_EQ(parse_duration("153722867280", Duration::minutes(1)),
+            Duration::minutes(153722867280));
+  for (const char* bad : {"153722867281", "1e300", "-1", "-1e-9", "nan", "inf", "0x10",
+                          "3h", ""}) {
+    EXPECT_FALSE(parse_duration(bad, Duration::minutes(1)).has_value()) << bad;
+  }
+}
+
 TEST(Strings, Percent) {
   EXPECT_EQ(percent(0.179), "17.9%");
   EXPECT_EQ(percent(0.3333, 0), "33%");

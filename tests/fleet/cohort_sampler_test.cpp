@@ -255,6 +255,32 @@ TEST(CohortFile, RejectsMalformedInput) {
   }
 }
 
+// parse_cohorts' error message for `text`, or "" if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    parse_cohorts(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CohortFile, RejectsNonIntegerAppBoundsAndHugeStandbyOnTheirLine) {
+  // apps used to go through a double cast (2.7 5.9 ran as 2..5), and a
+  // standby past int64 microseconds overflowed into "must be positive".
+  EXPECT_NE(parse_error("[a]\nweight = 1\napps = 2.7 5.9\n")
+                .find("line 3: apps needs whole numbers in [1, 18]: 2.7"),
+            std::string::npos);
+  EXPECT_NE(parse_error("[a]\napps = 2 5.5\n").find("line 2: apps needs whole numbers"),
+            std::string::npos);
+  EXPECT_NE(parse_error("[a]\nweight = 1\nstandby_minutes = 1e300\n")
+                .find("line 3: standby_minutes must be positive and fit in int64"),
+            std::string::npos);
+  const std::vector<CohortSpec> whole = parse_cohorts("[a]\napps = 2 5\n");
+  EXPECT_EQ(whole[0].min_apps, 2u);
+  EXPECT_EQ(whole[0].max_apps, 5u);
+}
+
 TEST(CohortFile, RejectsDuplicateKeysWithLineNumber) {
   // A repeated key inside one cohort is a silent last-wins footgun; the
   // parser must name the offending line.

@@ -1,8 +1,9 @@
 // Fleet shard checkpointing: a killed fleet run restarted with the same
 // config and checkpoint directory must produce aggregates bit-identical to
 // an uninterrupted run, at any jobs count. Checkpoint cadence must never
-// change a result bit, and a checkpoint from a different shard partition
-// must be rejected loudly instead of silently skewing aggregates.
+// change a result bit, and a checkpoint from another fleet config (another
+// shard partition, seed, policy or cohort field) must be rejected loudly,
+// naming the field, instead of silently skewing aggregates.
 
 #include <gtest/gtest.h>
 
@@ -109,19 +110,18 @@ TEST(FleetCheckpoint, FinishedShardLeavesEndCursorCheckpoint) {
   fc.checkpoint_dir = fresh_dir("cursor");
   fc.checkpoint_every = 64;  // > shard size: only the final write happens
   run_fleet(fc);
-  // 48 devices at weights 2:1 over shard size 8 -> 32 + 16 -> 6 shards.
-  for (int i = 0; i < 6; ++i) {
+  // 48 devices at weights 2:1 over shard size 8 -> 32 + 16 -> 6 shards:
+  // four of the first cohort, then two of the second.
+  for (std::uint64_t i = 0; i < 6; ++i) {
     const std::string path =
         fc.checkpoint_dir + "/shard_" + std::to_string(i) + ".ckpt";
     ASSERT_TRUE(fs::exists(path)) << path;
     const snapshot::Reader reader(snapshot::read_file(path));
-    snapshot::SectionReader s = reader.section("fleet-shard", 1);
-    EXPECT_EQ(s.u64(), static_cast<std::uint64_t>(i));  // shard index
-    s.str();                                            // cohort name
-    const std::uint64_t begin = s.u64();
-    const std::uint64_t end = s.u64();
+    snapshot::SectionReader s = reader.section("fleet-shard", 2);
+    EXPECT_FALSE(s.bytes().empty());  // the fleet's encoding
+    EXPECT_EQ(s.u64(), i);            // shard index
+    const std::uint64_t end = 8 * (i < 4 ? i + 1 : i - 3);
     EXPECT_EQ(s.u64(), end);  // cursor parked at the shard end
-    EXPECT_EQ(end - begin, 8u);
   }
   fs::remove_all(fc.checkpoint_dir);
 }
@@ -130,11 +130,57 @@ TEST(FleetCheckpoint, RejectsCheckpointFromDifferentPartition) {
   FleetConfig fc = quick_fleet(1);
   fc.checkpoint_dir = fresh_dir("partition");
   run_fleet(fc);
-  // Same directory, different shard slicing: the begin/end identity fields
-  // no longer match, which must fail loudly (a silent resume would fold a
-  // foreign aggregate into this partition's merge tree).
+  // Same directory, different shard slicing: the fingerprint's
+  // shard_devices no longer matches, which must fail loudly (a silent resume
+  // would fold a foreign aggregate into this partition's merge tree).
   fc.shard_devices = 6;
   EXPECT_THROW(run_fleet(fc), std::logic_error);
+  fs::remove_all(fc.checkpoint_dir);
+}
+
+TEST(FleetCheckpoint, RejectsCheckpointFromAnotherFleetNamingTheField) {
+  // Every FleetConfig field that shapes the aggregates is in the
+  // checkpoint's fingerprint: a directory reused under another value of
+  // any of them must fail and name it, not fold two fleets into one.
+  const auto expect_mismatch = [](const std::string& field, const auto& change) {
+    SCOPED_TRACE(field);
+    FleetConfig fc = quick_fleet(1);
+    fc.checkpoint_dir = fresh_dir("mismatch");
+    run_fleet(fc);
+    change(fc);
+    try {
+      run_fleet(fc);
+      ADD_FAILURE() << "resumed under another " << field;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+    fs::remove_all(fc.checkpoint_dir);
+  };
+  expect_mismatch("field 'seed'", [](FleetConfig& fc) { fc.seed = 6; });
+  expect_mismatch("field 'policy'",
+                  [](FleetConfig& fc) { fc.policy = exp::PolicyKind::kNative; });
+  expect_mismatch("field 'devices'", [](FleetConfig& fc) { fc.devices = 40; });
+  expect_mismatch("field 'similarity'", [](FleetConfig& fc) {
+    fc.similarity.hw_mode = alarm::HardwareSimilarityMode::kFourLevel;
+  });
+  expect_mismatch("field 'shard_devices'", [](FleetConfig& fc) { fc.shard_devices = 6; });
+  expect_mismatch("field 'rein_jitter'",
+                  [](FleetConfig& fc) { fc.cohorts[1].rein_jitter = 0.3; });
+  expect_mismatch("field 'standby'",
+                  [](FleetConfig& fc) { fc.cohorts[0].standby = Duration::minutes(4); });
+  expect_mismatch("field 'cohorts'", [](FleetConfig& fc) { fc.cohorts.pop_back(); });
+}
+
+TEST(FleetCheckpoint, DefaultCohortsMatchTheirExplicitSpelling) {
+  // The fingerprint covers the resolved cohorts: a run with the default
+  // (empty) cohorts resumes under default_cohorts() spelled out.
+  FleetConfig fc = quick_fleet(1);
+  fc.cohorts.clear();
+  fc.devices = 12;
+  fc.checkpoint_dir = fresh_dir("defaults");
+  const FleetResult first = run_fleet(fc);
+  fc.cohorts = default_cohorts();
+  expect_identical(first, run_fleet(fc));
   fs::remove_all(fc.checkpoint_dir);
 }
 

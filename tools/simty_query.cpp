@@ -5,19 +5,19 @@
 //   simty_query --socket /tmp/simty.sock --shutdown
 //
 // A request is a whole exp::ExperimentConfig (serve::Request), so the
-// daemon serves any config; these flags set the fields a β-sweep varies
-// and leave the rest at their ExperimentConfig defaults:
-//   --policy native|simty|exact|simty-dur|fixed   (default simty)
-//   --workload light|heavy|synthetic              (default light)
-//   --hours H | --minutes M                       (default 3 hours)
-//   --seed N                                      (default 1)
-//   --doze
-//   --no-system-alarms
+// daemon serves any config. The run options are simty_run's config flags,
+// parsed by the same table (cli::parse_flags), with the same defaults:
+//   --workload W --apps N --hours H --minutes M --seed N --no-system-alarms
+//   --doze --fixed-interval S --drx-cycle MS --wur --wur-budget MS
+//   --hw-levels 2|3|4
+// plus this tool's own:
+//   --policy native|simty|exact|simty-dur|fixed   (one; default simty)
 //   --beta-switch-at-minutes M --beta B           (the sweep lever)
-// --beta is the switch's β, not the base β of simty_run --beta.
+// --beta is the β of the beta switch (> 0), not the base β that
+// simty_run --beta sets; the base β stays at its default.
 //
-// Counts are whole numbers, --beta is finite and > 0; a malformed value
-// ("3h", "-1", "nan") is a usage error (exit 2), never another request.
+// A malformed or out-of-range value ("3h", "-1", "nan", "1e300" hours) is
+// a usage error (exit 2), never another request.
 //
 // Output is one key=value line per response field, machine-greppable, the
 // paging rows (pages_answered ... wur_triggers) included:
@@ -28,22 +28,65 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
-#include "common/strings.hpp"
+#include "cli/options.hpp"
 #include "serve/serve_core.hpp"
 #include "serve/server.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
 
+using simty::cli::FlagKind;
+using simty::cli::FlagValue;
+
 int usage() {
   std::fprintf(stderr,
                "usage: simty_query --socket <path> "
                "[--stats | --shutdown | run options]\n"
-               "run options: --policy P --workload W --hours H --minutes M\n"
-               "             --seed N --doze --no-system-alarms\n"
-               "             --beta-switch-at-minutes M --beta B\n");
+               "run options: simty_run's config flags (--workload --apps\n"
+               "             --hours --minutes --seed --no-system-alarms --doze\n"
+               "             --fixed-interval --drx-cycle --wur --wur-budget\n"
+               "             --hw-levels), one --policy P, and a beta switch:\n"
+               "             --beta-switch-at-minutes M --beta B (B is the\n"
+               "             switch's β, not the base β of simty_run --beta)\n");
   return 2;
+}
+
+struct Query {
+  std::string socket_path;
+  bool stats = false;
+  bool shutdown = false;
+  simty::serve::Request req;
+  std::optional<simty::Duration> switch_at;
+  std::optional<double> switch_beta;
+};
+
+// simty_query's own flags, over `q`.
+std::vector<simty::cli::Flag> query_flags(Query& q) {
+  using simty::cli::store;
+  return {
+      {"--socket", FlagKind::kText, store(q.socket_path), "needs a path"},
+      {"--stats", FlagKind::kSwitch, store(q.stats)},
+      {"--shutdown", FlagKind::kSwitch, store(q.shutdown)},
+      {"--policy", FlagKind::kText,
+       [&q](const FlagValue& v) {
+         const auto p = simty::exp::parse_policy(v.text);
+         if (p) q.req.policy = *p;
+         return p.has_value();
+       },
+       "needs native|simty|exact|simty-dur|fixed"},
+      {"--beta-switch-at-minutes", FlagKind::kDuration, store(q.switch_at),
+       "needs non-negative minutes", 0, std::numeric_limits<long long>::max(),
+       simty::Duration::minutes(1)},
+      // The switch's β: simty_run --beta is the base β.
+      {"--beta", FlagKind::kNumber,
+       [&q](const FlagValue& v) {
+         q.switch_beta = v.number;
+         return v.number > 0.0;
+       },
+       "needs a positive value"},
+  };
 }
 
 void print_metric(const char* name, double v) { std::printf("%s=%.17g\n", name, v); }
@@ -68,72 +111,31 @@ void print_stats(const simty::serve::ServeStats& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string socket_path;
-  bool stats = false, shutdown = false;
-  simty::serve::Request req;
-  req.policy = simty::exp::PolicyKind::kSimty;
-  std::optional<long long> switch_minutes;
-  std::optional<double> beta;
-  // Durations are bounded so their microsecond count cannot overflow.
-  constexpr long long kMaxMicros = std::numeric_limits<std::int64_t>::max();
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) socket_path = argv[++i];
-    else if (arg == "--stats") stats = true;
-    else if (arg == "--shutdown") shutdown = true;
-    else if (arg == "--policy" && i + 1 < argc) {
-      const auto p = simty::exp::parse_policy(argv[++i]);
-      if (!p) return usage();
-      req.policy = *p;
-    } else if (arg == "--workload" && i + 1 < argc) {
-      const auto w = simty::exp::parse_workload(argv[++i]);
-      if (!w) return usage();
-      req.workload = *w;
-    } else if ((arg == "--hours" || arg == "--minutes") && i + 1 < argc) {
-      const simty::Duration unit = arg == "--hours" ? simty::Duration::hours(1)
-                                                    : simty::Duration::minutes(1);
-      const auto n = simty::parse_int(argv[++i], 1, kMaxMicros / unit.us());
-      if (!n) return usage();
-      req.duration = unit * *n;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      const auto n = simty::parse_int(argv[++i], 0);
-      if (!n) return usage();
-      req.seed = static_cast<std::uint64_t>(*n);
-    } else if (arg == "--doze") {
-      req.doze = true;
-    } else if (arg == "--no-system-alarms") {
-      req.system_alarms = false;
-    } else if (arg == "--beta-switch-at-minutes" && i + 1 < argc) {
-      switch_minutes =
-          simty::parse_int(argv[++i], 0, kMaxMicros / simty::Duration::minutes(1).us());
-      if (!switch_minutes) return usage();
-    } else if (arg == "--beta" && i + 1 < argc) {
-      beta = simty::parse_double(argv[++i]);
-      if (!beta || *beta <= 0.0) return usage();
-    } else {
-      return usage();
-    }
+  Query q;
+  q.req.policy = simty::exp::PolicyKind::kSimty;
+  std::string error =
+      simty::cli::parse_flags({argv + 1, argv + argc}, query_flags(q), q.req);
+  if (error.empty() && q.switch_at.has_value() != q.switch_beta.has_value()) {
+    error = "--beta-switch-at-minutes and --beta go together";
   }
-  if (socket_path.empty()) return usage();
-  if (switch_minutes.has_value() != beta.has_value()) {
-    std::fprintf(stderr,
-                 "simty_query: --beta-switch-at-minutes and --beta go "
-                 "together\n");
-    return 2;
+  if (error.empty() && q.socket_path.empty()) error = "--socket is required";
+  if (!error.empty()) {
+    std::fprintf(stderr, "simty_query: %s\n", error.c_str());
+    return usage();
   }
-  if (switch_minutes) {
-    req.beta_switch = simty::exp::ExperimentConfig::BetaSwitch{
-        simty::Duration::minutes(*switch_minutes), *beta};
+  if (q.switch_at) {
+    q.req.beta_switch =
+        simty::exp::ExperimentConfig::BetaSwitch{*q.switch_at, *q.switch_beta};
   }
 
   try {
     std::string frame;
-    if (shutdown) frame = simty::serve::encode_shutdown();
-    else if (stats) frame = simty::serve::encode_stats_request();
-    else frame = simty::serve::encode_request(req);
+    if (q.shutdown) frame = simty::serve::encode_shutdown();
+    else if (q.stats) frame = simty::serve::encode_stats_request();
+    else frame = simty::serve::encode_request(q.req);
 
-    const std::string reply = simty::serve::query(socket_path, frame);
-    if (shutdown) {
+    const std::string reply = simty::serve::query(q.socket_path, frame);
+    if (q.shutdown) {
       std::printf("shutdown=%d\n",
                   simty::serve::is_shutdown_frame(reply) ? 1 : 0);
       return 0;
@@ -145,7 +147,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "simty_query: server error: %s\n", s.str().c_str());
       return 1;
     }
-    if (stats) print_stats(simty::serve::decode_stats(reply));
+    if (q.stats) print_stats(simty::serve::decode_stats(reply));
     else print_response(simty::serve::decode_response(reply));
     return 0;
   } catch (const std::exception& e) {

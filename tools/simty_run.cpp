@@ -112,9 +112,7 @@ int run_fleet_mode(const cli::RunPlan& plan, trace::Tracer& tracer) {
 // no capture output — the trace/delivery-log flags only shape what the
 // snapshot carries (see wire_last_policy_captures).
 int run_save_mode(const cli::RunPlan& plan, trace::Tracer& tracer) {
-  const TimePoint mark =
-      TimePoint::origin() +
-      Duration::from_seconds(*plan.snapshot_at_minutes * 60.0);
+  const TimePoint mark = TimePoint::origin() + *plan.snapshot_at;
   for (std::size_t i = 0; i < plan.policies.size(); ++i) {
     exp::ExperimentConfig c = plan.config;
     c.policy = plan.policies[i];
