@@ -25,7 +25,7 @@ TimePoint at(std::int64_t s) { return TimePoint::origin() + Duration::seconds(s)
 /// Builds a queue of `n` single-alarm entries with randomized attributes.
 struct QueueFixture {
   std::vector<std::unique_ptr<alarm::Alarm>> alarms;
-  std::vector<std::unique_ptr<alarm::Batch>> queue;
+  alarm::BatchQueue queue;
   std::unique_ptr<alarm::Alarm> probe;
 
   explicit QueueFixture(std::size_t n) {

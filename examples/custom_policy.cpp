@@ -35,7 +35,7 @@ class GreedyGracePolicy : public alarm::AlignmentPolicy {
 
   std::optional<std::size_t> select_batch(
       const alarm::Alarm& a,
-      const std::vector<std::unique_ptr<alarm::Batch>>& queue) const override {
+      const alarm::BatchQueue& queue) const override {
     for (std::size_t i = 0; i < queue.size(); ++i) {
       const alarm::SimilarityLevel time = alarm::time_similarity(
           a.window_interval(), a.grace_interval(), queue[i]->window_interval(),

@@ -112,7 +112,7 @@ void Alarm::save(snapshot::Writer& w) const {
   w.u64(delivery_count_);
 }
 
-std::unique_ptr<Alarm> Alarm::restore(snapshot::SectionReader& s) {
+Alarm Alarm::restore(snapshot::SectionReader& s) {
   const AlarmId id{s.u64()};
   AlarmSpec spec;
   spec.tag = s.str();
@@ -130,16 +130,16 @@ std::unique_ptr<Alarm> Alarm::restore(snapshot::SectionReader& s) {
   spec.grace_length = Duration::micros(s.i64());
   const TimePoint nominal = TimePoint::from_us(s.i64());
   // The ctor re-validates the spec, so a corrupt record throws here.
-  auto alarm = std::make_unique<Alarm>(id, std::move(spec), nominal);
-  alarm->hardware_ = hw::ComponentSet::from_bits(s.u32());
-  alarm->hardware_known_ = s.boolean();
-  SIMTY_CHECK_MSG(alarm->hardware_known_ || alarm->hardware_.empty(),
+  Alarm alarm(id, std::move(spec), nominal);
+  alarm.hardware_ = hw::ComponentSet::from_bits(s.u32());
+  alarm.hardware_known_ = s.boolean();
+  SIMTY_CHECK_MSG(alarm.hardware_known_ || alarm.hardware_.empty(),
                   "Alarm::restore: hardware recorded before first delivery");
-  alarm->expected_hold_ = Duration::micros(s.i64());
-  SIMTY_CHECK_MSG(!alarm->expected_hold_.is_negative(),
+  alarm.expected_hold_ = Duration::micros(s.i64());
+  SIMTY_CHECK_MSG(!alarm.expected_hold_.is_negative(),
                   "Alarm::restore: negative expected hold");
-  alarm->delivery_count_ = s.u64();
-  alarm->update_perceptibility();
+  alarm.delivery_count_ = s.u64();
+  alarm.update_perceptibility();
   return alarm;
 }
 

@@ -115,7 +115,7 @@ class Alarm {
   /// Serializes spec + learned state into the current section; restore()
   /// rebuilds an equivalent alarm (same id, spec, nominal, and profile).
   void save(snapshot::Writer& w) const;
-  static std::unique_ptr<Alarm> restore(snapshot::SectionReader& s);
+  static Alarm restore(snapshot::SectionReader& s);
 
   /// Records a completed delivery and its observed hardware usage
   /// (footnote 4: the hardware set is specified immediately after

@@ -1,6 +1,7 @@
 #include "alarm/alarm_manager.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
@@ -12,16 +13,37 @@ namespace simty::alarm {
 
 AlarmManager::AlarmManager(sim::Simulator& sim, hw::Device& device, hw::Rtc& rtc,
                            hw::WakelockManager& wakelocks,
-                           std::unique_ptr<AlignmentPolicy> policy,
+                           common::ArenaPtr<AlignmentPolicy> policy,
                            common::Arena* arena)
     : sim_(sim), device_(device), rtc_(rtc), wakelocks_(wakelocks),
-      policy_(std::move(policy)) {
+      policy_(std::move(policy)), arena_(arena), registry_(arena),
+      spare_batches_(arena), candidates_(arena), observers_(arena),
+      session_observers_(arena) {
   SIMTY_CHECK(policy_ != nullptr);
-  if (arena != nullptr) {
-    indices_[0].set_arena(arena);
-    indices_[1].set_arena(arena);
+  for (std::size_t k = 0; k < 2; ++k) {
+    queues_[k].set_arena(arena);
+    indices_[k].set_arena(arena);
   }
   device_.add_wake_listener([this](hw::WakeReason r) { on_device_wake(r); });
+}
+
+AlarmManager::Registered* AlarmManager::row(AlarmId id) {
+  return const_cast<Registered*>(std::as_const(*this).row(id));
+}
+
+const AlarmManager::Registered* AlarmManager::row(AlarmId id) const {
+  const std::uint64_t i = id.value - 1;
+  if (i < registry_.size() && registry_[i]->alarm.id() == id) return registry_[i].get();
+  const auto* it = std::lower_bound(
+      registry_.begin(), registry_.end(), id,
+      [](const common::ArenaPtr<Registered>& r, AlarmId v) { return r->alarm.id() < v; });
+  return it != registry_.end() && (*it)->alarm.id() == id ? it->get() : nullptr;
+}
+
+AlarmManager::Registered& AlarmManager::registered(AlarmId id, const char* what) {
+  Registered* r = row(id);
+  SIMTY_CHECK_MSG(r != nullptr && r->handler, std::string(what) + ": unknown alarm");
+  return *r;
 }
 
 AlarmId AlarmManager::register_alarm(AlarmSpec spec, TimePoint first_nominal,
@@ -31,45 +53,43 @@ AlarmId AlarmManager::register_alarm(AlarmSpec spec, TimePoint first_nominal,
   SIMTY_CHECK_MSG(first_nominal >= sim_.now(),
                   "alarm nominal time must not be in the past");
   const AlarmId id{next_id_++};
-  const std::string_view tag = tag_store_.emplace_back(spec.tag);
-  auto alarm = std::make_unique<Alarm>(id, std::move(spec), first_nominal);
-  Alarm* raw = alarm.get();
-  registry_.emplace(id.value, Registered{std::move(alarm), std::move(handler), tag});
+  Registered& reg = *registry_.emplace_back(common::make_arena_ptr<Registered>(
+      arena_, Alarm(id, std::move(spec), first_nominal), std::move(handler)));
+  ++registered_count_;
   ++stats_.registrations;
-  insert(raw);
+  insert(&reg.alarm);
   return id;
 }
 
 void AlarmManager::set(AlarmId id, TimePoint nominal) {
-  const auto it = registry_.find(id.value);
-  SIMTY_CHECK_MSG(it != registry_.end(), "set: unknown alarm");
+  Alarm& alarm = registered(id, "set").alarm;
   SIMTY_CHECK_MSG(nominal >= sim_.now(), "set: nominal time in the past");
   remove_from_queue(id);
-  it->second.alarm->reschedule(nominal);
-  insert(it->second.alarm.get());
+  alarm.reschedule(nominal);
+  insert(&alarm);
 }
 
 void AlarmManager::cancel(AlarmId id) {
-  const auto it = registry_.find(id.value);
-  SIMTY_CHECK_MSG(it != registry_.end(), "cancel: unknown alarm");
+  Registered& reg = registered(id, "cancel");
   remove_from_queue(id);
-  registry_.erase(it);
+  reg.handler = nullptr;
+  --registered_count_;
   reprogram_rtc();
   schedule_nonwakeup_check();
 }
 
 std::size_t AlarmManager::cancel_by_tag(const std::string& prefix) {
   std::vector<AlarmId> victims;
-  for (const auto& [id, reg] : registry_) {
-    if (reg.alarm->spec().tag.rfind(prefix, 0) == 0) {
-      victims.push_back(AlarmId{id});
+  for (const common::ArenaPtr<Registered>& reg : registry_) {
+    if (reg->handler && reg->alarm.spec().tag.rfind(prefix, 0) == 0) {
+      victims.push_back(reg->alarm.id());
     }
   }
   for (const AlarmId id : victims) cancel(id);
   return victims.size();
 }
 
-void AlarmManager::set_policy(std::unique_ptr<AlignmentPolicy> policy) {
+void AlarmManager::set_policy(common::ArenaPtr<AlignmentPolicy> policy) {
   SIMTY_CHECK(policy != nullptr);
   policy_ = std::move(policy);
   rebatch_all();
@@ -79,8 +99,8 @@ void AlarmManager::rebatch_all() {
   // Pull every queued alarm out, then reinsert in nominal order under the
   // current policy — Android's rebatchAllAlarms.
   std::vector<Alarm*> alarms;
-  for (auto& q : queues_) {
-    for (auto& batch : q) {
+  for (BatchQueue& q : queues_) {
+    for (common::ArenaPtr<Batch>& batch : q) {
       for (Alarm* a : batch->members()) alarms.push_back(a);
       recycle(std::move(batch));
     }
@@ -99,12 +119,12 @@ void AlarmManager::rebatch_all() {
 }
 
 bool AlarmManager::is_registered(AlarmId id) const {
-  return registry_.contains(id.value);
+  const Registered* r = row(id);
+  return r != nullptr && r->handler;
 }
 
 const Alarm* AlarmManager::find(AlarmId id) const {
-  const auto it = registry_.find(id.value);
-  return it == registry_.end() ? nullptr : it->second.alarm.get();
+  return is_registered(id) ? &row(id)->alarm : nullptr;
 }
 
 void AlarmManager::add_delivery_observer(DeliveryObserver observer) {
@@ -122,11 +142,11 @@ void AlarmManager::set_delivery_gate(DeliveryGate gate) {
   reprogram_rtc();
 }
 
-const std::vector<std::unique_ptr<Batch>>& AlarmManager::queue(AlarmKind kind) const {
+const BatchQueue& AlarmManager::queue(AlarmKind kind) const {
   return queues_[static_cast<std::size_t>(kind)];
 }
 
-std::vector<std::unique_ptr<Batch>>& AlarmManager::queue_ref(AlarmKind kind) {
+BatchQueue& AlarmManager::queue_ref(AlarmKind kind) {
   return queues_[static_cast<std::size_t>(kind)];
 }
 
@@ -134,8 +154,7 @@ BatchIndex& AlarmManager::index_ref(AlarmKind kind) {
   return indices_[static_cast<std::size_t>(kind)];
 }
 
-void AlarmManager::renumber(std::vector<std::unique_ptr<Batch>>& q,
-                            std::size_t from, std::size_t to) {
+void AlarmManager::renumber(BatchQueue& q, std::size_t from, std::size_t to) {
   for (std::size_t i = from; i < to; ++i) q[i]->set_queue_pos(i);
 }
 
@@ -151,7 +170,7 @@ std::optional<std::size_t> AlarmManager::select_entry(const Alarm& a,
   SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-candidates",
                       static_cast<std::int64_t>(candidates_.size()));
   const std::optional<std::size_t> chosen =
-      policy_->select_among(a, q, candidates_);
+      policy_->select_among(a, q, {candidates_.data(), candidates_.size()});
 
   if (slow_queue_checks_) {
     // Differential reference: the candidate set must equal a brute-force
@@ -164,7 +183,8 @@ std::optional<std::size_t> AlarmManager::select_entry(const Alarm& a,
               : q[i]->grace_interval();
       if (entry_iv.overlaps(query->interval)) expected.push_back(i);
     }
-    SIMTY_CHECK_MSG(expected == candidates_,
+    SIMTY_CHECK_MSG(std::equal(expected.begin(), expected.end(), candidates_.begin(),
+                               candidates_.end()),
                     "BatchIndex candidate set diverged from the linear scan");
     SIMTY_CHECK_MSG(chosen == policy_->select_batch(a, q),
                     "indexed selection diverged from the linear reference");
@@ -192,10 +212,10 @@ void AlarmManager::insert(Alarm* a) {
   } else {
     // New singleton entry: a stable_sort would place it after every entry
     // with an equal delivery time (it was appended last), i.e. upper_bound.
-    std::unique_ptr<Batch> batch = make_batch(a);
+    common::ArenaPtr<Batch> batch = make_batch(a);
     const TimePoint t = batch->delivery_time();
-    const auto pos = std::upper_bound(
-        q.begin(), q.end(), t, [](TimePoint value, const std::unique_ptr<Batch>& b) {
+    common::ArenaPtr<Batch>* pos = std::upper_bound(
+        q.begin(), q.end(), t, [](TimePoint value, const common::ArenaPtr<Batch>& b) {
           return value < b->delivery_time();
         });
     const auto at = static_cast<std::size_t>(pos - q.begin());
@@ -216,15 +236,14 @@ void AlarmManager::insert(Alarm* a) {
 
 bool AlarmManager::remove_from_queue(AlarmId id) {
   for (std::size_t k = 0; k < 2; ++k) {
-    auto& q = queues_[k];
-    const auto it = std::find_if(q.begin(), q.end(), [&](const auto& b) {
-      return b->contains(id);
-    });
+    BatchQueue& q = queues_[k];
+    common::ArenaPtr<Batch>* it = std::find_if(
+        q.begin(), q.end(), [&](const auto& b) { return b->contains(id); });
     if (it == q.end()) continue;
 
     // Realignment (§2.1): pull the whole entry out and reinsert the other
     // members in nominal order; the caller reinserts the target alarm.
-    std::unique_ptr<Batch> batch = std::move(*it);
+    common::ArenaPtr<Batch> batch = std::move(*it);
     indices_[k].erase(batch.get());
     const auto at = static_cast<std::size_t>(it - q.begin());
     q.erase(it);
@@ -234,7 +253,7 @@ bool AlarmManager::remove_from_queue(AlarmId id) {
       ++stats_.realignments;
       SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-split",
                           static_cast<std::int64_t>(batch->size()));
-      std::vector<Alarm*> members = batch->members();
+      std::vector<Alarm*> members(batch->members().begin(), batch->members().end());
       std::sort(members.begin(), members.end(), [](const Alarm* x, const Alarm* y) {
         return x->nominal() < y->nominal();
       });
@@ -248,20 +267,19 @@ bool AlarmManager::remove_from_queue(AlarmId id) {
   return false;
 }
 
-std::unique_ptr<Batch> AlarmManager::make_batch(Alarm* first) {
-  if (spare_batches_.empty()) return std::make_unique<Batch>(first);
-  std::unique_ptr<Batch> batch = std::move(spare_batches_.back());
+common::ArenaPtr<Batch> AlarmManager::make_batch(Alarm* first) {
+  if (spare_batches_.empty()) return common::make_arena_ptr<Batch>(arena_, first, arena_);
+  common::ArenaPtr<Batch> batch = std::move(spare_batches_.back());
   spare_batches_.pop_back();
   batch->reset(first);
   return batch;
 }
 
-void AlarmManager::recycle(std::unique_ptr<Batch> batch) {
+void AlarmManager::recycle(common::ArenaPtr<Batch> batch) {
   spare_batches_.push_back(std::move(batch));
 }
 
-void AlarmManager::reposition(std::vector<std::unique_ptr<Batch>>& q,
-                              std::size_t index) {
+void AlarmManager::reposition(BatchQueue& q, std::size_t index) {
   // The queue was sorted before q[index] changed key, so at most this one
   // entry is out of place. Moving it to upper_bound (key decreased) or
   // lower_bound (key increased) of the others reproduces exactly what the
@@ -273,7 +291,7 @@ void AlarmManager::reposition(std::vector<std::unique_ptr<Batch>>& q,
   if (index > 0 && q[index - 1]->delivery_time() > t) {
     const auto pos = std::upper_bound(
         q.begin(), q.begin() + static_cast<std::ptrdiff_t>(index), t,
-        [](TimePoint value, const std::unique_ptr<Batch>& b) {
+        [](TimePoint value, const common::ArenaPtr<Batch>& b) {
           return value < b->delivery_time();
         });
     const auto dest = static_cast<std::size_t>(pos - q.begin());
@@ -283,7 +301,7 @@ void AlarmManager::reposition(std::vector<std::unique_ptr<Batch>>& q,
   } else if (index + 1 < q.size() && q[index + 1]->delivery_time() < t) {
     const auto pos = std::lower_bound(
         q.begin() + static_cast<std::ptrdiff_t>(index) + 1, q.end(), t,
-        [](const std::unique_ptr<Batch>& b, TimePoint value) {
+        [](const common::ArenaPtr<Batch>& b, TimePoint value) {
           return b->delivery_time() < value;
         });
     const auto dest = static_cast<std::size_t>(pos - q.begin());
@@ -297,7 +315,7 @@ void AlarmManager::sort_queue(AlarmKind kind) const {
   const auto& q = queue(kind);
   std::vector<const Batch*> expected;
   expected.reserve(q.size());
-  for (const auto& b : q) expected.push_back(b.get());
+  for (const common::ArenaPtr<Batch>& b : q) expected.push_back(b.get());
   std::stable_sort(expected.begin(), expected.end(),
                    [](const Batch* x, const Batch* y) {
                      return x->delivery_time() < y->delivery_time();
@@ -351,7 +369,7 @@ void AlarmManager::deliver_due(AlarmKind kind) {
   BatchIndex& idx = index_ref(kind);
   const TimePoint now = sim_.now();
   while (!q.empty() && q.front()->delivery_time() <= now) {
-    std::unique_ptr<Batch> batch = std::move(q.front());
+    common::ArenaPtr<Batch> batch = std::move(q.front());
     idx.erase(batch.get());
     q.erase(q.begin());
     renumber(q, 0, q.size());
@@ -365,7 +383,7 @@ void AlarmManager::deliver_due(AlarmKind kind) {
   schedule_nonwakeup_check();
 }
 
-void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
+void AlarmManager::deliver_batch(common::ArenaPtr<Batch> batch) {
   SIMTY_CHECK(device_.state() == hw::DeviceState::kAwake);
   // session_ and the spare list are single-session scratch.
   SIMTY_CHECK_MSG(!delivering_, "deliver_batch re-entered");
@@ -396,18 +414,17 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
   last_seen_wakeups_ = device_.wakeup_count();
 
   for (Alarm* a : batch->members()) {
-    const auto reg_it = registry_.find(a->id().value);
-    SIMTY_CHECK_MSG(reg_it != registry_.end(), "delivering unregistered alarm");
+    Registered& reg = registered(a->id(), "deliver");
     const bool was_perceptible = a->perceptible();
-    // Outlives a one-shot alarm, which leaves the registry below.
-    const std::string_view tag = reg_it->second.tag;
+    // Outlives the one-shot registration, which ends below (see Registered).
+    const std::string_view tag = a->spec().tag;
 
     // App code may throw (the real framework survives crashing receivers);
     // a failed handler degrades to an empty task and the alarm keeps its
     // schedule — the crash must not take down the other batch members.
     TaskSpec task;
     try {
-      task = reg_it->second.handler(*a, now);
+      task = reg.handler(*a, now);
     } catch (const std::exception& e) {
       ++stats_.handler_failures;
       task = TaskSpec{};
@@ -456,14 +473,17 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
     record.hold = task.hold;
     record.batch_size = batch->size();
     for (const DeliveryObserver& obs : observers_) obs(record);
-    session_.items.push_back(
-        SessionItem{a->id(), a->spec().app, tag, task.hardware, task.hold});
+    if (!session_observers_.empty()) {
+      session_.items.push_back(
+          SessionItem{a->id(), a->spec().app, tag, task.hardware, task.hold});
+    }
 
     // Reinsertion of repeating alarms (§2.1): static repeating stays on its
     // nominal grid; dynamic repeating is re-anchored at the delivery time.
     switch (a->spec().mode) {
       case RepeatMode::kOneShot:
-        registry_.erase(a->id().value);
+        reg.handler = nullptr;
+        --registered_count_;
         break;
       case RepeatMode::kStatic: {
         TimePoint next = a->nominal() + a->spec().repeat_interval;
@@ -492,7 +512,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
 std::string AlarmManager::dump() const {
   std::string out = str_format("AlarmManager[%s] t=%.3fs alarms=%zu\n",
                                policy_->name().c_str(), sim_.now().seconds_f(),
-                               registry_.size());
+                               registered_count_);
   for (const AlarmKind kind : {AlarmKind::kWakeup, AlarmKind::kNonWakeup}) {
     const auto& q = queue(kind);
     out += str_format("  %s queue: %zu entries\n", to_string(kind), q.size());
@@ -545,7 +565,7 @@ std::vector<std::string> AlarmManager::check_invariants() const {
       }
       for (const Alarm* a : b.members()) {
         ++seen[a->id().value];
-        if (!registry_.contains(a->id().value)) {
+        if (!is_registered(a->id())) {
           issues.push_back("queued alarm not registered: " + a->spec().tag);
         }
         if (a->spec().kind != kind) {
@@ -609,12 +629,14 @@ void AlarmManager::save(snapshot::Writer& w) const {
   w.u64(stats_.batches_delivered);
   w.u64(stats_.realignments);
   w.u64(stats_.handler_failures);
-  w.u64(registry_.size());
-  for (const auto& [id, reg] : registry_) reg.alarm->save(w);
+  w.u64(registered_count_);
+  for (const common::ArenaPtr<Registered>& reg : registry_) {
+    if (reg->handler) reg->alarm.save(w);
+  }
   for (const AlarmKind kind : {AlarmKind::kWakeup, AlarmKind::kNonWakeup}) {
     const auto& q = queue(kind);
     w.u64(q.size());
-    for (const auto& batch : q) {
+    for (const common::ArenaPtr<Batch>& batch : q) {
       w.u64(batch->size());
       for (const Alarm* a : batch->members()) w.u64(a->id().value);
     }
@@ -629,8 +651,9 @@ void AlarmManager::restore(snapshot::SectionReader& s,
   SIMTY_CHECK_MSG(static_cast<bool>(resolver),
                   "AlarmManager::restore: handler resolver required");
   registry_.clear();
-  for (auto& q : queues_) {
-    for (auto& batch : q) recycle(std::move(batch));
+  registered_count_ = 0;
+  for (BatchQueue& q : queues_) {
+    for (common::ArenaPtr<Batch>& batch : q) recycle(std::move(batch));
     q.clear();
   }
   for (auto& idx : indices_) idx.clear();
@@ -648,19 +671,19 @@ void AlarmManager::restore(snapshot::SectionReader& s,
   const std::uint64_t alarm_count = s.u64();
   s.check_count(alarm_count, 88);  // fixed fields + minimal tag string
   for (std::uint64_t i = 0; i < alarm_count; ++i) {
-    std::unique_ptr<Alarm> alarm = Alarm::restore(s);
-    const std::uint64_t id = alarm->id().value;
+    Alarm alarm = Alarm::restore(s);
+    const std::uint64_t id = alarm.id().value;
     SIMTY_CHECK_MSG(id != 0 && id < next_id_,
                     "AlarmManager::restore: alarm id out of range");
-    DeliveryHandler handler = resolver(alarm->spec().app, alarm->spec().tag);
+    // save() writes rows in id order; row() relies on it.
+    SIMTY_CHECK_MSG(registry_.empty() || registry_.back()->alarm.id().value < id,
+                    "AlarmManager::restore: duplicate or unordered alarm id");
+    DeliveryHandler handler = resolver(alarm.spec().app, alarm.spec().tag);
     SIMTY_CHECK_MSG(static_cast<bool>(handler),
                     "AlarmManager::restore: resolver has no handler for alarm");
-    const std::string_view tag = tag_store_.emplace_back(alarm->spec().tag);
-    const bool inserted =
-        registry_
-            .emplace(id, Registered{std::move(alarm), std::move(handler), tag})
-            .second;
-    SIMTY_CHECK_MSG(inserted, "AlarmManager::restore: duplicate alarm id");
+    registry_.push_back(
+        common::make_arena_ptr<Registered>(arena_, std::move(alarm), std::move(handler)));
+    ++registered_count_;
   }
 
   std::map<std::uint64_t, int> queued;
@@ -673,13 +696,12 @@ void AlarmManager::restore(snapshot::SectionReader& s,
       const std::uint64_t member_count = s.u64();
       SIMTY_CHECK_MSG(member_count > 0, "AlarmManager::restore: empty batch");
       s.check_count(member_count, 9);
-      std::unique_ptr<Batch> batch;
+      common::ArenaPtr<Batch> batch;
       for (std::uint64_t m = 0; m < member_count; ++m) {
         const std::uint64_t id = s.u64();
-        const auto it = registry_.find(id);
-        SIMTY_CHECK_MSG(it != registry_.end(),
+        SIMTY_CHECK_MSG(id != 0 && is_registered(AlarmId{id}),
                         "AlarmManager::restore: queued alarm not registered");
-        Alarm* a = it->second.alarm.get();
+        Alarm* a = &row(AlarmId{id})->alarm;
         SIMTY_CHECK_MSG(a->spec().kind == kind,
                         "AlarmManager::restore: alarm in wrong-kind queue");
         SIMTY_CHECK_MSG(queued[id]++ == 0,
@@ -702,7 +724,7 @@ void AlarmManager::restore(snapshot::SectionReader& s,
       SIMTY_CHECK_MSG(q[i - 1]->delivery_time() <= q[i]->delivery_time(),
                       "AlarmManager::restore: queue out of order");
     }
-    for (const auto& batch : q) idx.insert(batch.get());
+    for (const common::ArenaPtr<Batch>& batch : q) idx.insert(batch.get());
     const std::uint64_t next_seq = s.u64();
     SIMTY_CHECK_MSG(next_seq >= idx.next_seq(),
                     "AlarmManager::restore: index insertion counter regressed");
@@ -729,8 +751,9 @@ std::function<void()> AlarmManager::rtc_handler() {
 
 void AlarmManager::apply_grace_factor(double beta) {
   SIMTY_CHECK_MSG(beta >= 0.0 && beta < 1.0, "grace factor must lie in [0, 1)");
-  for (auto& entry : registry_) {
-    Alarm& a = *entry.second.alarm;
+  for (common::ArenaPtr<Registered>& reg : registry_) {
+    if (!reg->handler) continue;
+    Alarm& a = reg->alarm;
     if (a.spec().mode == RepeatMode::kOneShot) continue;
     const Duration grace =
         std::max(a.spec().repeat_interval * beta, a.spec().window_length);

@@ -12,9 +12,7 @@
 // repeating. The plugged AlignmentPolicy only chooses which entry a new
 // alarm joins.
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +23,7 @@
 #include "alarm/batch.hpp"
 #include "alarm/batch_index.hpp"
 #include "alarm/policy.hpp"
+#include "common/arena.hpp"
 #include "hw/device.hpp"
 #include "hw/rtc.hpp"
 #include "hw/wakelock.hpp"
@@ -48,9 +47,10 @@ struct TaskSpec {
 using DeliveryHandler = std::function<TaskSpec(const Alarm&, TimePoint delivered_at)>;
 
 /// Everything observers need to compute the paper's metrics for one
-/// delivered alarm. `tag` views the manager's tag store, which lives as long
-/// as the manager (a one-shot alarm's tag outlives the alarm); an observer
-/// that keeps a record longer than that must copy the tag.
+/// delivered alarm. `tag` views the registered alarm's own tag, which lives
+/// as long as the manager (a cancelled or delivered one-shot alarm stays in
+/// the registry, unregistered); an observer that keeps a record longer than
+/// that must copy the tag.
 struct DeliveryRecord {
   AlarmId id;
   std::string_view tag;
@@ -70,7 +70,7 @@ struct DeliveryRecord {
 using DeliveryObserver = std::function<void(const DeliveryRecord&)>;
 
 /// One alarm's task inside a joint delivery session. `tag` views the
-/// manager's tag store, as DeliveryRecord::tag does.
+/// alarm's tag, as DeliveryRecord::tag does.
 struct SessionItem {
   AlarmId id;
   AppId app;
@@ -110,11 +110,13 @@ class AlarmManager {
   };
 
   /// All dependencies must outlive the manager. A non-null `arena` backs
-  /// the batch-index node slabs (per-shard in the fleet runner); it must
-  /// outlive the manager and must not be reset while it lives.
+  /// the manager's per-run state — registered alarms, the registry table,
+  /// batches, both queues, the batch-index node slabs and the observer
+  /// lists (per-shard in the fleet runner); it must outlive the manager and
+  /// must not be reset while it lives.
   AlarmManager(sim::Simulator& sim, hw::Device& device, hw::Rtc& rtc,
                hw::WakelockManager& wakelocks,
-               std::unique_ptr<AlignmentPolicy> policy,
+               common::ArenaPtr<AlignmentPolicy> policy,
                common::Arena* arena = nullptr);
 
   AlarmManager(const AlarmManager&) = delete;
@@ -140,7 +142,7 @@ class AlarmManager {
   /// Swaps the alignment policy at runtime and rebatches every queued
   /// alarm under it (the rebatchAllAlarms analogue). Enables adaptive
   /// policy switching, e.g. NATIVE while charged, SIMTY when low.
-  void set_policy(std::unique_ptr<AlignmentPolicy> policy);
+  void set_policy(common::ArenaPtr<AlignmentPolicy> policy);
 
   /// Dissolves every entry and reinserts all alarms in nominal order under
   /// the current policy.
@@ -162,7 +164,7 @@ class AlarmManager {
   const Stats& stats() const { return stats_; }
 
   /// Read-only view of a batch queue (sorted by delivery time).
-  const std::vector<std::unique_ptr<Batch>>& queue(AlarmKind kind) const;
+  const BatchQueue& queue(AlarmKind kind) const;
 
   /// Enables the linear-scan reference checks after every queue mutation:
   /// the stable_sort order equivalence (see sort_queue) plus, for indexed
@@ -219,13 +221,28 @@ class AlarmManager {
   std::vector<std::string> check_invariants() const;
 
  private:
+  /// One registry row per id issued (or restored). A cancelled or delivered
+  /// one-shot alarm keeps its row, with the handler dropped: its tag must
+  /// outlive it (see DeliveryRecord). Rows never move — Batch members point
+  /// at `alarm`, and a running handler may register alarms that grow the
+  /// table — so each is its own arena object.
   struct Registered {
-    std::unique_ptr<Alarm> alarm;
-    DeliveryHandler handler;
-    std::string_view tag;  // the alarm's tag, in tag_store_
+    Registered(Alarm a, DeliveryHandler h)
+        : alarm(std::move(a)), handler(std::move(h)) {}
+    Alarm alarm;
+    DeliveryHandler handler;  // empty iff the alarm is no longer registered
   };
 
-  std::vector<std::unique_ptr<Batch>>& queue_ref(AlarmKind kind);
+  /// The row of `id`, or nullptr. Ids are issued densely from 1, so row
+  /// id - 1 answers a straight run; a restored registry holds only the
+  /// saved alarms (ids with gaps, still ascending) and is searched.
+  Registered* row(AlarmId id);
+  const Registered* row(AlarmId id) const;
+
+  /// The row of a registered alarm; throws naming `what` otherwise.
+  Registered& registered(AlarmId id, const char* what);
+
+  BatchQueue& queue_ref(AlarmKind kind);
   BatchIndex& index_ref(AlarmKind kind);
 
   /// Picks the entry `a` should join: the indexed path (candidate_query →
@@ -241,20 +258,19 @@ class AlarmManager {
 
   /// A singleton entry holding `first`: a recycled batch when one is spare,
   /// a new one otherwise.
-  std::unique_ptr<Batch> make_batch(Alarm* first);
+  common::ArenaPtr<Batch> make_batch(Alarm* first);
 
   /// Returns a batch that left the queue to the spare list. Spares are
   /// scratch storage, never state: snapshots do not see them.
-  void recycle(std::unique_ptr<Batch> batch);
+  void recycle(common::ArenaPtr<Batch> batch);
 
   /// Re-stamps queue positions for q[from, to).
-  static void renumber(std::vector<std::unique_ptr<Batch>>& q, std::size_t from,
-                       std::size_t to);
+  static void renumber(BatchQueue& q, std::size_t from, std::size_t to);
 
   /// Restores sorted order after the batch at `index` changed its delivery
   /// time (a member joined): rotates only the affected batch to its new
   /// position. Equivalent to the old full stable_sort — see sort_queue.
-  void reposition(std::vector<std::unique_ptr<Batch>>& q, std::size_t index);
+  void reposition(BatchQueue& q, std::size_t index);
 
   /// Removes `id` from its queue if present; dissolves the entry and
   /// reinserts the remaining members in nominal order. Returns true if the
@@ -271,29 +287,28 @@ class AlarmManager {
   /// Delivers every due batch in `kind`'s queue (device must be awake).
   void deliver_due(AlarmKind kind);
 
-  void deliver_batch(std::unique_ptr<Batch> batch);
+  void deliver_batch(common::ArenaPtr<Batch> batch);
   void on_device_wake(hw::WakeReason reason);
 
   sim::Simulator& sim_;
   hw::Device& device_;
   hw::Rtc& rtc_;
   hw::WakelockManager& wakelocks_;
-  std::unique_ptr<AlignmentPolicy> policy_;
+  common::ArenaPtr<AlignmentPolicy> policy_;
+  common::Arena* arena_;
 
-  std::map<std::uint64_t, Registered> registry_;
-  // Every registered (or restored) alarm's tag, copied once and never
-  // erased: delivery records, session items and staggered wakelock
-  // acquisitions carry views into it instead of copies. A deque keeps the
-  // strings in place as it grows.
-  std::deque<std::string> tag_store_;
-  std::vector<std::unique_ptr<Batch>> queues_[2];
+  // Rows in ascending id order (see row()); delivery records, session
+  // items and staggered wakelock acquisitions view the rows' alarm tags.
+  common::ArenaVector<common::ArenaPtr<Registered>> registry_;
+  std::size_t registered_count_ = 0;  // rows with a handler
+  BatchQueue queues_[2];
   BatchIndex indices_[2];  // mirrors queues_: one interval index per kind
-  std::vector<std::unique_ptr<Batch>> spare_batches_;  // see recycle()
-  std::vector<std::size_t> candidates_;  // collect() scratch, reused across inserts
+  BatchQueue spare_batches_;  // see recycle()
+  common::ArenaVector<std::size_t> candidates_;  // collect() scratch, reused across inserts
   SessionRecord session_;  // deliver_batch scratch, reused across sessions
   bool delivering_ = false;  // deliver_batch reentrancy guard
-  std::vector<DeliveryObserver> observers_;
-  std::vector<SessionObserver> session_observers_;
+  common::ArenaVector<DeliveryObserver> observers_;
+  common::ArenaVector<SessionObserver> session_observers_;
   DeliveryGate delivery_gate_;
   std::optional<sim::EventId> nonwakeup_check_;
   Stats stats_;

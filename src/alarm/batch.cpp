@@ -6,7 +6,7 @@
 
 namespace simty::alarm {
 
-Batch::Batch(Alarm* first) {
+Batch::Batch(Alarm* first, common::Arena* arena) : members_(arena) {
   SIMTY_CHECK(first != nullptr);
   add(first);
 }

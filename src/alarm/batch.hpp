@@ -10,21 +10,22 @@
 // entry whose members were aligned via medium time similarity.
 
 #include <cstdint>
-#include <vector>
 
 #include "alarm/alarm.hpp"
+#include "common/arena.hpp"
 #include "common/interval.hpp"
 #include "hw/component.hpp"
 
 namespace simty::alarm {
 
 /// A queue entry of alarms aligned for joint delivery. Holds non-owning
-/// pointers into the manager's alarm registry.
+/// pointers into the manager's alarm registry; a non-null `arena` backs the
+/// member buffer (the manager's per-run arena).
 class Batch {
  public:
   Batch() = default;
 
-  explicit Batch(Alarm* first);
+  explicit Batch(Alarm* first, common::Arena* arena = nullptr);
 
   /// Turns this batch into a fresh singleton entry holding `first`, keeping
   /// the member buffer's capacity (the manager recycles delivered batches).
@@ -42,7 +43,7 @@ class Batch {
   bool contains(AlarmId id) const;
   bool empty() const { return members_.empty(); }
   std::size_t size() const { return members_.size(); }
-  const std::vector<Alarm*>& members() const { return members_; }
+  const common::ArenaVector<Alarm*>& members() const { return members_; }
 
   /// Intersection of member window intervals; may be empty (see above).
   const TimeInterval& window_interval() const { return window_; }
@@ -82,7 +83,7 @@ class Batch {
   void set_index_slot(std::int32_t slot) { index_slot_ = slot; }
 
  private:
-  std::vector<Alarm*> members_;
+  common::ArenaVector<Alarm*> members_;
   TimeInterval window_ = TimeInterval::empty();
   TimeInterval grace_ = TimeInterval::empty();
   hw::ComponentSet hardware_;
@@ -91,5 +92,9 @@ class Batch {
   std::size_t queue_pos_ = 0;
   std::int32_t index_slot_ = -1;
 };
+
+/// One batch queue, sorted by delivery time. Entries and the array itself
+/// live in the manager's per-run arena when it has one.
+using BatchQueue = common::ArenaVector<common::ArenaPtr<Batch>>;
 
 }  // namespace simty::alarm

@@ -156,7 +156,7 @@ void BatchIndex::update(Batch* batch) {
 void BatchIndex::collect_node(std::int32_t t, std::int64_t qs, std::int64_t qe,
                               const TimeInterval& interval,
                               EntryIntervalKind kind,
-                              std::vector<std::size_t>& out) const {
+                              common::ArenaVector<std::size_t>& out) const {
   if (t < 0) return;
   const Node& n = nodes_[static_cast<std::size_t>(t)];
   // No grace interval in this subtree reaches the query's start.
@@ -173,7 +173,7 @@ void BatchIndex::collect_node(std::int32_t t, std::int64_t qs, std::int64_t qe,
 }
 
 void BatchIndex::collect(const TimeInterval& interval, EntryIntervalKind kind,
-                         std::vector<std::size_t>& out) const {
+                         common::ArenaVector<std::size_t>& out) const {
   if (interval.is_empty()) return;
   collect_node(root_, interval.start().us(), interval.end().us(), interval,
                kind, out);

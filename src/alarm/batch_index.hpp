@@ -76,7 +76,7 @@ class BatchIndex {
   /// query and subtrees whose keys start after it. An empty query interval
   /// overlaps nothing.
   void collect(const TimeInterval& interval, EntryIntervalKind kind,
-               std::vector<std::size_t>& out) const;
+               common::ArenaVector<std::size_t>& out) const;
 
   /// Insertion-counter position, carried across snapshot/restore so a
   /// restored index hands out the same priority stream as a straight run.
@@ -128,7 +128,7 @@ class BatchIndex {
   std::int32_t erase_node(std::int32_t t, const Node& victim);
   void collect_node(std::int32_t t, std::int64_t qs, std::int64_t qe,
                     const TimeInterval& interval, EntryIntervalKind kind,
-                    std::vector<std::size_t>& out) const;
+                    common::ArenaVector<std::size_t>& out) const;
 
   common::ArenaVector<Node> nodes_;          // slab; free slots recycled
   common::ArenaVector<std::int32_t> free_;   // recyclable slots

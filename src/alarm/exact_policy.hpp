@@ -14,7 +14,7 @@ class ExactPolicy : public AlignmentPolicy {
   std::string name() const override { return "EXACT"; }
 
   std::optional<std::size_t> select_batch(
-      const Alarm&, const std::vector<std::unique_ptr<Batch>>&) const override {
+      const Alarm&, const BatchQueue&) const override {
     return std::nullopt;
   }
 };

@@ -32,7 +32,7 @@ bool FixedIntervalPolicy::joinable(std::int64_t slot, const TimeInterval& window
 }
 
 std::optional<std::size_t> FixedIntervalPolicy::select_batch(
-    const Alarm& alarm, const std::vector<std::unique_ptr<Batch>>& queue) const {
+    const Alarm& alarm, const BatchQueue& queue) const {
   const std::int64_t slot = slot_of(alarm.nominal());
   const TimeInterval window = alarm.window_interval();
   const TimeInterval grace = alarm.grace_interval();
@@ -55,8 +55,8 @@ std::optional<CandidateQuery> FixedIntervalPolicy::candidate_query(
 }
 
 std::optional<std::size_t> FixedIntervalPolicy::select_among(
-    const Alarm& alarm, const std::vector<std::unique_ptr<Batch>>& queue,
-    const std::vector<std::size_t>& candidates) const {
+    const Alarm& alarm, const BatchQueue& queue,
+    std::span<const std::size_t> candidates) const {
   const std::int64_t slot = slot_of(alarm.nominal());
   const TimeInterval window = alarm.window_interval();
   const TimeInterval grace = alarm.grace_interval();

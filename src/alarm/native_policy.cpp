@@ -3,7 +3,7 @@
 namespace simty::alarm {
 
 std::optional<std::size_t> NativePolicy::select_batch(
-    const Alarm& alarm, const std::vector<std::unique_ptr<Batch>>& queue) const {
+    const Alarm& alarm, const BatchQueue& queue) const {
   const TimeInterval window = alarm.window_interval();
   // Linear reference implementation, differentially checked against the
   // indexed candidate path under slow queue checks.
@@ -24,8 +24,8 @@ std::optional<CandidateQuery> NativePolicy::candidate_query(
 }
 
 std::optional<std::size_t> NativePolicy::select_among(
-    const Alarm&, const std::vector<std::unique_ptr<Batch>>&,
-    const std::vector<std::size_t>& candidates) const {
+    const Alarm&, const BatchQueue&,
+    std::span<const std::size_t> candidates) const {
   // Candidates are exactly the entries whose window overlap intersects the
   // alarm's window, in ascending queue position — NATIVE joins the first.
   if (candidates.empty()) return std::nullopt;

@@ -5,8 +5,7 @@
 namespace simty::alarm {
 
 std::optional<std::size_t> AlignmentPolicy::select_among(
-    const Alarm&, const std::vector<std::unique_ptr<Batch>>&,
-    const std::vector<std::size_t>&) const {
+    const Alarm&, const BatchQueue&, std::span<const std::size_t>) const {
   SIMTY_CHECK_MSG(false,
                   "policy advertises a candidate_query but does not "
                   "implement select_among");

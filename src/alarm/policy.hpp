@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,7 @@ class AlignmentPolicy {
   /// candidate_query()/select_among() when a query is advertised.
   virtual std::optional<std::size_t> select_batch(
       const Alarm& alarm,
-      const std::vector<std::unique_ptr<Batch>>& queue) const = 0;
+      const BatchQueue& queue) const = 0;
 
   /// The overlap query whose result set contains every entry this policy
   /// could join for `alarm`, or nullopt when the policy has no indexed
@@ -72,8 +73,8 @@ class AlignmentPolicy {
   /// select_batch over the full queue. Must be overridden by any policy
   /// that advertises a candidate_query.
   virtual std::optional<std::size_t> select_among(
-      const Alarm& alarm, const std::vector<std::unique_ptr<Batch>>& queue,
-      const std::vector<std::size_t>& candidates) const;
+      const Alarm& alarm, const BatchQueue& queue,
+      std::span<const std::size_t> candidates) const;
 };
 
 }  // namespace simty::alarm

@@ -18,7 +18,7 @@ int SimtyPolicy::rank_of(const TimeInterval& window, const TimeInterval& grace,
 }
 
 std::optional<std::size_t> SimtyPolicy::select_batch(
-    const Alarm& alarm, const std::vector<std::unique_ptr<Batch>>& queue) const {
+    const Alarm& alarm, const BatchQueue& queue) const {
   const TimeInterval window = alarm.window_interval();
   const TimeInterval grace = alarm.grace_interval();
   const bool alarm_perceptible = alarm.perceptible();
@@ -52,8 +52,8 @@ std::optional<CandidateQuery> SimtyPolicy::candidate_query(
 }
 
 std::optional<std::size_t> SimtyPolicy::select_among(
-    const Alarm& alarm, const std::vector<std::unique_ptr<Batch>>& queue,
-    const std::vector<std::size_t>& candidates) const {
+    const Alarm& alarm, const BatchQueue& queue,
+    std::span<const std::size_t> candidates) const {
   const TimeInterval window = alarm.window_interval();
   const TimeInterval grace = alarm.grace_interval();
   const bool alarm_perceptible = alarm.perceptible();

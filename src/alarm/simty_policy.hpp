@@ -31,14 +31,14 @@ class SimtyPolicy : public AlignmentPolicy {
 
   std::optional<std::size_t> select_batch(
       const Alarm& alarm,
-      const std::vector<std::unique_ptr<Batch>>& queue) const override;
+      const BatchQueue& queue) const override;
 
   std::optional<CandidateQuery> candidate_query(
       const Alarm& alarm) const override;
 
   std::optional<std::size_t> select_among(
-      const Alarm& alarm, const std::vector<std::unique_ptr<Batch>>& queue,
-      const std::vector<std::size_t>& candidates) const override;
+      const Alarm& alarm, const BatchQueue& queue,
+      std::span<const std::size_t> candidates) const override;
 
  protected:
   /// Tie-break hook among entries with equal Table-1 rank; the base policy

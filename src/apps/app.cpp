@@ -1,6 +1,7 @@
 #include "apps/app.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "snapshot/snapshot.hpp"
@@ -22,11 +23,14 @@ void ResidentApp::launch(alarm::AlarmManager& manager, TimePoint now,
   // The platform assigns the grace factor; it must cover the app's window
   // (grace >= window, §3.1.2).
   const double grace = std::max(beta, profile_.alpha);
+  constexpr std::string_view kSuffix = ".major";
+  std::string tag;
+  tag.reserve(profile_.name.size() + kSuffix.size());  // one allocation, if any
+  tag.append(profile_.name).append(kSuffix);
   alarm::AlarmSpec spec = alarm::AlarmSpec::repeating(
-      profile_.name + ".major", app_id, profile_.mode, profile_.repeat,
-      profile_.alpha, grace);
+      std::move(tag), app_id, profile_.mode, profile_.repeat, profile_.alpha, grace);
   app_id_ = app_id;
-  alarm_id_ = manager.register_alarm(spec, now + profile_.repeat,
+  alarm_id_ = manager.register_alarm(std::move(spec), now + profile_.repeat,
                                      major_handler(manager));
 }
 

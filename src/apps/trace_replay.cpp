@@ -32,28 +32,33 @@ alarm::TaskSpec IrregularApp::next_task() {
   return alarm::TaskSpec{profile_.hardware, irregular_hold(profile_, rng_)};
 }
 
-ImitatedApp::ImitatedApp(AppProfile profile, AppTrace trace)
+ImitatedApp::ImitatedApp(AppProfile profile, const AppTrace& trace)
     : ResidentApp(std::move(profile), Rng(0)),
-      trace_(std::move(trace)),
-      length_(trace_.entries.size()),
+      length_(trace.entries.size()),
       recorder_(0) {
   SIMTY_CHECK_MSG(length_ > 0, "imitated app needs a non-empty trace");
+  entries_.reserve(length_);
+  for (const TraceEntry& e : trace.entries) entries_.push_back(e);
 }
 
-ImitatedApp::ImitatedApp(AppProfile profile, std::size_t length, std::uint64_t seed)
-    : ResidentApp(std::move(profile), Rng(0)), length_(length), recorder_(seed) {
+ImitatedApp::ImitatedApp(AppProfile profile, std::size_t length, std::uint64_t seed,
+                         common::Arena* arena)
+    : ResidentApp(std::move(profile), Rng(0)),
+      entries_(arena),
+      length_(length),
+      recorder_(seed) {
   SIMTY_CHECK_MSG(length_ > 0, "imitated app needs a non-empty trace");
   // Recording happens on the delivery path, which must not allocate.
-  trace_.entries.reserve(length_);
+  entries_.reserve(length_);
 }
 
 const TraceEntry& ImitatedApp::entry(std::size_t i) {
   SIMTY_CHECK_MSG(i < length_, "ImitatedApp::entry: index past the trace");
-  while (trace_.entries.size() <= i) {
-    trace_.entries.push_back(
+  while (entries_.size() <= i) {
+    entries_.push_back(
         TraceEntry{profile_.hardware, irregular_hold(profile_, recorder_)});
   }
-  return trace_.entries[i];
+  return entries_[i];
 }
 
 void ImitatedApp::save(snapshot::Writer& w) const {

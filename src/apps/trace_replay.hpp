@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "apps/app.hpp"
+#include "common/arena.hpp"
 
 namespace simty::apps {
 
@@ -46,12 +47,14 @@ class ImitatedApp : public ResidentApp {
  public:
   /// Replays a caller-supplied trace verbatim (e.g. one extracted from a
   /// delivery log).
-  ImitatedApp(AppProfile profile, AppTrace trace);
+  ImitatedApp(AppProfile profile, const AppTrace& trace);
 
   /// Replays record_trace(profile, length, seed), recording entry i on
   /// first use: each entry is the next draw of the seed's stream, so the
   /// trace is prefix-stable and a run records only the entries it replays.
-  ImitatedApp(AppProfile profile, std::size_t length, std::uint64_t seed);
+  /// A non-null `arena` backs the recorded entries.
+  ImitatedApp(AppProfile profile, std::size_t length, std::uint64_t seed,
+              common::Arena* arena = nullptr);
 
   std::size_t trace_length() const { return length_; }
 
@@ -68,9 +71,9 @@ class ImitatedApp : public ResidentApp {
   alarm::TaskSpec next_task() override;
 
  private:
-  AppTrace trace_;       // the entries recorded so far, reserved to length_
+  common::ArenaVector<TraceEntry> entries_;  // recorded so far, reserved to length_
   std::size_t length_;   // the replay wraps here
-  Rng recorder_;         // the recording stream, positioned after trace_
+  Rng recorder_;         // the recording stream, positioned after entries_
   std::size_t cursor_ = 0;
 };
 

@@ -7,10 +7,13 @@
 
 namespace simty::apps {
 
-Workload::Workload(WorkloadConfig config) : config_(config) {}
+Workload::Workload(WorkloadConfig config, common::Arena* arena)
+    : config_(config), arena_(arena), apps_(arena), launch_events_(arena) {}
 
 void Workload::add_profiles(const std::vector<AppProfile>& profiles, Rng& rng) {
-  for (AppProfile p : profiles) {
+  apps_.reserve(profiles.size());
+  for (const AppProfile& profile : profiles) {
+    AppProfile p = profile;  // the app's own copy, moved in below
     if (config_.retry_probability >= 0.0) {
       p.retry_probability = config_.retry_probability;
     }
@@ -22,23 +25,25 @@ void Workload::add_profiles(const std::vector<AppProfile>& profiles, Rng& rng) {
       // NATIVE and SIMTY for a fair comparison. The hash starts from
       // the FNV offset basis with its last digit dropped, as it always has:
       // the standard basis would re-record every imitated trace.
-      apps_.push_back(std::make_unique<ImitatedApp>(
-          p, kImitatedTraceLength, common::fnv1a64(p.name, 1469598103934665603ull)));
+      const std::uint64_t seed = common::fnv1a64(p.name, 1469598103934665603ull);
+      apps_.push_back(common::make_arena_ptr<ImitatedApp>(
+          arena_, std::move(p), kImitatedTraceLength, seed, arena_));
     } else {
-      apps_.push_back(std::make_unique<ResidentApp>(p, rng.fork(apps_.size())));
+      const Rng app_rng = rng.fork(apps_.size());
+      apps_.push_back(common::make_arena_ptr<ResidentApp>(arena_, std::move(p), app_rng));
     }
   }
 }
 
-Workload Workload::light(const WorkloadConfig& config) {
-  Workload w(config);
+Workload Workload::light(const WorkloadConfig& config, common::Arena* arena) {
+  Workload w(config, arena);
   Rng rng(config.seed, 0xA11);
   w.add_profiles(light_workload_profiles(), rng);
   return w;
 }
 
-Workload Workload::heavy(const WorkloadConfig& config) {
-  Workload w(config);
+Workload Workload::heavy(const WorkloadConfig& config, common::Arena* arena) {
+  Workload w(config, arena);
   Rng rng(config.seed, 0xB22);
   w.add_profiles(heavy_workload_profiles(), rng);
   return w;
@@ -48,25 +53,26 @@ Workload Workload::from_imitations(
     std::vector<std::pair<AppProfile, AppTrace>> imitations,
     const WorkloadConfig& config) {
   SIMTY_CHECK_MSG(!imitations.empty(), "imitation workload needs at least one app");
-  Workload w(config);
+  Workload w(config, nullptr);
   for (auto& [profile, trace] : imitations) {
-    w.apps_.push_back(std::make_unique<ImitatedApp>(profile, std::move(trace)));
+    w.apps_.push_back(std::make_unique<ImitatedApp>(std::move(profile), trace));
   }
   return w;
 }
 
 Workload Workload::from_profiles(const std::vector<AppProfile>& profiles,
-                                 const WorkloadConfig& config) {
+                                 const WorkloadConfig& config, common::Arena* arena) {
   SIMTY_CHECK_MSG(!profiles.empty(), "custom workload needs at least one profile");
-  Workload w(config);
+  Workload w(config, arena);
   Rng rng(config.seed, 0xD44);
   w.add_profiles(profiles, rng);
   return w;
 }
 
-Workload Workload::synthetic(std::size_t n, const WorkloadConfig& config) {
+Workload Workload::synthetic(std::size_t n, const WorkloadConfig& config,
+                             common::Arena* arena) {
   SIMTY_CHECK(n > 0);
-  Workload w(config);
+  Workload w(config, arena);
   Rng rng(config.seed, 0xC33);
 
   // Attribute ranges mirror Table 3's population: mostly Wi-Fi messengers,
@@ -94,7 +100,8 @@ Workload Workload::synthetic(std::size_t n, const WorkloadConfig& config) {
       p.base_hold = Duration::seconds(1);
     }
     p.hold_jitter = 0.3;
-    w.apps_.push_back(std::make_unique<ResidentApp>(p, rng.fork(1000 + i)));
+    w.apps_.push_back(
+        common::make_arena_ptr<ResidentApp>(arena, std::move(p), rng.fork(1000 + i)));
   }
   return w;
 }

@@ -13,6 +13,7 @@
 #include "alarm/alarm_manager.hpp"
 #include "apps/app.hpp"
 #include "apps/trace_replay.hpp"
+#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -42,23 +43,27 @@ struct WorkloadConfig {
   double retry_probability = -1.0;
 };
 
-/// A set of resident apps ready to deploy into a simulation.
+/// A set of resident apps ready to deploy into a simulation. A non-null
+/// `arena` given to a factory backs the apps, their recorded traces and the
+/// launch list; it must outlive the workload.
 class Workload {
  public:
   /// The paper's light workload: 11 Wi-Fi messengers + Alarm Clock.
-  static Workload light(const WorkloadConfig& config);
+  static Workload light(const WorkloadConfig& config, common::Arena* arena = nullptr);
 
   /// The paper's heavy workload: all 18 apps (5 of them imitated).
-  static Workload heavy(const WorkloadConfig& config);
+  static Workload heavy(const WorkloadConfig& config, common::Arena* arena = nullptr);
 
   /// Synthetic workload of `n` apps with randomized attributes drawn from
   /// Table-3-like ranges (for scalability sweeps).
-  static Workload synthetic(std::size_t n, const WorkloadConfig& config);
+  static Workload synthetic(std::size_t n, const WorkloadConfig& config,
+                            common::Arena* arena = nullptr);
 
   /// Workload from caller-supplied profiles (custom scenarios); irregular
   /// profiles get trace-replay imitations exactly like the heavy workload.
   static Workload from_profiles(const std::vector<AppProfile>& profiles,
-                                const WorkloadConfig& config);
+                                const WorkloadConfig& config,
+                                common::Arena* arena = nullptr);
 
   /// Workload of imitated apps replaying caller-supplied traces verbatim
   /// (e.g. traces extracted from a recorded delivery log).
@@ -75,7 +80,9 @@ class Workload {
   void deploy(sim::Simulator& sim, alarm::AlarmManager& manager,
               const net::WifiLink* link = nullptr);
 
-  const std::vector<std::unique_ptr<ResidentApp>>& apps() const { return apps_; }
+  const common::ArenaVector<common::ArenaPtr<ResidentApp>>& apps() const {
+    return apps_;
+  }
   const WorkloadConfig& config() const { return config_; }
 
   /// Resolves delivery handlers for this workload's alarms on restore:
@@ -92,12 +99,13 @@ class Workload {
                alarm::AlarmManager& manager);
 
  private:
-  explicit Workload(WorkloadConfig config);
+  Workload(WorkloadConfig config, common::Arena* arena);
   void add_profiles(const std::vector<AppProfile>& profiles, Rng& rng);
 
   WorkloadConfig config_;
-  std::vector<std::unique_ptr<ResidentApp>> apps_;
-  std::vector<sim::EventId> launch_events_;  // one per app, filled by deploy()
+  common::Arena* arena_;
+  common::ArenaVector<common::ArenaPtr<ResidentApp>> apps_;
+  common::ArenaVector<sim::EventId> launch_events_;  // one per app, filled by deploy()
 };
 
 }  // namespace simty::apps

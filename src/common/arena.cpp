@@ -4,6 +4,10 @@
 #include <sys/mman.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace simty::common {
 
 namespace {
@@ -42,6 +46,26 @@ void aligned_block_free(std::byte* p) {
   ::operator delete(static_cast<void*>(p), std::align_val_t{Arena::kMaxAlign});
 }
 
+// Under ASan only the bytes allocate() handed out since the last reset()
+// are addressable; elsewhere these are no-ops.
+void poison(std::byte* p, std::size_t bytes) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(p, bytes);
+#else
+  static_cast<void>(p);
+  static_cast<void>(bytes);
+#endif
+}
+
+void unpoison(std::byte* p, std::size_t bytes) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#else
+  static_cast<void>(p);
+  static_cast<void>(bytes);
+#endif
+}
+
 std::size_t align_up(std::size_t n, std::size_t align) {
   return (n + (align - 1)) & ~(align - 1);
 }
@@ -53,7 +77,10 @@ Arena::Arena(std::size_t first_block_bytes)
                                                 : first_block_bytes) {}
 
 Arena::~Arena() {
-  for (Block& b : blocks_) aligned_block_free(b.data);
+  for (Block& b : blocks_) {
+    unpoison(b.data, b.capacity);
+    aligned_block_free(b.data);
+  }
 }
 
 void* Arena::allocate(std::size_t bytes, std::size_t align) {
@@ -64,6 +91,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
     if (bytes <= blocks_[current_].capacity - at &&
         at <= blocks_[current_].capacity) {
       offset_ = at + bytes;
+      unpoison(blocks_[current_].data + at, bytes);
       return blocks_[current_].data + at;
     }
   }
@@ -78,6 +106,7 @@ void* Arena::allocate_slow(std::size_t bytes, std::size_t /*align*/) {
     offset_ = 0;
     if (bytes <= blocks_[current_].capacity) {
       offset_ = bytes;
+      unpoison(blocks_[current_].data, bytes);
       return blocks_[current_].data;
     }
   }
@@ -89,10 +118,14 @@ void* Arena::allocate_slow(std::size_t bytes, std::size_t /*align*/) {
   ++block_allocs_;
   current_ = blocks_.size() - 1;
   offset_ = bytes;
+  poison(blocks_[current_].data + bytes, cap - bytes);
   return blocks_[current_].data;
 }
 
 void Arena::reset() {
+  // Under ASan the rewound blocks become unaddressable until allocate()
+  // hands them out again: storage used after its run ended is reported.
+  for (Block& b : blocks_) poison(b.data, b.capacity);
   current_ = 0;
   offset_ = 0;
   ++resets_;

@@ -20,10 +20,18 @@
 // ArenaVector<T> is the growable-array shim used by the hot paths: with an
 // arena it bump-allocates and abandons old capacity (reclaimed wholesale at
 // reset); without one it falls back to the heap so all call sites work
-// unchanged when no arena is configured.
+// unchanged when no arena is configured. ArenaPtr<T> (make_arena_ptr) is
+// the same contract for one object: a unique_ptr whose deleter runs the
+// destructor and frees only heap storage.
+//
+// Under AddressSanitizer, reset() poisons every block and allocate()
+// unpoisons what it hands out, so a use of run storage after the owner's
+// reset is reported even though the blocks stay allocated.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -149,6 +157,8 @@ class ArenaVector {
 
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
+  T& front() { return data_[0]; }
+  const T& front() const { return data_[0]; }
   T& back() { return data_[size_ - 1]; }
   const T& back() const { return data_[size_ - 1]; }
 
@@ -171,6 +181,20 @@ class ArenaVector {
   void pop_back() {
     --size_;
     data_[size_].~T();
+  }
+
+  /// Inserts `value` before `pos`, shifting the tail up; returns the slot.
+  T* insert(T* pos, T&& value) {
+    const std::size_t at = static_cast<std::size_t>(pos - data_);
+    emplace_back(std::move(value));
+    std::rotate(data_ + at, data_ + size_ - 1, data_ + size_);
+    return data_ + at;
+  }
+
+  /// Removes the element at `pos`, shifting the tail down.
+  void erase(T* pos) {
+    std::move(pos + 1, data_ + size_, pos);
+    pop_back();
   }
 
   /// Destroys elements; keeps capacity (the steady-state reuse path).
@@ -242,5 +266,41 @@ class ArenaVector {
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
 };
+
+/// Deleter of make_arena_ptr's objects: runs the destructor, and frees the
+/// storage only when it came from the heap (arena storage is reclaimed by
+/// Arena::reset()). Converts from std::default_delete, so a
+/// std::unique_ptr<U> hands its object over to an ArenaPtr.
+struct ArenaDelete {
+  Arena* arena = nullptr;
+
+  ArenaDelete() = default;
+  explicit ArenaDelete(Arena* a) : arena(a) {}
+  template <typename U>
+  ArenaDelete(std::default_delete<U>) noexcept {}  // implicit: see above
+
+  template <typename T>
+  void operator()(T* p) const noexcept {
+    if (arena == nullptr) {
+      delete p;
+    } else {
+      p->~T();
+    }
+  }
+};
+
+/// Owning pointer to one object carved from an Arena (or the heap).
+template <typename T>
+using ArenaPtr = std::unique_ptr<T, ArenaDelete>;
+
+/// Constructs a T in `arena`, or on the heap when arena == nullptr. The
+/// object must be destroyed (its ArenaPtr dropped) before the arena resets.
+template <typename T, typename... Args>
+ArenaPtr<T> make_arena_ptr(Arena* arena, Args&&... args) {
+  static_assert(alignof(T) <= Arena::kMaxAlign, "alignment exceeds Arena::kMaxAlign");
+  if (arena == nullptr) return ArenaPtr<T>(new T(std::forward<Args>(args)...));
+  void* p = arena->allocate(sizeof(T), alignof(T));
+  return ArenaPtr<T>(::new (p) T(std::forward<Args>(args)...), ArenaDelete(arena));
+}
 
 }  // namespace simty::common

@@ -43,16 +43,18 @@ const char* to_string(WorkloadKind w) {
   return "?";
 }
 
-std::unique_ptr<alarm::AlignmentPolicy> make_policy(const ExperimentConfig& config) {
+common::ArenaPtr<alarm::AlignmentPolicy> make_policy(const ExperimentConfig& config) {
+  common::Arena* arena = config.arena_opts.arena;
   switch (config.policy) {
-    case PolicyKind::kNative: return std::make_unique<alarm::NativePolicy>();
+    case PolicyKind::kNative: return common::make_arena_ptr<alarm::NativePolicy>(arena);
     case PolicyKind::kSimty:
-      return std::make_unique<alarm::SimtyPolicy>(config.similarity);
-    case PolicyKind::kExact: return std::make_unique<alarm::ExactPolicy>();
+      return common::make_arena_ptr<alarm::SimtyPolicy>(arena, config.similarity);
+    case PolicyKind::kExact: return common::make_arena_ptr<alarm::ExactPolicy>(arena);
     case PolicyKind::kSimtyDuration:
-      return std::make_unique<alarm::DurationSimtyPolicy>(config.similarity);
+      return common::make_arena_ptr<alarm::DurationSimtyPolicy>(arena, config.similarity);
     case PolicyKind::kFixedInterval:
-      return std::make_unique<alarm::FixedIntervalPolicy>(config.fixed_interval);
+      return common::make_arena_ptr<alarm::FixedIntervalPolicy>(arena,
+                                                                config.fixed_interval);
   }
   SIMTY_CHECK_MSG(false, "unknown policy kind");
   return nullptr;
@@ -273,7 +275,7 @@ std::vector<RunResult> run_sweep(const std::vector<ExperimentConfig>& configs,
       arena.reset();
       config.arena_opts.arena = &arena;
     }
-    return run_experiment(config);
+    return run_experiment(std::move(config));
   });
 }
 

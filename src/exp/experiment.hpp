@@ -122,14 +122,17 @@ struct ExperimentConfig {
   /// check. Must outlive the run; not thread-safe across runs.
   trace::Tracer* tracer = nullptr;
 
-  /// Per-run storage backing. A non-null arena is threaded behind the
-  /// run's event-queue slabs and batch-index nodes, so a caller that runs
-  /// many experiments back to back (the fleet shard loop, sweep
-  /// repetitions) can reset() between runs instead of reallocating.
-  /// Presence of an arena never changes any result bit. The arena must
-  /// outlive the run and, being single-threaded, forces the serial path in
-  /// run_repeated (the parallel runner injects its own per-worker arenas
-  /// when the config carries none).
+  /// Per-run storage backing. A non-null arena backs the run's per-run
+  /// state: event-queue slabs, the policy, registered alarms and their
+  /// registry, batches and queues, batch-index nodes, apps and their
+  /// traces, the listener and observer lists and the interval audit. A
+  /// caller that runs many experiments back to back (the fleet shard loop,
+  /// sweep repetitions) resets it between runs, so a warmed arena leaves a
+  /// run a handful of heap allocations (the fleet-shard alloc gate's
+  /// budget). Presence of an arena never changes any result bit. The arena
+  /// must outlive the run and, being single-threaded, forces the serial
+  /// path in run_repeated (the parallel runner injects its own per-worker
+  /// arenas when the config carries none).
   struct ArenaOptions {
     common::Arena* arena = nullptr;
   };
@@ -281,11 +284,12 @@ void for_each_scalar(F&& f) {
 /// The CPU row of the Table 4 wakeup breakdown (zero counts when absent).
 RunResult::HwCounts cpu_wakeups(const RunResult& r);
 
-/// The alignment policy `config.policy` names, set up from its fields.
-std::unique_ptr<alarm::AlignmentPolicy> make_policy(const ExperimentConfig& config);
+/// The alignment policy `config.policy` names, set up from its fields, in
+/// the config's arena when it carries one.
+common::ArenaPtr<alarm::AlignmentPolicy> make_policy(const ExperimentConfig& config);
 
-/// Runs one seeded experiment.
-RunResult run_experiment(const ExperimentConfig& config);
+/// Runs one seeded experiment; a moved-in config is not copied again.
+RunResult run_experiment(ExperimentConfig config);
 
 /// Runs every config and returns the results in the order given, fanned
 /// out over `jobs` threads with common::parallel_map (whose doc comment

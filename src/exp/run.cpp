@@ -14,17 +14,18 @@ apps::Workload make_workload(const ExperimentConfig& config) {
   apps::WorkloadConfig wc;
   wc.seed = config.seed;
   wc.beta = config.beta;
+  common::Arena* arena = config.arena_opts.arena;
   if (!config.custom_profiles.empty()) {
-    return apps::Workload::from_profiles(config.custom_profiles, wc);
+    return apps::Workload::from_profiles(config.custom_profiles, wc, arena);
   }
   switch (config.workload) {
-    case WorkloadKind::kLight: return apps::Workload::light(wc);
-    case WorkloadKind::kHeavy: return apps::Workload::heavy(wc);
+    case WorkloadKind::kLight: return apps::Workload::light(wc, arena);
+    case WorkloadKind::kHeavy: return apps::Workload::heavy(wc, arena);
     case WorkloadKind::kSynthetic:
-      return apps::Workload::synthetic(config.synthetic_apps, wc);
+      return apps::Workload::synthetic(config.synthetic_apps, wc, arena);
   }
   SIMTY_CHECK_MSG(false, "unknown workload kind");
-  return apps::Workload::light(wc);
+  return apps::Workload::light(wc, arena);
 }
 
 int begin_run_span(std::uint64_t seed) {
@@ -50,17 +51,19 @@ constexpr std::uint32_t kSectionVersion = 3;
 
 }  // namespace
 
-Run::Run(const ExperimentConfig& config)
-    : config_(config),
+Run::Run(ExperimentConfig config)
+    : config_(std::move(config)),
       trace_scope_(config_.tracer),
       run_span_(begin_run_span(config_.seed)),
       sim_(config_.arena_opts.arena),
+      bus_(config_.arena_opts.arena),
       listeners_wired_(wire_listeners(bus_, accountant_, config_)),
       device_(sim_, config_.power_model, bus_),
       rtc_(sim_, device_),
       wakelocks_(sim_, config_.power_model, bus_),
       manager_(sim_, device_, rtc_, wakelocks_, make_policy(config_),
                config_.arena_opts.arena),
+      audit_(config_.arena_opts.arena),
       workload_(make_workload(config_)),
       doze_(sim_, manager_, device_, alarm::DozeController::Config{}),
       horizon_(TimePoint::origin() + config_.duration) {
@@ -268,11 +271,13 @@ RunResult Run::finish() {
   if (!delays_.imperceptible_distribution().empty()) {
     r.delay_imperceptible_p95 = delays_.imperceptible_distribution().quantile(0.95);
   }
-  for (const metrics::BreakdownRow& row : wakeup_accounting_.rows(device_, wakelocks_)) {
-    r.wakeups.push_back(RunResult::HwCounts{row.hardware,
-                                            static_cast<double>(row.actual),
-                                            static_cast<double>(row.expected)});
-  }
+  r.wakeups.reserve(metrics::WakeupAccounting::kRowCount);
+  wakeup_accounting_.for_each_row(
+      device_, wakelocks_,
+      [&r](const char* hardware, std::uint64_t actual, std::uint64_t expected) {
+        r.wakeups.push_back(RunResult::HwCounts{hardware, static_cast<double>(actual),
+                                                static_cast<double>(expected)});
+      });
   r.deliveries = static_cast<double>(manager_.stats().deliveries);
   r.batches_delivered = static_cast<double>(manager_.stats().batches_delivered);
   r.one_shots = static_cast<double>(one_shots_);
@@ -297,8 +302,8 @@ RunResult Run::finish() {
   return r;
 }
 
-RunResult run_experiment(const ExperimentConfig& config) {
-  Run run(config);
+RunResult run_experiment(ExperimentConfig config) {
+  Run run(std::move(config));
   return run.finish();
 }
 

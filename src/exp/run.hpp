@@ -54,7 +54,7 @@ namespace simty::exp {
 /// pins the object to the constructing thread.
 class Run {
  public:
-  explicit Run(const ExperimentConfig& config);
+  explicit Run(ExperimentConfig config);
 
   Run(const Run&) = delete;
   Run& operator=(const Run&) = delete;

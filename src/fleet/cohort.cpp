@@ -43,13 +43,17 @@ void CohortSpec::validate() const {
                   "cohort beta range must satisfy 0 <= lo <= hi < 1");
   SIMTY_CHECK_MSG(wearable_fraction >= 0.0 && wearable_fraction <= 1.0,
                   "cohort wearable_fraction must be in [0, 1]");
-  SIMTY_CHECK_MSG(power_scale_lo > 0.0 && power_scale_lo <= power_scale_hi,
-                  "cohort power scale range must satisfy 0 < lo <= hi");
+  SIMTY_CHECK_MSG(power_scale_lo > 0.0 && power_scale_lo <= power_scale_hi &&
+                      power_scale_hi <= kMaxCohortFactor,
+                  "cohort power scale range must satisfy 0 < lo <= hi <= " +
+                      str_format("%g", kMaxCohortFactor));
   SIMTY_CHECK_MSG(
       degraded_network_fraction >= 0.0 && degraded_network_fraction <= 1.0,
       "cohort degraded_network_fraction must be in [0, 1]");
-  SIMTY_CHECK_MSG(degraded_hold_factor_max >= 1.0,
-                  "cohort degraded_hold_factor_max must be >= 1");
+  SIMTY_CHECK_MSG(degraded_hold_factor_max >= 1.0 &&
+                      degraded_hold_factor_max <= kMaxCohortFactor,
+                  "cohort degraded_hold_factor_max must be in [1, " +
+                      str_format("%g", kMaxCohortFactor) + "]");
   SIMTY_CHECK_MSG(standby > Duration::zero(), "cohort standby must be positive");
 }
 
@@ -99,7 +103,7 @@ DeviceSample sample_device(const CohortSpec& spec, std::uint64_t fleet_seed,
     p.repeat = scaled(p.repeat, rein_factor, 1.0);
     const double alpha_factor =
         rng.uniform(1.0 - spec.alpha_jitter, 1.0 + spec.alpha_jitter);
-    p.alpha = std::clamp(p.alpha * alpha_factor, 0.0, 1.0);
+    p.alpha = std::clamp(p.alpha * alpha_factor, 0.0, kMaxSampledAlpha);
     s.catalog.push_back(std::move(p));
   }
 
@@ -280,15 +284,15 @@ std::vector<CohortSpec> parse_cohorts(std::string_view text) {
     } else {
       parse_fail(line_no, "unknown key: " + key);
     }
-  }
-  if (cohorts.empty()) throw std::runtime_error("cohort file defines no cohorts");
-  for (const CohortSpec& spec : cohorts) {
+    // Each key sets fields that validate() checks on their own, and the
+    // defaults pass, so checking after every line names the bad one.
     try {
       spec.validate();
     } catch (const std::logic_error& e) {
-      throw std::runtime_error("cohort [" + spec.name + "]: " + e.what());
+      parse_fail(line_no, "cohort [" + spec.name + "]: " + e.what());
     }
   }
+  if (cohorts.empty()) throw std::runtime_error("cohort file defines no cohorts");
   return cohorts;
 }
 

@@ -23,6 +23,16 @@
 
 namespace simty::fleet {
 
+/// Upper bound of the per-device scale factors (power_scale_hi,
+/// degraded_hold_factor_max): a hundredfold is far past any real device,
+/// and keeps every scaled power finite and every scaled hold within int64
+/// microseconds.
+inline constexpr double kMaxCohortFactor = 100.0;
+
+/// Largest sampled alpha: a repeating alarm's window must stay shorter than
+/// its ReIn, and this keeps it at least 1 us short for any ReIn >= 1 s.
+inline constexpr double kMaxSampledAlpha = 1.0 - 1e-6;
+
 /// Distribution of devices sharing a usage/hardware/network profile.
 struct CohortSpec {
   std::string name = "default";
@@ -38,7 +48,7 @@ struct CohortSpec {
 
   /// Each selected app's ReIn is scaled by U[1 - rein_jitter, 1 + rein_jitter]
   /// (clamped to >= 1 s); its alpha by U[1 - alpha_jitter, 1 + alpha_jitter]
-  /// (clamped to [0, 1]). Both must lie in [0, 1).
+  /// (clamped to [0, kMaxSampledAlpha]). Both must lie in [0, 1).
   double rein_jitter = 0.2;
   double alpha_jitter = 0.1;
 

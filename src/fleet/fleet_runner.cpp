@@ -13,14 +13,13 @@
 
 namespace simty::fleet {
 
-exp::ExperimentConfig device_config(const CohortSpec& spec,
-                                    const DeviceSample& sample,
+exp::ExperimentConfig device_config(const CohortSpec& spec, DeviceSample sample,
                                     exp::PolicyKind policy,
                                     const alarm::SimilarityConfig& similarity) {
   exp::ExperimentConfig c;
   c.policy = policy;
   c.similarity = similarity;
-  c.custom_profiles = sample.catalog;
+  c.custom_profiles = std::move(sample.catalog);
   c.beta = sample.beta;
   c.duration = spec.standby;
   c.seed = sample.run_seed;
@@ -104,12 +103,15 @@ CohortAggregate run_shard(const FleetConfig& config, const Shard& shard) {
   if (checkpointing && std::filesystem::exists(ckpt_path)) {
     resume_at = read_shard_ckpt(ckpt_path, config, shard, agg);
   }
-  // One arena per shard: each device run carves its event-queue slabs and
-  // batch-index nodes from it, and the reset between devices rewinds the
-  // same blocks instead of hitting the allocator — after the first device,
-  // the shard loop's run storage is allocation-free (see the alloc-gate
-  // test). Arena presence never changes a result bit.
-  common::Arena arena;
+  // One arena per executing thread, reset before every device: each device
+  // run carves its per-run state from it (event-queue slabs, the policy,
+  // alarms and the registry, batches and queues, the batch index, apps and
+  // traces, observer lists, the interval audit), and the reset rewinds the
+  // same blocks for the next device and the next shard. What still reaches
+  // the heap per device — the sampled catalog, the delay histogram, long
+  // alarm tags and the result — is budgeted by the alloc gate's fleet-shard
+  // case. Arena presence never changes a result bit.
+  thread_local common::Arena arena;
   std::uint64_t processed = 0;  // devices run in THIS invocation
   for (std::uint64_t d = resume_at; d < shard.end; ++d) {
     if (config.fault_shard == static_cast<std::int64_t>(shard.index) &&
@@ -117,12 +119,12 @@ CohortAggregate run_shard(const FleetConfig& config, const Shard& shard) {
       throw std::runtime_error("fleet: injected fault in shard " +
                                std::to_string(shard.index));
     }
-    const DeviceSample sample = sample_device(spec, config.seed, d);
     arena.reset();
     exp::ExperimentConfig device_cfg =
-        device_config(spec, sample, config.policy, config.similarity);
+        device_config(spec, sample_device(spec, config.seed, d), config.policy,
+                      config.similarity);
     device_cfg.arena_opts.arena = &arena;
-    agg.add(device_metrics(exp::run_experiment(device_cfg)));
+    agg.add(device_metrics(exp::run_experiment(std::move(device_cfg))));
     ++processed;
     if (checkpointing && config.checkpoint_every > 0 &&
         processed % config.checkpoint_every == 0) {

@@ -105,9 +105,9 @@ struct FleetResult {
 };
 
 /// Experiment config for one sampled device (exposed so tests can recompute
-/// fleet aggregates device-by-device through the public API).
-exp::ExperimentConfig device_config(const CohortSpec& spec,
-                                    const DeviceSample& sample,
+/// fleet aggregates device-by-device through the public API). The sample's
+/// catalog moves into the config.
+exp::ExperimentConfig device_config(const CohortSpec& spec, DeviceSample sample,
                                     exp::PolicyKind policy,
                                     const alarm::SimilarityConfig& similarity);
 

@@ -29,7 +29,8 @@ Power base_level_for(const PowerModel& m, DeviceState s) {
 }  // namespace
 
 Device::Device(sim::Simulator& sim, const PowerModel& model, PowerBus& bus)
-    : sim_(sim), model_(model), bus_(bus) {
+    : sim_(sim), model_(model), bus_(bus), pending_ready_(sim.arena()),
+      ready_scratch_(sim.arena()), wake_listeners_(sim.arena()) {
   bus_.publish_device_state(sim_.now(), state_, base_level_for(model_, state_));
 }
 
@@ -71,7 +72,7 @@ void Device::complete_wake() {
   // in the retained buffer, rather than moving out, keeps both buffers'
   // capacity across wakes.
   ready_scratch_.clear();
-  ready_scratch_.swap(pending_ready_);
+  std::swap(ready_scratch_, pending_ready_);
   for (auto& [reason, cb] : ready_scratch_) cb();
   ready_scratch_.clear();
   for (auto& listener : wake_listeners_) listener(current_wake_reason_);

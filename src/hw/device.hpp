@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/time.hpp"
 #include "hw/power_bus.hpp"
 #include "hw/power_model.hpp"
@@ -106,12 +107,13 @@ class Device {
 
   // Callbacks queued while a wake transition is in flight, and the buffer
   // complete_wake() runs them from.
-  std::vector<std::pair<WakeReason, std::function<void()>>> pending_ready_;
-  std::vector<std::pair<WakeReason, std::function<void()>>> ready_scratch_;
+  // Both live in the simulator's arena, as does the listener list.
+  common::ArenaVector<std::pair<WakeReason, std::function<void()>>> pending_ready_;
+  common::ArenaVector<std::pair<WakeReason, std::function<void()>>> ready_scratch_;
   std::optional<sim::EventId> wake_event_;
   std::optional<sim::EventId> sleep_event_;
 
-  std::vector<std::function<void(WakeReason)>> wake_listeners_;
+  common::ArenaVector<std::function<void(WakeReason)>> wake_listeners_;
   WakeReason current_wake_reason_ = WakeReason::kRtcAlarm;
 
   std::uint64_t wakeup_count_ = 0;

@@ -21,8 +21,11 @@ void PowerBus::add_listener(PowerListener* listener) {
 }
 
 void PowerBus::remove_listener(PowerListener* listener) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), listener),
-                   listeners_.end());
+  std::size_t kept = 0;
+  for (PowerListener* l : listeners_) {
+    if (l != listener) listeners_[kept++] = l;
+  }
+  listeners_.resize(kept);
 }
 
 void PowerBus::publish_device_state(TimePoint t, DeviceState state, Power base_level) {

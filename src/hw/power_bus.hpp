@@ -6,8 +6,8 @@
 // paper's Monsoon monitor sits across the phone's battery rails.
 
 #include <string_view>
-#include <vector>
 
+#include "common/arena.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "hw/component.hpp"
@@ -52,6 +52,9 @@ class PowerListener {
 /// publishers; registration order is notification order (deterministic).
 class PowerBus {
  public:
+  /// A non-null `arena` backs the listener list; it must outlive the bus.
+  explicit PowerBus(common::Arena* arena = nullptr) : listeners_(arena) {}
+
   void add_listener(PowerListener* listener);
   void remove_listener(PowerListener* listener);
 
@@ -60,7 +63,7 @@ class PowerBus {
   void publish_impulse(TimePoint t, Energy e, ImpulseKind kind, std::string_view tag);
 
  private:
-  std::vector<PowerListener*> listeners_;
+  common::ArenaVector<PowerListener*> listeners_;
 };
 
 }  // namespace simty::hw

@@ -10,7 +10,7 @@ namespace simty::hw {
 
 WakelockManager::WakelockManager(sim::Simulator& sim, const PowerModel& model,
                                  PowerBus& bus)
-    : sim_(sim), model_(model), bus_(bus) {}
+    : sim_(sim), model_(model), bus_(bus), held_(sim.arena()) {}
 
 Duration WakelockManager::effective_tail(Component c) const {
   const auto idx = static_cast<std::size_t>(c);

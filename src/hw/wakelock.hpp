@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/time.hpp"
 #include "hw/component.hpp"
 #include "hw/power_bus.hpp"
@@ -65,7 +66,7 @@ class WakelockManager {
   /// Acquires a lock on `c` for `holder` (app/alarm tag, for diagnostics).
   /// First lock on an unpowered component powers it and pays activation.
   /// The manager keeps the view, not a copy: `holder` must outlive the lock
-  /// (string literals, or the alarm manager's tag store).
+  /// (string literals, or a tag of the alarm manager's registry).
   WakelockId acquire(Component c, std::string_view holder);
 
   /// Releases a previously acquired lock; the last release powers the
@@ -134,7 +135,7 @@ class WakelockManager {
   Duration effective_tail(Component c) const;
   void end_tail(std::size_t idx);
 
-  std::vector<Held> held_;
+  common::ArenaVector<Held> held_;  // in the simulator's arena
   std::array<int, kComponentCount> counts_{};
   std::array<TimePoint, kComponentCount> on_since_{};
   std::array<TimePoint, kComponentCount> tail_since_{};

@@ -17,25 +17,38 @@ double GapStats::max_gap_over_repeat() const {
   return max_gap.ratio(repeat);
 }
 
+namespace {
+
+bool id_less(const IntervalAudit::Entry& e, std::uint64_t id) { return e.first < id; }
+
+}  // namespace
+
+const GapStats* IntervalAudit::find(std::uint64_t id) const {
+  const Entry* it = std::lower_bound(stats_.begin(), stats_.end(), id, id_less);
+  return it != stats_.end() && it->first == id ? &it->second : nullptr;
+}
+
 void IntervalAudit::observe(const alarm::DeliveryRecord& record) {
   if (record.mode == alarm::RepeatMode::kOneShot) return;
-  GapStats& s = stats_[record.id.value];
-  if (s.deliveries == 0) {
-    s.tag = record.tag;
-    s.mode = record.mode;
-    s.repeat = record.repeat_interval;
-  }
-  s.ever_perceptible = s.ever_perceptible || record.was_perceptible;
-  s.last_perceptible = record.was_perceptible;
-  ++s.deliveries;
-
-  const auto last = last_delivery_.find(record.id.value);
-  if (last != last_delivery_.end()) {
-    const Duration gap = record.delivered - last->second;
+  const std::uint64_t id = record.id.value;
+  Entry* it = std::lower_bound(stats_.begin(), stats_.end(), id, id_less);
+  if (it == stats_.end() || it->first != id) {
+    GapStats fresh;
+    fresh.tag = record.tag;
+    fresh.mode = record.mode;
+    fresh.repeat = record.repeat_interval;
+    it = stats_.insert(it, Entry{id, std::move(fresh)});
+  } else {
+    GapStats& s = it->second;
+    const Duration gap = record.delivered - s.last_delivered;
     s.min_gap = std::min(s.min_gap, gap);
     s.max_gap = std::max(s.max_gap, gap);
   }
-  last_delivery_[record.id.value] = record.delivered;
+  GapStats& s = it->second;
+  s.ever_perceptible = s.ever_perceptible || record.was_perceptible;
+  s.last_perceptible = record.was_perceptible;
+  ++s.deliveries;
+  s.last_delivered = record.delivered;
 }
 
 alarm::DeliveryObserver IntervalAudit::observer() {
@@ -77,16 +90,15 @@ void IntervalAudit::save(snapshot::Writer& w) const {
     w.i64(s.min_gap.us());
     w.i64(s.max_gap.us());
   }
-  w.u64(last_delivery_.size());
-  for (const auto& [id, t] : last_delivery_) {
+  w.u64(stats_.size());
+  for (const auto& [id, s] : stats_) {
     w.u64(id);
-    w.i64(t.us());
+    w.i64(s.last_delivered.us());
   }
 }
 
 void IntervalAudit::restore(snapshot::SectionReader& s) {
   stats_.clear();
-  last_delivery_.clear();
   const std::uint64_t stat_count = s.u64();
   // id + min fixed fields per entry: u64(9) + str(9) + u8(2) + i64(9) +
   // 2 bools(4) + u64(9) + 2 i64(18).
@@ -105,16 +117,17 @@ void IntervalAudit::restore(snapshot::SectionReader& s) {
     g.deliveries = s.u64();
     g.min_gap = Duration::micros(s.i64());
     g.max_gap = Duration::micros(s.i64());
-    const bool inserted = stats_.emplace(id, std::move(g)).second;
-    SIMTY_CHECK_MSG(inserted, "IntervalAudit::restore: duplicate alarm id");
+    SIMTY_CHECK_MSG(stats_.empty() || stats_.back().first < id,
+                    "IntervalAudit::restore: duplicate or unordered alarm id");
+    stats_.push_back(Entry{id, std::move(g)});
   }
-  const std::uint64_t last_count = s.u64();
-  s.check_count(last_count, 18);
-  for (std::uint64_t i = 0; i < last_count; ++i) {
-    const std::uint64_t id = s.u64();
-    const TimePoint t = TimePoint::from_us(s.i64());
-    const bool inserted = last_delivery_.emplace(id, t).second;
-    SIMTY_CHECK_MSG(inserted, "IntervalAudit::restore: duplicate alarm id");
+  // Every audited alarm has a latest delivery, listed in the same order.
+  SIMTY_CHECK_MSG(s.u64() == stats_.size(),
+                  "IntervalAudit::restore: last-delivery count mismatch");
+  for (Entry& e : stats_) {
+    SIMTY_CHECK_MSG(s.u64() == e.first,
+                    "IntervalAudit::restore: last-delivery id mismatch");
+    e.second.last_delivered = TimePoint::from_us(s.i64());
   }
 }
 

@@ -5,11 +5,12 @@
 // (NATIVE) above, and by ReIn (dynamic) / (1 - beta) * ReIn (static) below.
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alarm/alarm_manager.hpp"
+#include "common/arena.hpp"
 
 namespace simty::snapshot {
 class Writer;
@@ -28,6 +29,7 @@ struct GapStats {
   std::uint64_t deliveries = 0;
   Duration min_gap = Duration::max();
   Duration max_gap = Duration::zero();
+  TimePoint last_delivered;  // the latest delivery's instant
 
   double min_gap_over_repeat() const;
   double max_gap_over_repeat() const;
@@ -41,15 +43,24 @@ struct GapViolation {
   double bound = 0.0;
 };
 
-/// Delivery observer tracking per-alarm adjacent gaps.
+/// Delivery observer tracking per-alarm adjacent gaps. A non-null `arena`
+/// backs the per-alarm table; it must outlive the audit.
 class IntervalAudit {
  public:
+  /// One audited alarm: its id and gap statistics.
+  using Entry = std::pair<std::uint64_t, GapStats>;
+
+  explicit IntervalAudit(common::Arena* arena = nullptr) : stats_(arena) {}
+
   void observe(const alarm::DeliveryRecord& record);
   alarm::DeliveryObserver observer();
 
-  /// Per-alarm gap statistics (repeating alarms with >= 2 deliveries have
-  /// meaningful min/max).
-  const std::map<std::uint64_t, GapStats>& stats() const { return stats_; }
+  /// Per-alarm gap statistics in ascending id order (repeating alarms with
+  /// >= 2 deliveries have meaningful min/max).
+  const common::ArenaVector<Entry>& stats() const { return stats_; }
+
+  /// The statistics of alarm `id`, or nullptr when it was never audited.
+  const GapStats* find(std::uint64_t id) const;
 
   /// Checks §3.2.2's bounds against every audited alarm. `beta` is the
   /// platform grace factor in force; under NATIVE pass the same value as
@@ -61,13 +72,13 @@ class IntervalAudit {
   /// Worst max-gap/ReIn ratio over imperceptible repeating alarms.
   double worst_gap_ratio() const;
 
-  /// Serializes both per-alarm maps; restore replaces any existing state.
+  /// Serializes the gap statistics, then every alarm's latest delivery;
+  /// restore replaces any existing state.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::SectionReader& s);
 
  private:
-  std::map<std::uint64_t, GapStats> stats_;
-  std::map<std::uint64_t, TimePoint> last_delivery_;
+  common::ArenaVector<Entry> stats_;  // ascending id
 };
 
 }  // namespace simty::metrics

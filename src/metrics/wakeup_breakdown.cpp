@@ -39,31 +39,11 @@ void WakeupAccounting::restore(snapshot::SectionReader& s) {
 std::vector<BreakdownRow> WakeupAccounting::rows(
     const hw::Device& device, const hw::WakelockManager& wakelocks) const {
   std::vector<BreakdownRow> out;
-  out.push_back(BreakdownRow{"CPU", device.wakeup_count(), total_deliveries_});
-
-  // The speaker and vibrator always fire together in the workloads (a
-  // notification buzzes and rings), so Table 4 reports them as one row; we
-  // take the larger cycle count in case an app ever uses only one of them.
-  const std::uint64_t sv_cycles =
-      std::max(wakelocks.usage(hw::Component::kSpeaker).cycles,
-               wakelocks.usage(hw::Component::kVibrator).cycles);
-  const std::uint64_t sv_expected =
-      std::max(deliveries_using(hw::Component::kSpeaker),
-               deliveries_using(hw::Component::kVibrator));
-  out.push_back(BreakdownRow{"Speaker&Vibrator", sv_cycles, sv_expected});
-
-  const struct {
-    const char* name;
-    hw::Component c;
-  } kRows[] = {
-      {"Wi-Fi", hw::Component::kWifi},
-      {"WPS", hw::Component::kWps},
-      {"Accelerometer", hw::Component::kAccelerometer},
-  };
-  for (const auto& r : kRows) {
-    out.push_back(
-        BreakdownRow{r.name, wakelocks.usage(r.c).cycles, deliveries_using(r.c)});
-  }
+  out.reserve(kRowCount);
+  for_each_row(device, wakelocks,
+               [&out](const char* hardware, std::uint64_t actual, std::uint64_t expected) {
+                 out.push_back(BreakdownRow{hardware, actual, expected});
+               });
   return out;
 }
 

@@ -4,6 +4,7 @@
 // (numerator) against the expected number had no alignment been applied
 // (denominator — one wakeup per delivery).
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -43,10 +44,39 @@ class WakeupAccounting {
   /// Deliveries whose task wakelocked `c`.
   std::uint64_t deliveries_using(hw::Component c) const;
 
+  /// Number of Table 4 rows.
+  static constexpr std::size_t kRowCount = 5;
+
   /// Builds the Table 4 rows: CPU, Speaker&Vibrator (combined as in the
   /// paper), Wi-Fi, WPS, Accelerometer.
   std::vector<BreakdownRow> rows(const hw::Device& device,
                                  const hw::WakelockManager& wakelocks) const;
+
+  /// The same rows, in the same order, as f(hardware, actual, expected).
+  template <typename F>
+  void for_each_row(const hw::Device& device, const hw::WakelockManager& wakelocks,
+                    F&& f) const {
+    f("CPU", device.wakeup_count(), total_deliveries_);
+    // The speaker and vibrator always fire together in the workloads (a
+    // notification buzzes and rings), so Table 4 reports them as one row;
+    // we take the larger cycle count in case an app ever uses only one.
+    f("Speaker&Vibrator",
+      std::max(wakelocks.usage(hw::Component::kSpeaker).cycles,
+               wakelocks.usage(hw::Component::kVibrator).cycles),
+      std::max(deliveries_using(hw::Component::kSpeaker),
+               deliveries_using(hw::Component::kVibrator)));
+    const struct {
+      const char* name;
+      hw::Component c;
+    } kRows[] = {
+        {"Wi-Fi", hw::Component::kWifi},
+        {"WPS", hw::Component::kWps},
+        {"Accelerometer", hw::Component::kAccelerometer},
+    };
+    for (const auto& r : kRows) {
+      f(r.name, wakelocks.usage(r.c).cycles, deliveries_using(r.c));
+    }
+  }
 
   /// Serializes the expected-count accumulators.
   void save(snapshot::Writer& w) const;

@@ -40,6 +40,8 @@ Request decode_request(const std::string& bytes) {
   snapshot::SectionReader s = reader.section("simty-request", kProtocolVersion);
   Request req = exp::read_config(s);
   SIMTY_CHECK_MSG(s.at_end(), "serve: trailing bytes in request");
+  SIMTY_CHECK_MSG(req.duration <= kMaxServedDuration,
+                  "serve: config field 'duration': must be <= 24 h");
   return req;
 }
 

@@ -36,6 +36,11 @@ inline constexpr std::uint32_t kProtocolVersion = 2;
 /// attachments (tracer, hooks) stay in-process and never travel.
 using Request = exp::ExperimentConfig;
 
+/// Longest horizon a request may ask for. The daemon runs one request at a
+/// time, so one huge horizon would occupy it; a day is 8x the longest
+/// in-tree served scenario (3 h).
+inline constexpr Duration kMaxServedDuration = Duration::hours(24);
+
 /// Wire types of the served metrics.
 namespace wire {
 using f64 = double;

@@ -21,7 +21,7 @@ class Simulator {
 
   /// Backs the event queue's storage with `arena` (see EventQueue): the
   /// arena must outlive the simulator and must not be reset while it lives.
-  explicit Simulator(common::Arena* arena) : queue_(arena) {}
+  explicit Simulator(common::Arena* arena) : queue_(arena), arena_(arena) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -72,9 +72,14 @@ class Simulator {
   /// True when every restored live event has been rebound.
   bool fully_bound() const { return queue_.fully_bound(); }
 
+  /// The per-run arena (or nullptr): components built on this simulator
+  /// carve their run-length buffers from it too.
+  common::Arena* arena() const { return arena_; }
+
  private:
   TimePoint now_ = TimePoint::origin();
   EventQueue queue_;
+  common::Arena* arena_ = nullptr;
   std::uint64_t events_processed_ = 0;
 };
 

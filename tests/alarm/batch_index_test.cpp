@@ -52,9 +52,9 @@ std::unique_ptr<Alarm> imperceptible(std::uint64_t id, std::int64_t nominal_s) {
 
 std::vector<std::size_t> collected(const BatchIndex& idx, const TimeInterval& iv,
                                    EntryIntervalKind kind) {
-  std::vector<std::size_t> out;
+  common::ArenaVector<std::size_t> out;
   idx.collect(iv, kind, out);
-  return out;
+  return {out.begin(), out.end()};
 }
 
 TEST(BatchIndexUnit, EmptyIndexCollectsNothing) {

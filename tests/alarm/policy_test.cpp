@@ -21,7 +21,7 @@ TimePoint at(std::int64_t s) { return TimePoint::origin() + Duration::seconds(s)
 
 struct QueueBuilder {
   std::vector<std::unique_ptr<Alarm>> alarms;
-  std::vector<std::unique_ptr<Batch>> queue;
+  BatchQueue queue;
 
   Alarm* make_alarm(std::int64_t nominal_s, std::int64_t repeat_s, double alpha,
                     double beta, ComponentSet hw_set,

@@ -4,8 +4,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace simty::common {
 namespace {
@@ -144,6 +149,55 @@ TEST(ArenaVectorTest, MoveTransfersStorage) {
   a = std::move(b);
   EXPECT_EQ(a.size(), 1u);
 }
+
+TEST(ArenaVectorTest, InsertAndEraseKeepOrderOnBothPaths) {
+  Arena arena;
+  for (Arena* a : {&arena, static_cast<Arena*>(nullptr)}) {
+    ArenaVector<std::unique_ptr<int>> v(a);
+    for (int i : {1, 3, 4}) v.push_back(std::make_unique<int>(i));
+    EXPECT_EQ(**v.insert(v.begin() + 1, std::make_unique<int>(2)), 2);
+    v.insert(v.end(), std::make_unique<int>(5));
+    v.erase(v.begin());
+    ASSERT_EQ(v.size(), 4u);
+    for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(*v[i], static_cast<int>(i) + 2);
+    EXPECT_EQ(*v.front(), 2);
+  }
+}
+
+struct Counted {
+  explicit Counted(int* counter) : live(counter) { ++*live; }
+  virtual ~Counted() { --*live; }
+  int* live;
+};
+struct DerivedCounted : Counted {
+  using Counted::Counted;
+};
+
+TEST(ArenaPtrTest, DestroysOnBothPathsAndAdoptsUniquePtr) {
+  Arena arena;
+  int live = 0;
+  {
+    ArenaPtr<Counted> in_arena = make_arena_ptr<DerivedCounted>(&arena, &live);
+    ArenaPtr<Counted> on_heap = make_arena_ptr<Counted>(nullptr, &live);
+    ArenaPtr<Counted> adopted = std::make_unique<DerivedCounted>(&live);
+    EXPECT_EQ(live, 3);
+    EXPECT_GT(arena.stats().used_bytes, 0u);
+  }
+  EXPECT_EQ(live, 0);  // every destructor ran; only the heap objects were freed
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(ArenaTest, ResetPoisonsRewoundStorageUnderAsan) {
+  Arena arena;
+  void* p = arena.allocate(64, 8);
+  EXPECT_FALSE(__asan_address_is_poisoned(p));
+  arena.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(p));  // a use after reset is reported
+  void* q = arena.allocate(64, 8);
+  EXPECT_EQ(q, p);
+  EXPECT_FALSE(__asan_address_is_poisoned(q));
+}
+#endif
 
 TEST(ArenaVectorTest, SetArenaOnlyBeforeFirstAllocation) {
   Arena arena;

@@ -281,6 +281,21 @@ TEST(CohortFile, RejectsNonIntegerAppBoundsAndHugeStandbyOnTheirLine) {
   EXPECT_EQ(whole[0].max_apps, 5u);
 }
 
+TEST(CohortFile, RejectsScaleFactorsPastTheBoundOnTheirLine) {
+  // Both used to pass validate(): a 1e300 hold factor overflowed a task's
+  // hold into a negative duration (an abort mid-fleet), and a 1e300 power
+  // scale printed an inf fleet report.
+  EXPECT_NE(parse_error("[a]\ndegraded_fraction = 1\ndegraded_hold_max = 1e300\n")
+                .find("line 3: cohort [a]"),
+            std::string::npos);
+  EXPECT_NE(parse_error("[a]\npower_scale = 1 1e300\n").find("line 2: cohort [a]"),
+            std::string::npos);
+  const std::vector<CohortSpec> at_bound = parse_cohorts(
+      "[a]\ndegraded_fraction = 1\ndegraded_hold_max = 100\npower_scale = 1 100\n");
+  EXPECT_EQ(at_bound[0].degraded_hold_factor_max, kMaxCohortFactor);
+  EXPECT_EQ(at_bound[0].power_scale_hi, kMaxCohortFactor);
+}
+
 TEST(CohortFile, RejectsDuplicateKeysWithLineNumber) {
   // A repeated key inside one cohort is a silent last-wins footgun; the
   // parser must name the offending line.

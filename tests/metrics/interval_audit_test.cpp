@@ -29,7 +29,8 @@ TEST(IntervalAudit, TracksMinMaxGapsPerAlarm) {
   audit.observe(record(1, 100, 100, alarm::RepeatMode::kStatic));
   audit.observe(record(1, 210, 100, alarm::RepeatMode::kStatic));
   audit.observe(record(1, 300, 100, alarm::RepeatMode::kStatic));
-  const GapStats& s = audit.stats().at(1);
+  ASSERT_NE(audit.find(1), nullptr);
+  const GapStats& s = *audit.find(1);
   EXPECT_EQ(s.deliveries, 3u);
   EXPECT_EQ(s.min_gap, Duration::seconds(90));
   EXPECT_EQ(s.max_gap, Duration::seconds(110));
@@ -43,8 +44,10 @@ TEST(IntervalAudit, SeparatesAlarms) {
   audit.observe(record(2, 150, 200, alarm::RepeatMode::kDynamic));
   audit.observe(record(1, 200, 100, alarm::RepeatMode::kStatic));
   audit.observe(record(2, 350, 200, alarm::RepeatMode::kDynamic));
-  EXPECT_EQ(audit.stats().at(1).max_gap, Duration::seconds(100));
-  EXPECT_EQ(audit.stats().at(2).max_gap, Duration::seconds(200));
+  ASSERT_NE(audit.find(1), nullptr);
+  ASSERT_NE(audit.find(2), nullptr);
+  EXPECT_EQ(audit.find(1)->max_gap, Duration::seconds(100));
+  EXPECT_EQ(audit.find(2)->max_gap, Duration::seconds(200));
 }
 
 TEST(IntervalAudit, OneShotsIgnored) {

@@ -22,6 +22,7 @@
 #include "exp/run.hpp"
 #include "serve/serve_core.hpp"
 #include "serve/server.hpp"
+#include "snapshot/snapshot.hpp"
 #include "support/corrupt.hpp"
 #include "support/result_equality.hpp"
 
@@ -205,6 +206,9 @@ TEST(ServeCodec, RejectsMalformedFrames) {
   bad.duration = Duration::zero();
   expect_rejected(bad, "duration");
   bad = quick_request();
+  bad.duration = kMaxServedDuration + Duration::micros(1);
+  expect_rejected(bad, "duration");
+  bad = quick_request();
   bad.beta = -0.1;
   expect_rejected(bad, "beta");
   bad = quick_request();
@@ -370,6 +374,33 @@ TEST(ServeServer, SocketRoundTripServesAndShutsDown) {
   // A garbage frame gets an error reply, not a dead daemon.
   const std::string err = query(path, std::string("garbage"));
   EXPECT_THROW(decode_response(err), std::logic_error);
+
+  EXPECT_TRUE(is_shutdown_frame(query(path, encode_shutdown())));
+  daemon.join();
+}
+
+TEST(ServeServer, OverCapHorizonGetsAnErrorReplyAndTheNextRequestIsServed) {
+  // A horizon past kMaxServedDuration would occupy the serial daemon; it is
+  // refused at decode time, naming the field, and the core keeps serving.
+  const std::string path = ::testing::TempDir() + "simty_serve_horizon.sock";
+  ServeCore core;
+  Server server(path, core);
+  std::thread daemon([&] { server.serve(); });
+
+  Request huge = quick_request();
+  huge.duration = kMaxServedDuration + Duration::seconds(1);
+  const std::string err = query(path, encode_request(huge));
+  EXPECT_THROW(decode_response(err), std::logic_error);
+  const snapshot::Reader reader(err);
+  EXPECT_NE(reader.section("simty-error", kProtocolVersion).str().find("'duration'"),
+            std::string::npos);
+
+  Request req = quick_request();
+  req.duration = Duration::minutes(30);
+  const Response resp = decode_response(query(path, encode_request(req)));
+  EXPECT_FALSE(resp.cached);
+  EXPECT_FALSE(resp.policy_name.empty());
+  EXPECT_EQ(decode_stats(query(path, encode_stats_request())).requests, 1u);
 
   EXPECT_TRUE(is_shutdown_frame(query(path, encode_shutdown())));
   daemon.join();

@@ -11,12 +11,15 @@
 //
 // Scope: the event core (EventQueue, Simulator::step), the framework stack's
 // steady-state delivery path (alarm delivery, RTC wake, device state
-// changes, wakelocks, the default metrics observers), and whole exp::Run
-// experiments. A whole run still allocates where it registers alarms — each
-// registration owns its Alarm, registry node, handler and tag — and where
-// run-length stores (batch member buffers, the tag store) grow
-// geometrically, so the run-level gate budgets allocations per registration
-// and none per delivery, wake or state change. Assembly and finish() stay out of scope.
+// changes, wakelocks, the default metrics observers), whole exp::Run
+// experiments, and whole fleet shards. Without an arena a run still
+// allocates where it registers alarms — each registration owns one
+// registry row (its Alarm and handler) and, for tags over 15 chars, the
+// tag — and where run-length tables grow geometrically, so the run-level
+// gate budgets allocations per registration and none per delivery, wake or
+// state change. With the shard arena (fleet::run_fleet) a device's per-run
+// state is carved from retained blocks, assembly and finish() included, so
+// the fleet-shard gate budgets allocations per device.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +36,7 @@
 #include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "exp/run.hpp"
+#include "fleet/fleet_runner.hpp"
 #include "hw/device.hpp"
 #include "hw/power_bus.hpp"
 #include "hw/power_model.hpp"
@@ -303,14 +307,14 @@ INSTANTIATE_TEST_SUITE_P(Policies, DeliveryAllocGateTest, ::testing::Values(fals
 // ---------------------------------------------------------------------------
 
 // Measured allocations per registration (light and heavy, NATIVE and SIMTY,
-// seed 1): 4.2-4.4. Each registration allocates its Alarm, its registry
-// node, its tag in the manager's tag store, and (for tags over 15 chars, such
-// as "system.oneshot.N") the caller's tag string; the remainder is amortized
-// growth (batch member buffers, the tag store's deque blocks). K = 5 keeps
-// at least 10% headroom and no budget for deliveries, wakes or state
-// changes: one allocation per delivery would exceed it on its own (see the
-// sanity check below).
-constexpr std::uint64_t kAllocsPerRegistration = 5;
+// seed 1, no arena): 2.07-2.16. Each registration allocates its registry
+// row (the Alarm and its handler) and, for tags over 15 chars such as
+// "system.oneshot.N", the tag string; the remainder is amortized growth
+// (the registry table, batch member buffers). K = 3 keeps at least 10%
+// headroom and no budget for deliveries, wakes or state changes: one
+// allocation per delivery would exceed it on its own (see the sanity check
+// below).
+constexpr std::uint64_t kAllocsPerRegistration = 3;
 
 struct RunCase {
   exp::WorkloadKind workload;
@@ -361,6 +365,42 @@ INSTANTIATE_TEST_SUITE_P(
         RunCase{exp::WorkloadKind::kHeavy, exp::PolicyKind::kNative, "HeavyNative"},
         RunCase{exp::WorkloadKind::kHeavy, exp::PolicyKind::kSimty, "HeavySimty"}),
     [](const ::testing::TestParamInfo<RunCase>& p) { return std::string(p.param.name); });
+
+// ---------------------------------------------------------------------------
+// Fleet shards: fleet::run_fleet runs each shard's devices back to back on
+// one arena, reset between devices. Once the arena is warm, a device's
+// stack assembly, event loop and finish() should barely touch the heap.
+// ---------------------------------------------------------------------------
+
+// Measured allocations per device (default cohorts at 3-minute standby, as
+// bench/e2e's fleet-3min, SIMTY, one warmed shard per cohort): 7.6.
+// What remains is outside the arena's reach: the sampled catalog and its
+// index permutation, the delay histogram, the doze schedule, tags over 15
+// chars, and the result's wakeup rows. K = 10 keeps the headroom of the
+// gates above; the pre-arena path made ~81.
+constexpr std::uint64_t kAllocsPerFleetDevice = 10;
+
+TEST(AllocGateTest, WarmedFleetShardStaysWithinPerDeviceBudget) {
+  fleet::FleetConfig config;
+  config.cohorts = fleet::default_cohorts();
+  for (fleet::CohortSpec& c : config.cohorts) c.standby = Duration::minutes(3);
+  config.policy = exp::PolicyKind::kSimty;
+  config.devices = 1200;
+  config.shard_devices = config.devices;  // one shard, one arena per cohort
+  config.jobs = 1;
+  // The first fleet warms process-wide state (the catalog table, the
+  // default cohorts); the arena itself warms on each shard's first device.
+  fleet::run_fleet(config);
+
+  const std::uint64_t allocs_before = alloc_count();
+  const fleet::FleetResult result = fleet::run_fleet(config);
+  const std::uint64_t allocs = alloc_count() - allocs_before;
+
+  EXPECT_EQ(result.overall.devices, config.devices);
+  EXPECT_LE(allocs, kAllocsPerFleetDevice * config.devices)
+      << static_cast<double>(allocs) / static_cast<double>(config.devices)
+      << " allocations per device";
+}
 
 TEST(AllocGateTest, CountingHookSeesOrdinaryAllocations) {
   // Self-test: the gate is meaningless if the hook is not actually
