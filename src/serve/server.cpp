@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -55,6 +56,17 @@ sockaddr_un make_addr(const std::string& path) {
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return addr;
+}
+
+/// Bounds every blocking read and write on `fd` by kConnectionTimeout.
+void set_timeouts(int fd) {
+  timeval tv{};
+  tv.tv_sec = kConnectionTimeout.count();
+  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) < 0 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) < 0) {
+    throw std::runtime_error(std::string("serve: setsockopt failed: ") +
+                             std::strerror(errno));
+  }
 }
 
 std::string encode_error(const std::string& message) {
@@ -177,10 +189,11 @@ void Server::serve(int max_connections) {
     }
     bool keep_going = true;
     try {
+      set_timeouts(fd);
       keep_going = serve_connection(fd);
     } catch (const std::runtime_error&) {
-      // Transport error on this connection (truncated frame, dead peer):
-      // drop it, keep the daemon up.
+      // Transport error on this connection (truncated frame, dead or silent
+      // peer): drop it, keep the daemon up.
     }
     ::close(fd);
     if (!keep_going) return;

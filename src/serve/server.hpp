@@ -7,6 +7,7 @@
 // kMaxFrameBytes before any allocation, so a hostile peer cannot size a
 // buffer with a forged header.
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -18,6 +19,12 @@ namespace simty::serve {
 /// magnitude above any legal frame and cheap to reject.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 
+/// The serve loop is serial, so a peer that connects and never sends (or
+/// never reads) would stall every client queued behind it. Each accepted
+/// connection gets this receive and send timeout; a read or write that
+/// waits longer fails, and the connection is dropped.
+inline constexpr std::chrono::seconds kConnectionTimeout{3};
+
 /// Reads one length-prefixed frame. Returns false on orderly EOF before a
 /// header byte; throws std::runtime_error on I/O errors, truncation inside
 /// a frame, or an oversized length.
@@ -28,7 +35,7 @@ void send_frame(int fd, const std::string& payload);
 
 /// Blocking single-threaded server bound to `socket_path` (any existing
 /// socket file is replaced). Each accepted connection is served until the
-/// peer closes; a "simty-shutdown" frame stops the serve loop after the
+/// peer closes or stays silent for kConnectionTimeout; a "simty-shutdown" frame stops the serve loop after the
 /// acknowledgement is sent. Malformed frames get a "simty-error" reply and
 /// the connection stays up — a bad client cannot take the daemon down.
 /// Replies are written with MSG_NOSIGNAL, so a client that disconnects

@@ -132,16 +132,17 @@ TEST(SimtyLintRules, DeterministicRulesScopedToDeterministicPaths) {
   EXPECT_TRUE(lint_source("bench/fixture.cpp", content).empty());
   EXPECT_TRUE(lint_source("src/cli/fixture.cpp", content).empty());
   EXPECT_TRUE(lint_source("tools/fixture.cpp", content).empty());
-  EXPECT_FALSE(lint_source("src/policy/fixture.cpp", content).empty());
   // The run tracer is deterministic code too: a wall-clock read there would
   // poison the trace-diff gate.
   EXPECT_FALSE(lint_source("src/trace/fixture.cpp", content).empty());
   // The model layers the event loop simulates through are in scope as well:
-  // a wall-clock read in net/hw/power/usage/metrics breaks the same
-  // bit-identical contract as one in the event core.
+  // a wall-clock read in net/hw/power/usage/metrics/apps/gcm breaks the
+  // same bit-identical contract as one in the event core. Imitated apps
+  // draw trace entries inside the loop; GCM schedules pushes there.
   for (const char* path :
        {"src/net/fixture.cpp", "src/hw/fixture.cpp", "src/power/fixture.cpp",
-        "src/usage/fixture.cpp", "src/metrics/fixture.cpp"}) {
+        "src/usage/fixture.cpp", "src/metrics/fixture.cpp", "src/apps/fixture.cpp",
+        "src/gcm/fixture.cpp"}) {
     SCOPED_TRACE(path);
     EXPECT_FALSE(lint_source(path, content).empty());
   }

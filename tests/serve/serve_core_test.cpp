@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -352,6 +354,21 @@ TEST(ServeCore, PrefixStoreEvictsLeastRecentlyUsed) {
   EXPECT_EQ(core.stats().prefix_misses, 3u);
 }
 
+/// Connects a raw client socket to `path`; -1 on failure.
+int connect_raw(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() + 1 > sizeof(addr.sun_path)) return -1;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(ServeServer, SocketRoundTripServesAndShutsDown) {
   const std::string path = ::testing::TempDir() + "simty_serve_test.sock";
   ServeCore core;
@@ -417,15 +434,8 @@ TEST(ServeServer, ClientClosingBeforeReplySurvivesAsEpipe) {
   std::thread daemon([&] { server.serve(); });
 
   {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    ASSERT_LT(path.size() + 1, sizeof(addr.sun_path));
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = connect_raw(path);
     ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
     Request req = quick_request();
     req.duration = Duration::minutes(30);
     send_frame(fd, encode_request(req));
@@ -441,6 +451,49 @@ TEST(ServeServer, ClientClosingBeforeReplySurvivesAsEpipe) {
   req.seed = 21;
   const Response resp = decode_response(query(path, encode_request(req)));
   EXPECT_FALSE(resp.policy_name.empty());
+
+  EXPECT_TRUE(is_shutdown_frame(query(path, encode_shutdown())));
+  daemon.join();
+}
+
+TEST(ServeServer, SilentClientIsDroppedAndTheNextClientIsServed) {
+  // Regression: a client that connected and never sent a frame blocked the
+  // serial serve loop in its read forever, so every client behind it hung.
+  // The per-connection receive timeout drops the silent one after
+  // kConnectionTimeout and the next client is answered.
+  const std::string path = ::testing::TempDir() + "simty_serve_silent.sock";
+  ServeCore core;
+  Server server(path, core);
+  std::thread daemon([&] { server.serve(); });
+
+  const int silent = connect_raw(path);
+  const int other = connect_raw(path);
+  ASSERT_GE(silent, 0);
+  ASSERT_GE(other, 0);
+  // Bound this client's own wait, so a daemon that never drops the silent
+  // peer fails the test instead of hanging it.
+  const auto limit = kConnectionTimeout + std::chrono::seconds(5);
+  timeval tv{};
+  tv.tv_sec = limit.count();
+  ASSERT_EQ(::setsockopt(other, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+
+  const auto start = std::chrono::steady_clock::now();
+  send_frame(other, encode_stats_request());
+  std::string reply;
+  bool answered = false;
+  try {
+    answered = recv_frame(other, reply);
+  } catch (const std::runtime_error&) {
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ::close(silent);  // frees a daemon still stuck on the silent peer
+  ::close(other);
+
+  EXPECT_TRUE(answered);
+  EXPECT_LT(waited, limit);
+  if (answered) {
+    EXPECT_EQ(decode_stats(reply).requests, 0u);
+  }
 
   EXPECT_TRUE(is_shutdown_frame(query(path, encode_shutdown())));
   daemon.join();

@@ -1,5 +1,5 @@
 // Orchestrator: parse every file once, resolve the include graph, take its
-// transitive closure, then run the taint / layering / lock passes over the
+// transitive closure, then run the taint and layering passes over the
 // shared Graph. Also home of the repository module table (DESIGN.md §6.4).
 
 #include "analyze.hpp"
@@ -13,7 +13,7 @@ namespace simty::analyze {
 
 const std::vector<std::string>& check_names() {
   static const std::vector<std::string> names = {"taint", "layering", "include-cycle",
-                                                 "lock", "include"};
+                                                 "include"};
   return names;
 }
 
@@ -29,7 +29,6 @@ const std::vector<ModuleRule>& repo_modules() {
       {"src/sim", "sim", 2},
       {"src/hw", "hw", 3},
       {"src/alarm", "alarm", 4},
-      {"src/policy", "alarm", 4},  // policies live beside AlarmManager
       {"src/metrics", "metrics", 5},
       {"src/power", "power", 5},
       {"src/net", "net", 5},
@@ -186,7 +185,6 @@ Result analyze(const std::vector<SourceFile>& sources, const Config& config) {
 
   run_taint(g, config, result);
   run_layering(g, config, result);
-  run_locks(g, config, result);
 
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {

@@ -15,15 +15,11 @@
 //            the include graph: an include from a lower layer into a higher
 //            one (a back edge) and any include cycle are errors. Unused
 //            includes are reported as advisories (IWYU-lite), never errors.
-//   lock     SIMTY_GUARDED_BY(m) members (common/annotations.hpp) must only
-//            be touched inside a scope that locks `m` (lock_guard /
-//            unique_lock / shared_lock / scoped_lock / mu.lock()) or from a
-//            function annotated SIMTY_REQUIRES(m).
 //
 // Escape hatches mirror the linter's, under the "simty-analyze:" tag:
 //
 //   thing();  // simty-analyze: allow(taint)      — this line
-//   // simty-analyze: allow(lock)                 — next code line
+//   // simty-analyze: allow(layering)             — next code line
 //   // simty-analyze: allow-file(include)         — whole file
 //
 // Everything is lexical + structural (the shared simty_lint lexer plus a
@@ -60,10 +56,8 @@ struct Config {
   /// sources in the model layers, the analyzer catches laundering *into*
   /// the core through helpers.
   std::vector<std::string> deterministic_prefixes = {
-      "src/sim",   "src/alarm", "src/policy",   "src/exp",
-      "src/fleet", "src/trace", "src/snapshot", "src/serve"};
-  /// Emit unused-include advisories (IWYU-lite). On by default.
-  bool iwyu = true;
+      "src/sim",   "src/alarm",    "src/exp",  "src/fleet",
+      "src/trace", "src/snapshot", "src/serve"};
 };
 
 /// Returns the module table for this repository (the DAG in DESIGN.md §6.4).
@@ -71,7 +65,7 @@ const std::vector<ModuleRule>& repo_modules();
 
 /// One error-level violation.
 struct Finding {
-  std::string check;  // "taint" | "layering" | "include-cycle" | "lock"
+  std::string check;  // "taint" | "layering" | "include-cycle"
   std::string file;
   int line = 0;
   std::string message;
@@ -98,7 +92,9 @@ struct Result {
   std::size_t include_edges = 0;
 };
 
-/// Stable names of every check, for --list-checks and allow() validation.
+/// Stable names of every check, printed by --list-checks. allow(...)
+/// directives are not validated against it: an unknown name silences
+/// nothing.
 const std::vector<std::string>& check_names();
 
 /// Analyzes the whole file set at once (order-insensitive; results are

@@ -144,35 +144,33 @@ void run_layering(const Graph& g, const Config& config, Result& result) {
   }
 
   // IWYU-lite advisories over direct includes of analyzed files.
-  if (config.iwyu) {
-    for (std::size_t i = 0; i < g.models.size(); ++i) {
-      const FileModel& m = g.models[i];
-      for (std::size_t k = 0; k < m.includes.size(); ++k) {
-        const int t = g.includes[i][k];
-        if (t < 0) continue;
-        const FileModel& target = g.models[static_cast<std::size_t>(t)];
-        if (target.provided.empty()) continue;  // nothing parseable — assume used
-        if (m.includes[k].allowed || line_allows(m, m.includes[k].line, "include")) continue;
-        // A .cpp including its own companion header is the definition site.
-        const std::size_t dot_m = m.path.rfind('.');
-        const std::size_t dot_t = target.path.rfind('.');
-        if (dot_m != std::string::npos && dot_t != std::string::npos &&
-            m.path.compare(0, dot_m, target.path, 0, dot_t) == 0) {
-          continue;
+  for (std::size_t i = 0; i < g.models.size(); ++i) {
+    const FileModel& m = g.models[i];
+    for (std::size_t k = 0; k < m.includes.size(); ++k) {
+      const int t = g.includes[i][k];
+      if (t < 0) continue;
+      const FileModel& target = g.models[static_cast<std::size_t>(t)];
+      if (target.provided.empty()) continue;  // nothing parseable — assume used
+      if (m.includes[k].allowed || line_allows(m, m.includes[k].line, "include")) continue;
+      // A .cpp including its own companion header is the definition site.
+      const std::size_t dot_m = m.path.rfind('.');
+      const std::size_t dot_t = target.path.rfind('.');
+      if (dot_m != std::string::npos && dot_t != std::string::npos &&
+          m.path.compare(0, dot_m, target.path, 0, dot_t) == 0) {
+        continue;
+      }
+      bool used = false;
+      for (const auto& name : target.provided) {
+        if (word_in(m.joined, name)) {
+          used = true;
+          break;
         }
-        bool used = false;
-        for (const auto& name : target.provided) {
-          if (word_in(m.joined, name)) {
-            used = true;
-            break;
-          }
-        }
-        if (!used) {
-          result.advisories.push_back(
-              {"include", m.path, m.includes[k].line,
-               "include '" + m.includes[k].spelled +
-                   "' looks unused: nothing it declares is referenced here"});
-        }
+      }
+      if (!used) {
+        result.advisories.push_back(
+            {"include", m.path, m.includes[k].line,
+             "include '" + m.includes[k].spelled +
+                 "' looks unused: nothing it declares is referenced here"});
       }
     }
   }

@@ -1,7 +1,7 @@
-// simty_analyze — cross-TU determinism/layering/lock analyzer (analyze.hpp).
+// simty_analyze — cross-TU determinism/layering analyzer (analyze.hpp).
 //
 // Usage:
-//   simty_analyze [--root DIR] [--json FILE] [--list-checks] [--no-iwyu] PATH...
+//   simty_analyze [--root DIR] [--json FILE] [--list-checks] PATH...
 //
 // PATHs are files or directories, resolved relative to --root (default: the
 // current directory); paths are recorded repo-relative so the module table
@@ -45,7 +45,6 @@ std::string rel_to(const fs::path& root, const fs::path& p) {
 int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   std::string json_path;
-  bool iwyu = true;
   std::vector<std::string> targets;
 
   for (int i = 1; i < argc; ++i) {
@@ -54,15 +53,11 @@ int main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--no-iwyu") {
-      iwyu = false;
     } else if (arg == "--list-checks") {
       for (const auto& c : simty::analyze::check_names()) std::printf("%s\n", c.c_str());
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: simty_analyze [--root DIR] [--json FILE] [--list-checks] [--no-iwyu] "
-          "PATH...\n");
+      std::printf("usage: simty_analyze [--root DIR] [--json FILE] [--list-checks] PATH...\n");
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "simty_analyze: unknown option %s\n", arg.c_str());
@@ -119,7 +114,6 @@ int main(int argc, char** argv) {
 
   simty::analyze::Config config;
   config.modules = simty::analyze::repo_modules();
-  config.iwyu = iwyu;
   const simty::analyze::Result result = simty::analyze::analyze(sources, config);
 
   for (const auto& f : result.findings) {

@@ -5,9 +5,9 @@
 // otherwise unbalance the brace matcher), braces are matched in one pass,
 // and every '{' is classified from its "head" — the text since the last
 // top-level ';', '{' or '}' — as namespace / class / function / block.
-// Function bodies are then scanned for calls, nondeterminism seeds, and
-// lock scopes. This is heuristic by design; see DESIGN.md §6.4 for the
-// contract (and the fixture tests for what it is pinned to handle).
+// Function bodies are then scanned for calls and nondeterminism seeds.
+// This is heuristic by design; see DESIGN.md §6.4 for the contract (and
+// the fixture tests for what it is pinned to handle).
 
 #include "model.hpp"
 
@@ -87,36 +87,17 @@ std::size_t match_paren(std::string_view text, std::size_t open) {
   return std::string_view::npos;
 }
 
-/// Parses a comma-separated capability list: "mu" or "a_, b_". Each entry is
-/// reduced to its last identifier so `self->mu` and `this->mu_` both name the
-/// member.
-std::vector<std::string> parse_mutex_list(std::string_view args) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= args.size(); ++i) {
-    if (i == args.size() || args[i] == ',') {
-      const std::string name = chain_before(args, i);
-      if (!name.empty()) out.push_back(last_component(name));
-      start = i + 1;
-    }
-  }
-  (void)start;
-  return out;
-}
-
 struct HeadParse {
   bool is_function = false;
   std::string qualified;
   std::size_t name_offset = 0;  // relative to the head
-  bool is_special = false;
-  std::vector<std::string> requires_mutexes;
 };
 
 /// True if `tail` (the text between a candidate parameter list's ')' and the
 /// '{') is made only of definition qualifiers: const, noexcept[(..)],
 /// override, final, mutable, ref-qualifiers, try, a trailing return type, a
-/// requires-clause, or SIMTY_REQUIRES/SIMTY_EXCLUDES annotations (captured).
-bool tail_ok(std::string_view tail, std::vector<std::string>* requires_out) {
+/// requires-clause, or SIMTY_REQUIRES/SIMTY_EXCLUDES annotations.
+bool tail_ok(std::string_view tail) {
   std::size_t i = 0;
   while (i < tail.size()) {
     const char c = tail[i];
@@ -139,17 +120,13 @@ bool tail_ok(std::string_view tail, std::vector<std::string>* requires_out) {
       i = j;
       continue;
     }
-    const bool annotated = word == "SIMTY_REQUIRES";
-    if (word == "noexcept" || word == "throw" || annotated || word == "SIMTY_EXCLUDES") {
+    if (word == "noexcept" || word == "throw" || word == "SIMTY_REQUIRES" ||
+        word == "SIMTY_EXCLUDES") {
       i = j;
       while (i < tail.size() && std::isspace(static_cast<unsigned char>(tail[i]))) ++i;
       if (i < tail.size() && tail[i] == '(') {
         const std::size_t close = match_paren(tail, i);
         if (close == std::string_view::npos) return false;
-        if (annotated && requires_out) {
-          const auto names = parse_mutex_list(tail.substr(i + 1, close - i - 1));
-          requires_out->insert(requires_out->end(), names.begin(), names.end());
-        }
         i = close + 1;
       }
       continue;
@@ -161,7 +138,7 @@ bool tail_ok(std::string_view tail, std::vector<std::string>* requires_out) {
 
 /// Decides whether `head` (text between the previous statement boundary and
 /// a '{') is a function definition, and if so which one.
-HeadParse parse_head(std::string_view head, std::string_view enclosing_class) {
+HeadParse parse_head(std::string_view head) {
   HeadParse out;
   // A depth-0 ':' that is not '::' starts a constructor init list (class
   // heads were already classified away); name-finding looks left of it.
@@ -174,7 +151,6 @@ HeadParse parse_head(std::string_view head, std::string_view enclosing_class) {
     if (depth == 0 && c == ':' &&
         (i + 1 >= head.size() || head[i + 1] != ':') && (i == 0 || head[i - 1] != ':')) {
       limit = i;
-      out.is_special = true;  // ctor init list
       break;
     }
   }
@@ -196,7 +172,6 @@ HeadParse parse_head(std::string_view head, std::string_view enclosing_class) {
     const std::size_t open = *it;
     std::string name = chain_before(h, open);
     std::size_t name_off;
-    bool is_operator = false;
     if (name.empty()) {
       // operator()/operator==/...: identifier chain reads empty because the
       // name ends in symbols; look for the `operator` keyword just before.
@@ -206,7 +181,6 @@ HeadParse parse_head(std::string_view head, std::string_view enclosing_class) {
       if (last_component(word) != "operator") continue;
       name = word + std::string(trim(h.substr(k, open - k)));
       name_off = k - word.size();
-      is_operator = true;
     } else {
       name_off = open;
       while (name_off > 0 && std::isspace(static_cast<unsigned char>(h[name_off - 1]))) --name_off;
@@ -215,7 +189,7 @@ HeadParse parse_head(std::string_view head, std::string_view enclosing_class) {
     }
     const std::size_t close = match_paren(h, open);
     if (close == std::string_view::npos) continue;
-    if (!tail_ok(head.substr(close + 1, limit - close - 1), &out.requires_mutexes)) continue;
+    if (!tail_ok(head.substr(close + 1, limit - close - 1))) continue;
     // `= foo(...)` / `, foo(...)` heads are initializers, not definitions.
     std::size_t p = name_off;
     while (p > 0 && std::isspace(static_cast<unsigned char>(h[p - 1]))) --p;
@@ -223,15 +197,6 @@ HeadParse parse_head(std::string_view head, std::string_view enclosing_class) {
     out.is_function = true;
     out.qualified = name;
     out.name_offset = name_off;
-    const std::string base = last_component(name);
-    if (is_operator || base.front() == '~' || base == enclosing_class) out.is_special = true;
-    // Foo::Foo out-of-line constructor.
-    const std::size_t q = name.rfind("::");
-    if (q != std::string::npos && name.substr(0, q).size() >= base.size() &&
-        last_component(name.substr(0, q)) == base) {
-      out.is_special = true;
-    }
-    // SIMTY_REQUIRES may also precede the name (attribute style on the line).
     return out;
   }
   return out;
@@ -292,21 +257,11 @@ bool allows(const FileModel& m, int line, std::string_view check) {
   return std::find(v.begin(), v.end(), check) != v.end();
 }
 
-/// Fills calls/seeds/locks for one function body (offsets into m.joined).
-void scan_body(FileModel& m, Function& fn, const std::vector<std::size_t>& brace_match_open,
-               const std::vector<std::size_t>& brace_match_close) {
+/// Fills calls/seeds for one function body (offsets into m.joined).
+void scan_body(FileModel& m, Function& fn) {
   const std::string_view text = m.joined;
-  std::vector<std::size_t> block_stack;  // offsets of open braces
   for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
     const char c = text[i];
-    if (c == '{') {
-      block_stack.push_back(i);
-      continue;
-    }
-    if (c == '}') {
-      if (!block_stack.empty()) block_stack.pop_back();
-      continue;
-    }
     if (!ident_char(c) || (i > 0 && ident_char(text[i - 1]))) continue;
     // `i` starts an identifier word.
     std::size_t j = i;
@@ -352,63 +307,6 @@ void scan_body(FileModel& m, Function& fn, const std::vector<std::size_t>& brace
       fn.seeds.push_back({seed, line, allows(m, line, "taint")});
       i = j - 1;
       continue;
-    }
-
-    // --- lock scopes -------------------------------------------------------
-    if (word == "lock_guard" || word == "unique_lock" || word == "shared_lock" ||
-        word == "scoped_lock") {
-      // std::lock_guard<std::mutex> lk(mutex_);  — mutex is the first ctor arg.
-      std::size_t k = j;
-      if (k < text.size() && text[k] == '<') {
-        int angle = 0;
-        while (k < text.size()) {
-          if (text[k] == '<') ++angle;
-          if (text[k] == '>' && --angle == 0) {
-            ++k;
-            break;
-          }
-          ++k;
-        }
-      }
-      // variable name then '(' or '{'
-      while (k < text.size() && (std::isspace(static_cast<unsigned char>(text[k])) ||
-                                 ident_char(text[k]))) {
-        ++k;
-      }
-      if (k < fn.body_end && (text[k] == '(' || text[k] == '{')) {
-        std::size_t arg_end = text.find_first_of(",)}", k + 1);
-        if (arg_end != std::string_view::npos) {
-          const std::string mu = chain_before(text, arg_end);
-          if (!mu.empty()) {
-            const std::size_t block_end =
-                block_stack.empty()
-                    ? fn.body_end
-                    : brace_match_close[static_cast<std::size_t>(
-                          std::lower_bound(brace_match_open.begin(), brace_match_open.end(),
-                                           block_stack.back()) -
-                          brace_match_open.begin())];
-            fn.locks.push_back({last_component(mu), i, block_end});
-          }
-        }
-      }
-    } else if (word == "lock" || word == "lock_shared") {
-      // bare mu.lock(): held to the end of the innermost block.
-      const bool member = i >= 1 && text[i - 1] == '.';
-      std::size_t k = j;
-      while (k < text.size() && std::isspace(static_cast<unsigned char>(text[k]))) ++k;
-      if (member && k < text.size() && text[k] == '(') {
-        const std::string mu = chain_before(text, i - 1);
-        if (!mu.empty()) {
-          const std::size_t block_end =
-              block_stack.empty()
-                  ? fn.body_end
-                  : brace_match_close[static_cast<std::size_t>(
-                        std::lower_bound(brace_match_open.begin(), brace_match_open.end(),
-                                         block_stack.back()) -
-                        brace_match_open.begin())];
-          fn.locks.push_back({last_component(mu), i, block_end});
-        }
-      }
     }
 
     // --- calls -------------------------------------------------------------
@@ -536,11 +434,6 @@ FileModel build_model(const std::string& path, const std::string& content) {
     std::size_t func = std::size_t(-1);
     std::string class_name;
   };
-  struct ClassRange {
-    std::string name;
-    std::size_t begin = 0, end = 0;
-  };
-  std::vector<ClassRange> class_ranges;
   std::vector<Scope> stack;
   std::size_t head_start = 0;
   int paren_depth = 0;
@@ -573,12 +466,9 @@ FileModel build_model(const std::string& path, const std::string& content) {
         } else if (head_is_class(head)) {
           s.kind = Kind::kClass;
           s.class_name = class_name_of(head);
-          if (!s.class_name.empty()) {
-            m.provided.push_back(s.class_name);
-            class_ranges.push_back({s.class_name, i, close_of(i)});
-          }
+          if (!s.class_name.empty()) m.provided.push_back(s.class_name);
         } else {
-          const HeadParse hp = parse_head(head, enclosing);
+          const HeadParse hp = parse_head(head);
           if (hp.is_function) {
             Function fn;
             fn.qualified = hp.qualified;
@@ -592,8 +482,6 @@ FileModel build_model(const std::string& path, const std::string& content) {
             fn.display = m.path + ":" + std::to_string(fn.line) + " " + fn.qualified;
             fn.body_begin = i + 1;
             fn.body_end = close_of(i);
-            fn.is_special = hp.is_special;
-            fn.requires_mutexes = hp.requires_mutexes;
             // allow(taint) anywhere on the definition head or the '{' line.
             for (int ln = line_of(m, head_start); ln <= line_of(m, i); ++ln) {
               if (allows(m, ln, "taint")) fn.taint_allowed = true;
@@ -627,32 +515,6 @@ FileModel build_model(const std::string& path, const std::string& content) {
     }
   }
 
-  // Guarded member declarations: `T name_ SIMTY_GUARDED_BY(mu_);`
-  for (std::size_t pos = text.find("SIMTY_GUARDED_BY"); pos != std::string_view::npos;
-       pos = text.find("SIMTY_GUARDED_BY", pos + 1)) {
-    if (pos > 0 && ident_char(text[pos - 1])) continue;
-    const std::size_t after = pos + std::string_view("SIMTY_GUARDED_BY").size();
-    if (after < text.size() && ident_char(text[after])) continue;
-    const std::size_t open = text.find('(', after);
-    if (open == std::string_view::npos) continue;
-    const std::size_t close = match_paren(text, open);
-    if (close == std::string_view::npos) continue;
-    const std::string mu = chain_before(text, close);
-    const std::string var = chain_before(text, pos);
-    if (!mu.empty() && !var.empty()) {
-      GuardedVar gv{last_component(var), last_component(mu), line_of(m, pos), {}};
-      // Innermost (smallest) class range containing the declaration, if any.
-      std::size_t best = std::size_t(-1);
-      for (const auto& cr : class_ranges) {
-        if (cr.begin < pos && pos < cr.end && cr.end - cr.begin < best) {
-          best = cr.end - cr.begin;
-          gv.cls = cr.name;
-        }
-      }
-      m.guarded.push_back(std::move(gv));
-    }
-  }
-
   // Provided names also pick up type aliases for the IWYU pass.
   for (std::size_t pos = text.find("using "); pos != std::string_view::npos;
        pos = text.find("using ", pos + 1)) {
@@ -666,8 +528,8 @@ FileModel build_model(const std::string& path, const std::string& content) {
     if (j > i && k < text.size() && text[k] == '=') m.provided.push_back(std::string(text.substr(i, j - i)));
   }
 
-  // Body scans (calls / seeds / locks) for every parsed function.
-  for (auto& fn : m.functions) scan_body(m, fn, match_open, match_close);
+  // Body scans (calls / seeds) for every parsed function.
+  for (auto& fn : m.functions) scan_body(m, fn);
 
   std::sort(m.provided.begin(), m.provided.end());
   m.provided.erase(std::unique(m.provided.begin(), m.provided.end()), m.provided.end());

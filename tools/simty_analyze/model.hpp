@@ -5,8 +5,7 @@
 // spaced out by the shared simty_lint lexer, preprocessor lines blanked on
 // top of that so macro bodies can't unbalance the brace matcher), its
 // direct includes, and every function definition found by the heuristic
-// scope parser with the calls, nondeterminism seeds, lock scopes, and
-// guarded-member uses inside it.
+// scope parser with the calls and nondeterminism seeds inside it.
 
 #include <cstddef>
 #include <string>
@@ -36,24 +35,6 @@ struct Seed {
   bool allowed = false;  // allow(taint) on the seed line
 };
 
-/// A scope (offset range into the joined blanked text) holding a mutex:
-/// either an RAII guard declaration or a bare `mu.lock()` (held to the end
-/// of the innermost enclosing block — unlock() is not tracked; the repo
-/// only uses RAII guards).
-struct LockScope {
-  std::string mutex;  // as written, trailing `_` kept: "mutex_", "mu"
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// One use (read or write) of a SIMTY_GUARDED_BY member.
-struct GuardedUse {
-  std::string var;
-  int line = 0;
-  std::size_t offset = 0;
-  bool allowed = false;  // allow(lock) on the use line
-};
-
 /// A parsed function definition (has a body in this file).
 struct Function {
   std::string name;        // unqualified: "set_sink"
@@ -62,25 +43,9 @@ struct Function {
   int line = 0;
   std::size_t body_begin = 0;  // offset of '{' in joined text
   std::size_t body_end = 0;    // offset one past matching '}'
-  bool is_special = false;     // ctor/dtor/operator — skipped by lock check
   bool taint_allowed = false;  // allow(taint) on the definition line
-  std::vector<std::string> requires_mutexes;  // SIMTY_REQUIRES(...) args
   std::vector<Call> calls;
   std::vector<Seed> seeds;
-  std::vector<LockScope> locks;
-  std::vector<GuardedUse> guarded_uses;
-};
-
-/// A member declared `T name_ SIMTY_GUARDED_BY(mu_);` anywhere in the file.
-struct GuardedVar {
-  std::string var;
-  std::string mutex;
-  int line = 0;
-  /// Innermost enclosing class at the declaration, empty for namespace or
-  /// function scope (a static local). Uses are only checked inside member
-  /// functions of `cls` — or, when empty, inside this same file — so a
-  /// same-named member of an unrelated class never trips the check.
-  std::string cls;
 };
 
 struct FileModel {
@@ -91,7 +56,6 @@ struct FileModel {
   std::vector<std::size_t> line_start;
   std::vector<Include> includes;
   std::vector<Function> functions;
-  std::vector<GuardedVar> guarded;
   /// Identifiers this file declares at namespace/class scope (functions,
   /// classes, enums) — used by the IWYU pass to decide whether an include
   /// supplies anything the includer mentions.
@@ -99,8 +63,7 @@ struct FileModel {
   /// Checks disabled for the whole file via allow-file(...).
   std::vector<std::string> file_allows;
   /// Per-line allow(...) directives (1-based line -> index 0), kept so the
-  /// lock pass can honour hatches on uses it discovers after cross-file
-  /// guarded-variable resolution.
+  /// layering pass can honour hatches on the include lines it reports.
   std::vector<std::vector<std::string>> line_allows;
 };
 

@@ -1,5 +1,5 @@
 #pragma once
-// Internal interface between the orchestrator (analyze.cpp) and the three
+// Internal interface between the orchestrator (analyze.cpp) and the two
 // analysis passes. The Graph is the whole-tree view every pass consumes:
 // parsed per-file models plus the resolved include graph and its closure.
 
@@ -30,6 +30,5 @@ int module_of(const std::vector<ModuleRule>& rules, const std::string& path);
 
 void run_taint(const Graph& g, const Config& config, Result& result);
 void run_layering(const Graph& g, const Config& config, Result& result);
-void run_locks(const Graph& g, const Config& config, Result& result);
 
 }  // namespace simty::analyze

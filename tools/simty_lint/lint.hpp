@@ -37,15 +37,16 @@ struct Options {
   /// (a nondeterministic tracer would poison the trace-diff gate), the
   /// fleet sampler/aggregator (whose bit-identical serial-vs-parallel
   /// contract is gated in CI), and the model layers they simulate through —
-  /// net/hw/power/usage/metrics all execute inside the event loop, so a
+  /// net/hw/power/usage/metrics/apps/gcm all execute inside the event loop
+  /// (imitated apps draw trace entries lazily, GCM schedules pushes), so a
   /// wall-clock read or unseeded draw there breaks the same contract.
   /// snapshot (checkpoint bytes must not depend on when they were written)
   /// and serve (cached results must equal freshly computed ones) extend the
   /// same contract across process boundaries.
   std::vector<std::string> deterministic_prefixes = {
-      "src/sim",   "src/alarm",   "src/exp",   "src/policy", "src/trace",
-      "src/fleet", "src/net",     "src/hw",    "src/power",  "src/usage",
-      "src/metrics", "src/snapshot", "src/serve"};
+      "src/sim",     "src/alarm",    "src/exp",   "src/trace", "src/fleet",
+      "src/net",     "src/hw",       "src/power", "src/usage", "src/apps",
+      "src/gcm",     "src/metrics",  "src/snapshot", "src/serve"};
   /// The event hot path: EventFn instead of std::function, interned
   /// const char* labels instead of std::string.
   std::vector<std::string> hot_path_prefixes = {"src/sim"};
@@ -59,7 +60,9 @@ struct Options {
   std::vector<std::string> extra_unordered_names;
 };
 
-/// Stable names of every rule, for --list-rules and allow() validation.
+/// Stable names of every rule, printed by --list-rules. allow(...)
+/// directives are not validated against it: an unknown name silences
+/// nothing.
 const std::vector<std::string>& rule_names();
 
 /// Lints one in-memory source file. `rel_path` decides which rule sets
