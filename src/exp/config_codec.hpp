@@ -1,8 +1,9 @@
 #pragma once
 // The config codec's writer, shared by every config that is a list of named
 // fields: ExperimentConfig (for_each_config_field) and fleet::FleetConfig
-// (fleet::for_each_fleet_field). The decoder, read_config, stays in
-// experiment.cpp: only ExperimentConfig is ever decoded.
+// (fleet::for_each_fleet_field). The type-to-wire mapping is the shared one
+// of snapshot/codec.hpp. The decoder, read_config, stays in experiment.cpp:
+// only ExperimentConfig is ever decoded.
 
 #include <array>
 #include <cstdint>
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/codec.hpp"
 
 namespace simty::exp {
 
@@ -73,44 +74,22 @@ void for_each_field(T& v, F&& f) {
 
 using OptionalSwitch = std::optional<ExperimentConfig::BetaSwitch>;
 
-/// Writes the fields it visits. Each overload codes one field type; the
-/// catch-all template codes enums as a byte and recurses into records.
-struct ConfigWriter {
-  snapshot::Writer& w;
+/// Writes the fields it visits: the shared state-field codec, plus the
+/// config-only types, with records walked through for_each_field.
+struct ConfigWriter : snapshot::FieldWriterBase<ConfigWriter> {
   bool beta_blind = false;
 
-  void operator()(const char*, bool v) const { w.boolean(v); }
-  void operator()(const char*, std::uint64_t v) const { w.u64(v); }
-  void operator()(const char*, double v) const { w.f64(v); }
-  void operator()(const char*, Duration v) const { w.i64(v.us()); }
-  void operator()(const char*, Power v) const { w.f64(v.mw()); }
-  void operator()(const char*, Energy v) const { w.f64(v.mj()); }
-  void operator()(const char*, hw::ComponentSet v) const { w.u32(v.bits()); }
-  void operator()(const char*, const std::string& v) const { w.str(v); }
+  explicit ConfigWriter(snapshot::Writer& w, bool blind = false)
+      : FieldWriterBase(w), beta_blind(blind) {}
+
+  using FieldWriterBase::operator();
+  void operator()(const char*, hw::ComponentSet v) const { w_.u32(v.bits()); }
   void operator()(const char*, SwitchBeta<const OptionalSwitch> v) const {
-    if (!beta_blind) w.f64(v.beta_switch ? v.beta_switch->beta : 0.0);
+    if (!beta_blind) w_.f64(v.beta_switch ? v.beta_switch->beta : 0.0);
   }
   template <typename T>
-  void operator()(const char* name, const std::optional<T>& v) const {
-    w.boolean(v.has_value());
-    if (v) (*this)(name, *v);
-  }
-  template <typename T>
-  void operator()(const char* name, const std::vector<T>& v) const {
-    w.u64(v.size());
-    for (const T& x : v) (*this)(name, x);
-  }
-  template <typename T, std::size_t N>
-  void operator()(const char* name, const std::array<T, N>& v) const {
-    for (const T& x : v) (*this)(name, x);
-  }
-  template <typename T>
-  void operator()(const char*, const T& v) const {
-    if constexpr (std::is_enum_v<T>) {
-      w.u8(static_cast<std::uint8_t>(v));
-    } else {
-      for_each_field(v, *this);
-    }
+  void record(const T& v) const {
+    for_each_field(v, *this);
   }
 };
 
