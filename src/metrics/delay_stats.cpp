@@ -2,27 +2,8 @@
 
 #include <algorithm>
 
-#include "snapshot/snapshot.hpp"
 
 namespace simty::metrics {
-
-namespace {
-
-void save_group(snapshot::Writer& w, const DelayGroup& g) {
-  w.u64(g.deliveries);
-  w.u64(g.late);
-  w.f64(g.delay_sum);
-  w.f64(g.max_delay);
-}
-
-void restore_group(snapshot::SectionReader& s, DelayGroup& g) {
-  g.deliveries = s.u64();
-  g.late = s.u64();
-  g.delay_sum = s.f64();
-  g.max_delay = s.f64();
-}
-
-}  // namespace
 
 double DelayStats::normalized_delay(const alarm::DeliveryRecord& record) {
   if (record.repeat_interval.is_zero()) return 0.0;
@@ -46,18 +27,6 @@ void DelayStats::observe(const alarm::DeliveryRecord& record) {
 
 alarm::DeliveryObserver DelayStats::observer() {
   return [this](const alarm::DeliveryRecord& r) { observe(r); };
-}
-
-void DelayStats::save(snapshot::Writer& w) const {
-  save_group(w, perceptible_);
-  save_group(w, imperceptible_);
-  distribution_.save(w);
-}
-
-void DelayStats::restore(snapshot::SectionReader& s) {
-  restore_group(s, perceptible_);
-  restore_group(s, imperceptible_);
-  distribution_.restore(s);
 }
 
 }  // namespace simty::metrics

@@ -9,11 +9,6 @@
 #include "alarm/alarm_manager.hpp"
 #include "metrics/histogram.hpp"
 
-namespace simty::snapshot {
-class Writer;
-class SectionReader;
-}  // namespace simty::snapshot
-
 namespace simty::metrics {
 
 /// Accumulated delay statistics for one perceptibility class.
@@ -22,6 +17,14 @@ struct DelayGroup {
   std::uint64_t late = 0;          // delivered beyond the window end
   double delay_sum = 0.0;          // sum of normalized delays
   double max_delay = 0.0;          // worst normalized delay
+
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("deliveries", self.deliveries);
+    f("late", self.late);
+    f("delay_sum", self.delay_sum);
+    f("max_delay", self.max_delay);
+  }
 
   /// Average normalized delay (0 when no deliveries).
   double average() const {
@@ -51,9 +54,13 @@ class DelayStats {
   /// Normalized delay of a single record (exposed for tests/analysis).
   static double normalized_delay(const alarm::DeliveryRecord& record);
 
-  /// Serializes both delay groups and the imperceptible distribution.
-  void save(snapshot::Writer& w) const;
-  void restore(snapshot::SectionReader& s);
+  /// State fields, in snapshot order.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("perceptible", self.perceptible_);
+    f("imperceptible", self.imperceptible_);
+    f("distribution", self.distribution_);
+  }
 
  private:
   DelayGroup perceptible_;

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/strings.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace simty::metrics {
 
@@ -71,31 +70,6 @@ double Histogram::quantile(double q) const {
     cumulative = next;
   }
   return max_;  // target falls into the overflow bucket
-}
-
-void Histogram::save(snapshot::Writer& w) const {
-  w.f64(upper_);
-  w.u64(buckets_.size());
-  for (const std::uint64_t b : buckets_) w.u64(b);
-  w.u64(overflow_);
-  w.u64(count_);
-  w.f64(sum_);
-  w.f64(min_);
-  w.f64(max_);
-}
-
-void Histogram::restore(snapshot::SectionReader& s) {
-  const double upper = s.f64();
-  const std::uint64_t buckets = s.u64();
-  SIMTY_CHECK_MSG(upper == upper_ && buckets == buckets_.size(),
-                  "Histogram::restore: geometry mismatch");
-  s.check_count(buckets, 9);
-  for (std::uint64_t& b : buckets_) b = s.u64();
-  overflow_ = s.u64();
-  count_ = s.u64();
-  sum_ = s.f64();
-  min_ = s.f64();
-  max_ = s.f64();
 }
 
 std::string Histogram::render(int max_width) const {

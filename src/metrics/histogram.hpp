@@ -11,10 +11,7 @@
 #include <string>
 #include <vector>
 
-namespace simty::snapshot {
-class Writer;
-class SectionReader;
-}  // namespace simty::snapshot
+#include "snapshot/codec.hpp"
 
 namespace simty::metrics {
 
@@ -52,11 +49,19 @@ class Histogram {
   /// Compact ASCII sparkline-style rendering, e.g. for bench output.
   std::string render(int max_width = 40) const;
 
-  /// Serializes geometry and contents. restore() requires this object to
-  /// have been constructed with the same geometry (upper bound and bucket
-  /// count) as the saved one — geometry is config, contents are state.
-  void save(snapshot::Writer& w) const;
-  void restore(snapshot::SectionReader& s);
+  /// State fields, in snapshot order. Geometry is config, contents are
+  /// state: a restore requires the saved upper bound and bucket count to
+  /// equal this histogram's.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("upper", snapshot::same(self.upper_));
+    f("buckets", snapshot::fixed(self.buckets_));
+    f("overflow", self.overflow_);
+    f("count", self.count_);
+    f("sum", self.sum_);
+    f("min", self.min_);
+    f("max", self.max_);
+  }
 
  private:
   double upper_;

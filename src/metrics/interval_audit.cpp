@@ -77,57 +77,11 @@ std::vector<GapViolation> IntervalAudit::check_bounds(double beta,
   return out;
 }
 
-void IntervalAudit::save(snapshot::Writer& w) const {
-  w.u64(stats_.size());
-  for (const auto& [id, s] : stats_) {
-    w.u64(id);
-    w.str(s.tag);
-    w.u8(static_cast<std::uint8_t>(s.mode));
-    w.i64(s.repeat.us());
-    w.boolean(s.ever_perceptible);
-    w.boolean(s.last_perceptible);
-    w.u64(s.deliveries);
-    w.i64(s.min_gap.us());
-    w.i64(s.max_gap.us());
-  }
-  w.u64(stats_.size());
-  for (const auto& [id, s] : stats_) {
-    w.u64(id);
-    w.i64(s.last_delivered.us());
-  }
-}
-
 void IntervalAudit::restore(snapshot::SectionReader& s) {
-  stats_.clear();
-  const std::uint64_t stat_count = s.u64();
-  // id + min fixed fields per entry: u64(9) + str(9) + u8(2) + i64(9) +
-  // 2 bools(4) + u64(9) + 2 i64(18).
-  s.check_count(stat_count, 60);
-  for (std::uint64_t i = 0; i < stat_count; ++i) {
-    const std::uint64_t id = s.u64();
-    GapStats g;
-    g.tag = s.str();
-    const std::uint8_t mode = s.u8();
-    SIMTY_CHECK_MSG(mode <= static_cast<std::uint8_t>(alarm::RepeatMode::kDynamic),
-                    "IntervalAudit::restore: repeat mode out of range");
-    g.mode = static_cast<alarm::RepeatMode>(mode);
-    g.repeat = Duration::micros(s.i64());
-    g.ever_perceptible = s.boolean();
-    g.last_perceptible = s.boolean();
-    g.deliveries = s.u64();
-    g.min_gap = Duration::micros(s.i64());
-    g.max_gap = Duration::micros(s.i64());
-    SIMTY_CHECK_MSG(stats_.empty() || stats_.back().first < id,
+  snapshot::read_fields(s, *this);
+  for (std::size_t i = 1; i < stats_.size(); ++i) {
+    SIMTY_CHECK_MSG(stats_[i - 1].first < stats_[i].first,
                     "IntervalAudit::restore: duplicate or unordered alarm id");
-    stats_.push_back(Entry{id, std::move(g)});
-  }
-  // Every audited alarm has a latest delivery, listed in the same order.
-  SIMTY_CHECK_MSG(s.u64() == stats_.size(),
-                  "IntervalAudit::restore: last-delivery count mismatch");
-  for (Entry& e : stats_) {
-    SIMTY_CHECK_MSG(s.u64() == e.first,
-                    "IntervalAudit::restore: last-delivery id mismatch");
-    e.second.last_delivered = TimePoint::from_us(s.i64());
   }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace simty::metrics {
 
@@ -24,16 +23,6 @@ alarm::DeliveryObserver WakeupAccounting::observer() {
 
 std::uint64_t WakeupAccounting::deliveries_using(hw::Component c) const {
   return per_component_[static_cast<std::size_t>(c)];
-}
-
-void WakeupAccounting::save(snapshot::Writer& w) const {
-  w.u64(total_deliveries_);
-  for (const std::uint64_t n : per_component_) w.u64(n);
-}
-
-void WakeupAccounting::restore(snapshot::SectionReader& s) {
-  total_deliveries_ = s.u64();
-  for (std::uint64_t& n : per_component_) n = s.u64();
 }
 
 std::vector<BreakdownRow> WakeupAccounting::rows(

@@ -14,11 +14,6 @@
 #include "hw/device.hpp"
 #include "hw/wakelock.hpp"
 
-namespace simty::snapshot {
-class Writer;
-class SectionReader;
-}  // namespace simty::snapshot
-
 namespace simty::metrics {
 
 /// One Table 4 row.
@@ -78,9 +73,12 @@ class WakeupAccounting {
     }
   }
 
-  /// Serializes the expected-count accumulators.
-  void save(snapshot::Writer& w) const;
-  void restore(snapshot::SectionReader& s);
+  /// State fields (the expected-count accumulators), in snapshot order.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("total_deliveries", self.total_deliveries_);
+    f("per_component", self.per_component_);
+  }
 
  private:
   std::uint64_t total_deliveries_ = 0;
