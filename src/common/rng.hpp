@@ -40,15 +40,12 @@ class Rng {
   /// Derives an independent child stream (for per-app RNGs).
   Rng fork(std::uint64_t salt);
 
-  /// Raw stream position, for snapshot/restore. `inc` identifies the
-  /// stream, `state` its position; from_raw() resumes mid-stream exactly.
-  std::uint64_t raw_state() const { return state_; }
-  std::uint64_t raw_inc() const { return inc_; }
-  static Rng from_raw(std::uint64_t state, std::uint64_t inc) {
-    Rng r(0, 0);
-    r.state_ = state;
-    r.inc_ = inc;
-    return r;
+  /// Snapshot fields: `state` is the stream position and `inc` names the
+  /// stream, so a restored Rng resumes mid-stream exactly.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("state", self.state_);
+    f("inc", self.inc_);
   }
 
  private:
