@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "common/check.hpp"
-#include "snapshot/snapshot.hpp"
 #include "trace/tracer.hpp"
 
 namespace simty::net {
@@ -58,35 +57,6 @@ alarm::DeliveryHandler CellularStandby::handler_for(const std::string& tag) {
     if (tag == sync.spec.name + ".cell") return sync_handler(sync);
   }
   return {};
-}
-
-void CellularStandby::save(snapshot::Writer& w) const {
-  w.boolean(finalized_);
-  rrc_.save(w);
-  w.u64(deployed_.size());
-  for (const DeployedSync& sync : deployed_) {
-    w.u64(sync.rng->raw_state());
-    w.u64(sync.rng->raw_inc());
-  }
-  w.boolean(pager_ != nullptr);
-  if (pager_) pager_->save(w);
-}
-
-void CellularStandby::restore(snapshot::SectionReader& s) {
-  finalized_ = s.boolean();
-  rrc_.restore(s);
-  const std::uint64_t count = s.u64();
-  SIMTY_CHECK_MSG(count == deployed_.size(),
-                  "CellularStandby::restore: deployed sync count mismatch");
-  s.check_count(count, 18);
-  for (DeployedSync& sync : deployed_) {
-    const std::uint64_t state = s.u64();
-    const std::uint64_t inc = s.u64();
-    *sync.rng = Rng::from_raw(state, inc);
-  }
-  SIMTY_CHECK_MSG(s.boolean() == (pager_ != nullptr),
-                  "CellularStandby::restore: paging deployment mismatch");
-  if (pager_) pager_->restore(s);
 }
 
 void CellularStandby::finalize(TimePoint horizon) {
