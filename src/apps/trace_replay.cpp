@@ -5,7 +5,7 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/codec.hpp"
 
 namespace simty::apps {
 
@@ -63,17 +63,16 @@ const TraceEntry& ImitatedApp::entry(std::size_t i) {
 
 void ImitatedApp::save(snapshot::Writer& w) const {
   ResidentApp::save(w);
-  w.u64(cursor_);
+  snapshot::write_fields(w, *this);
 }
 
 void ImitatedApp::restore(snapshot::SectionReader& s) {
   ResidentApp::restore(s);
-  const std::uint64_t cursor = s.u64();
-  SIMTY_CHECK_MSG(cursor < length_, "ImitatedApp::restore: replay cursor " +
-                                         std::to_string(cursor) +
+  snapshot::read_fields(s, *this);
+  SIMTY_CHECK_MSG(cursor_ < length_, "ImitatedApp::restore: replay cursor " +
+                                         std::to_string(cursor_) +
                                          " past the trace length " +
                                          std::to_string(length_));
-  cursor_ = static_cast<std::size_t>(cursor);
 }
 
 alarm::TaskSpec ImitatedApp::next_task() {
