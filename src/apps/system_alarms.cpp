@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/codec.hpp"
 
 namespace simty::apps {
 
@@ -80,32 +80,11 @@ alarm::DeliveryHandler SystemAlarmSource::handler_for(const std::string& tag) {
   return {};
 }
 
-void SystemAlarmSource::save(snapshot::Writer& w) const {
-  w.u64(rng_.raw_state());
-  w.u64(rng_.raw_inc());
-  w.i64(horizon_.us());
-  w.u64(one_shots_fired_);
-  w.u64(one_shot_seq_);
-  w.boolean(spawn_event_.has_value());
-  if (spawn_event_) w.u64(spawn_event_->value);
-}
-
 void SystemAlarmSource::restore(snapshot::SectionReader& s) {
-  const std::uint64_t state = s.u64();
-  const std::uint64_t inc = s.u64();
-  rng_ = Rng::from_raw(state, inc);
-  horizon_ = TimePoint::from_us(s.i64());
-  one_shots_fired_ = s.u64();
-  one_shot_seq_ = s.u64();
-  // start()'s spawn event died with the queue restore; drop the stale id
-  // before rebinding the saved chain.
-  spawn_event_.reset();
-  if (s.boolean()) {
-    const std::uint64_t event = s.u64();
-    SIMTY_CHECK_MSG(event != 0, "SystemAlarmSource::restore: null spawn event");
-    spawn_event_ = sim::EventId{event};
-    sim_.rebind(*spawn_event_, [this] { on_spawn_event(); });
-  }
+  // start()'s spawn event died with the queue restore; the saved chain,
+  // if any, replaces it.
+  snapshot::read_fields(s, *this);
+  if (spawn_event_) sim_.rebind(*spawn_event_, [this] { on_spawn_event(); });
 }
 
 }  // namespace simty::apps

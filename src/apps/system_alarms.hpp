@@ -66,12 +66,21 @@ class SystemAlarmSource {
   /// Returns an empty handler for foreign tags.
   alarm::DeliveryHandler handler_for(const std::string& tag);
 
-  /// Serializes the rng stream, counters, and the pending spawn event.
-  /// restore() overwrites whatever start() did on the fresh stack (the
+  /// The snapshot carries the rng stream, counters, and the pending spawn
+  /// event. restore() overwrites whatever start() did on the fresh stack (the
   /// registered alarms live in the manager's snapshot; start()'s spawn
   /// event dies with the queue restore) and rebinds the saved spawn chain.
-  void save(snapshot::Writer& w) const;
   void restore(snapshot::SectionReader& s);
+
+  /// State fields, in snapshot order.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("rng", self.rng_);
+    f("horizon", self.horizon_);
+    f("one_shots_fired", self.one_shots_fired_);
+    f("one_shot_seq", self.one_shot_seq_);
+    f("spawn_event", self.spawn_event_);
+  }
 
  private:
   void spawn_next_one_shot();
