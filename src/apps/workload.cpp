@@ -3,7 +3,7 @@
 #include "apps/app_catalog.hpp"
 #include "common/check.hpp"
 #include "common/hash.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/codec.hpp"
 
 namespace simty::apps {
 
@@ -138,25 +138,10 @@ alarm::DeliveryHandler Workload::handler_for(alarm::AlarmManager& manager,
   return {};
 }
 
-void Workload::save(snapshot::Writer& w) const {
-  w.u64(apps_.size());
-  for (const auto& app : apps_) app->save(w);
-  w.u64(launch_events_.size());
-  for (const sim::EventId id : launch_events_) w.u64(id.value);
-}
-
 void Workload::restore(snapshot::SectionReader& s, sim::Simulator& sim,
                        alarm::AlarmManager& manager) {
-  const std::uint64_t app_count = s.u64();
-  SIMTY_CHECK_MSG(app_count == apps_.size(),
-                  "Workload::restore: app count mismatch with the snapshot");
-  for (const auto& app : apps_) app->restore(s);
-  const std::uint64_t event_count = s.u64();
-  SIMTY_CHECK_MSG(event_count == launch_events_.size(),
-                  "Workload::restore: launch event count mismatch");
-  s.check_count(event_count, 9);
+  snapshot::read_fields(s, *this);
   for (std::size_t i = 0; i < launch_events_.size(); ++i) {
-    launch_events_[i] = sim::EventId{s.u64()};
     // A launch that already fired left its alarm id behind; only still-
     // pending launches have a live event to rebind. Rebinding captures the
     // workload-config β — matching the straight run, where the launch

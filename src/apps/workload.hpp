@@ -16,11 +16,7 @@
 #include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
-
-namespace simty::snapshot {
-class Writer;
-class SectionReader;
-}  // namespace simty::snapshot
+#include "snapshot/codec.hpp"
 
 namespace simty::apps {
 
@@ -91,12 +87,18 @@ class Workload {
   alarm::DeliveryHandler handler_for(alarm::AlarmManager& manager,
                                      alarm::AppId app, const std::string& tag);
 
-  /// Serializes per-app state and the pending launch events. restore()
-  /// requires an identically constructed (same factory, config) and
-  /// deploy()ed workload; launches that had not fired yet are rebound.
-  void save(snapshot::Writer& w) const;
+  /// The snapshot carries per-app state and the pending launch events.
+  /// restore() requires an identically constructed (same factory, config)
+  /// and deploy()ed workload; launches that had not fired yet are rebound.
   void restore(snapshot::SectionReader& s, sim::Simulator& sim,
                alarm::AlarmManager& manager);
+
+  /// State fields, in snapshot order.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("apps", snapshot::fixed(self.apps_));
+    f("launch_events", snapshot::fixed(self.launch_events_));
+  }
 
  private:
   Workload(WorkloadConfig config, common::Arena* arena);
