@@ -2,7 +2,7 @@
 
 #include "common/check.hpp"
 #include "common/strings.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/codec.hpp"
 
 namespace simty::alarm {
 
@@ -96,49 +96,14 @@ void Alarm::set_grace_length(Duration grace) {
   spec_.validate();
 }
 
-void Alarm::save(snapshot::Writer& w) const {
-  w.u64(id_.value);
-  w.str(spec_.tag);
-  w.u32(spec_.app.value);
-  w.u8(static_cast<std::uint8_t>(spec_.kind));
-  w.u8(static_cast<std::uint8_t>(spec_.mode));
-  w.i64(spec_.repeat_interval.us());
-  w.i64(spec_.window_length.us());
-  w.i64(spec_.grace_length.us());
-  w.i64(nominal_.us());
-  w.u32(hardware_.bits());
-  w.boolean(hardware_known_);
-  w.i64(expected_hold_.us());
-  w.u64(delivery_count_);
-}
-
 Alarm Alarm::restore(snapshot::SectionReader& s) {
-  const AlarmId id{s.u64()};
-  AlarmSpec spec;
-  spec.tag = s.str();
-  spec.app = AppId{s.u32()};
-  const std::uint8_t kind = s.u8();
-  SIMTY_CHECK_MSG(kind <= static_cast<std::uint8_t>(AlarmKind::kNonWakeup),
-                  "Alarm::restore: kind out of range");
-  spec.kind = static_cast<AlarmKind>(kind);
-  const std::uint8_t mode = s.u8();
-  SIMTY_CHECK_MSG(mode <= static_cast<std::uint8_t>(RepeatMode::kDynamic),
-                  "Alarm::restore: repeat mode out of range");
-  spec.mode = static_cast<RepeatMode>(mode);
-  spec.repeat_interval = Duration::micros(s.i64());
-  spec.window_length = Duration::micros(s.i64());
-  spec.grace_length = Duration::micros(s.i64());
-  const TimePoint nominal = TimePoint::from_us(s.i64());
-  // The ctor re-validates the spec, so a corrupt record throws here.
-  Alarm alarm(id, std::move(spec), nominal);
-  alarm.hardware_ = hw::ComponentSet::from_bits(s.u32());
-  alarm.hardware_known_ = s.boolean();
+  Alarm alarm;
+  snapshot::read_fields(s, alarm);
+  alarm.spec_.validate();
   SIMTY_CHECK_MSG(alarm.hardware_known_ || alarm.hardware_.empty(),
                   "Alarm::restore: hardware recorded before first delivery");
-  alarm.expected_hold_ = Duration::micros(s.i64());
   SIMTY_CHECK_MSG(!alarm.expected_hold_.is_negative(),
                   "Alarm::restore: negative expected hold");
-  alarm.delivery_count_ = s.u64();
   alarm.update_perceptibility();
   return alarm;
 }
