@@ -159,6 +159,15 @@ struct DecodedEvent {
   TraceCategory category = TraceCategory::kSim;
 
   bool operator==(const DecodedEvent&) const = default;
+
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("t_us", self.t_us);
+    f("label", self.label);
+    f("kind", self.kind);
+    f("category", self.category);
+    f("arg", self.arg);
+  }
 };
 
 /// Result of decoding a binary trace. Labels are content-deduplicated in
