@@ -63,6 +63,12 @@ class TimeInterval {
 
   std::string to_string() const;
 
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("start", self.start_);
+    f("end", self.end_);
+  }
+
  private:
   TimePoint start_;
   TimePoint end_;
