@@ -39,25 +39,15 @@ class OnlineStats {
   /// "mean ± hw" rendering with the given precision.
   std::string to_string(int decimals = 2) const;
 
-  /// Exact internal state, for snapshot/restore (common/ sits below the
-  /// snapshot layer, so serialization lives with the callers). Restoring
-  /// from a saved state is bit-exact: the doubles travel untouched.
-  struct State {
-    std::uint64_t n = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  State state() const { return {n_, mean_, m2_, min_, max_}; }
-  static OnlineStats from_state(const State& s) {
-    OnlineStats o;
-    o.n_ = s.n;
-    o.mean_ = s.mean;
-    o.m2_ = s.m2;
-    o.min_ = s.min;
-    o.max_ = s.max;
-    return o;
+  /// Exact internal state, for snapshot/restore: restoring is bit-exact,
+  /// the doubles travel untouched.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("n", self.n_);
+    f("mean", self.mean_);
+    f("m2", self.m2_);
+    f("min", self.min_);
+    f("max", self.max_);
   }
 
  private:

@@ -24,11 +24,6 @@ namespace simty::exp {
 struct RunResult;
 }
 
-namespace simty::snapshot {
-class Writer;
-class SectionReader;
-}  // namespace simty::snapshot
-
 namespace simty::fleet {
 
 /// The per-device metrics the fleet tracks, one line each: X(name,
@@ -63,10 +58,13 @@ class MetricAggregate {
   /// Sketch quantile; 0 when empty.
   double quantile(double q) const { return hist_.empty() ? 0.0 : hist_.quantile(q); }
 
-  /// Writes exact state (Welford doubles raw, histogram counts) into the
-  /// current open section; restore() requires matching histogram geometry.
-  void save(snapshot::Writer& w) const;
-  void restore(snapshot::SectionReader& s);
+  /// Exact state (Welford doubles raw, histogram counts); a restore
+  /// requires matching histogram geometry.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("stats", self.stats_);
+    f("histogram", self.hist_);
+  }
 
  private:
   OnlineStats stats_;
@@ -112,12 +110,16 @@ struct CohortAggregate {
     });
   }
 
-  /// Serializes name, device count and every metric stream into the
-  /// current open section. restore() overwrites this aggregate wholesale
-  /// (including the name) and is bit-exact: continuing the same device
-  /// add-sequence after a restore reproduces the straight-run aggregate.
-  void save(snapshot::Writer& w) const;
-  void restore(snapshot::SectionReader& s);
+  /// State fields: name, device count and every metric stream. A restore
+  /// overwrites this aggregate wholesale (including the name) and is
+  /// bit-exact: continuing the same device add-sequence after a restore
+  /// reproduces the straight-run aggregate.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("cohort", self.cohort);
+    f("devices", self.devices);
+    for_each_metric([&](const char* name, auto stream, auto) { f(name, self.*stream); });
+  }
 
   /// Folds `other` in; keeps this aggregate's name.
   void merge(const CohortAggregate& other) {
