@@ -8,7 +8,7 @@
 #include "common/check.hpp"
 #include "common/parallel_map.hpp"
 #include "exp/config_codec.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/codec.hpp"
 #include "trace/tracer.hpp"
 
 namespace simty::fleet {
@@ -62,7 +62,7 @@ void write_shard_ckpt(const std::string& path, const FleetConfig& config,
   w.bytes(exp::encode_fields(config, kFleetFields));
   w.u64(shard.index);
   w.u64(next_device);
-  agg.save(w);
+  snapshot::write_fields(w, agg);
   w.end_section();
   snapshot::write_file_atomic(path, w.finish());
 }
@@ -74,19 +74,21 @@ void write_shard_ckpt(const std::string& path, const FleetConfig& config,
 std::uint64_t read_shard_ckpt(const std::string& path, const FleetConfig& config,
                               const Shard& shard, CohortAggregate& agg) {
   const snapshot::Reader reader(snapshot::read_file(path));
-  snapshot::SectionReader s = reader.section("fleet-shard", kShardCkptVersion);
-  const std::string stored = s.bytes();
-  if (stored != exp::encode_fields(config, kFleetFields)) {
-    const char* field = exp::first_differing(config, stored, kFleetFields);
-    SIMTY_CHECK_MSG(false, std::string("shard checkpoint: written under another fleet "
-                                       "config (field '") +
-                               (field != nullptr ? field : "?") + "' differs)");
-  }
-  SIMTY_CHECK_MSG(s.u64() == shard.index, "shard checkpoint: index mismatch");
-  const std::uint64_t next_device = s.u64();
-  SIMTY_CHECK_MSG(next_device >= shard.begin && next_device <= shard.end,
-                  "shard checkpoint: resume point outside shard");
-  agg.restore(s);
+  std::uint64_t next_device = 0;
+  reader.read_section("fleet-shard", kShardCkptVersion, [&](snapshot::SectionReader& s) {
+    const std::string stored = s.bytes();
+    if (stored != exp::encode_fields(config, kFleetFields)) {
+      const char* field = exp::first_differing(config, stored, kFleetFields);
+      SIMTY_CHECK_MSG(false, std::string("shard checkpoint: written under another fleet "
+                                         "config (field '") +
+                                 (field != nullptr ? field : "?") + "' differs)");
+    }
+    SIMTY_CHECK_MSG(s.u64() == shard.index, "shard checkpoint: index mismatch");
+    next_device = s.u64();
+    SIMTY_CHECK_MSG(next_device >= shard.begin && next_device <= shard.end,
+                    "shard checkpoint: resume point outside shard");
+    snapshot::read_fields(s, agg);
+  });
   SIMTY_CHECK_MSG(agg.devices == next_device - shard.begin,
                   "shard checkpoint: aggregate count disagrees with cursor");
   return next_device;
