@@ -93,6 +93,15 @@ struct Response {
     SIMTY_RESPONSE_METRICS(SIMTY_VISIT_METRIC)
 #undef SIMTY_VISIT_METRIC
   }
+
+  /// The wire fields, in order, for the shared snapshot field codec.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    f("cached", self.cached);
+    f("warm_started", self.warm_started);
+    f("policy_name", self.policy_name);
+    for_each_metric([&](const char* name, auto member, auto) { f(name, self.*member); });
+  }
 };
 
 /// Cache effectiveness counters (the "simty-stats" command), one line
@@ -118,6 +127,12 @@ struct ServeStats {
 #define SIMTY_VISIT_STAT(name) f(#name, &ServeStats::name);
     SIMTY_SERVE_STATS(SIMTY_VISIT_STAT)
 #undef SIMTY_VISIT_STAT
+  }
+
+  /// The wire fields, in order, for the shared snapshot field codec.
+  template <typename Self, typename F>
+  static void for_each_state_field(Self& self, F&& f) {
+    for_each_counter([&](const char* name, auto member) { f(name, self.*member); });
   }
 };
 
