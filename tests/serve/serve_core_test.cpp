@@ -27,6 +27,7 @@
 #include "snapshot/snapshot.hpp"
 #include "support/corrupt.hpp"
 #include "support/result_equality.hpp"
+#include "support/section_edit.hpp"
 
 namespace simty::serve {
 namespace {
@@ -220,6 +221,29 @@ TEST(ServeCodec, RejectsMalformedFrames) {
   bad.drx.emplace();
   bad.drx->page_hold = Duration::micros(-1);
   expect_rejected(bad, "drx.page_hold");
+}
+
+TEST(ServeCodec, FrameWithAnUnreadFieldIsRejectedNamingTheSection) {
+  const auto expect_unread = [](const std::string& frame, const char* section,
+                                const auto& decode) {
+    SCOPED_TRACE(section);
+    const std::string padded = support::edit_section(
+        frame, section, [](std::string& payload) { payload += support::u64_field(7); });
+    try {
+      decode(padded);
+      ADD_FAILURE() << "decoded a frame with an unread field";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("section '") + section + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_unread(encode_request(quick_request()), "simty-request",
+                [](const std::string& f) { decode_request(f); });
+  expect_unread(encode_response(Response{}), "simty-response",
+                [](const std::string& f) { decode_response(f); });
+  expect_unread(encode_stats(ServeStats{}), "simty-stats",
+                [](const std::string& f) { decode_stats(f); });
 }
 
 TEST(ServeCodec, RandomizedRequestCorruptionNeverEscapesTheChecks) {
