@@ -75,5 +75,3 @@
 #include "metrics/histogram.hpp"      // IWYU pragma: export
 #include "metrics/interval_audit.hpp" // IWYU pragma: export
 #include "metrics/wakeup_breakdown.hpp" // IWYU pragma: export
-#include "usage/day_model.hpp"        // IWYU pragma: export
-#include "usage/interactive.hpp"      // IWYU pragma: export

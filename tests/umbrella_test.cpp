@@ -25,7 +25,6 @@ TEST(Umbrella, OneSymbolPerModuleFamily) {
   metrics::DelayStats delays;                                       // metrics
   EXPECT_EQ(delays.perceptible().deliveries, 0u);
   EXPECT_STREQ(exp::to_string(exp::PolicyKind::kSimty), "SIMTY");   // exp
-  EXPECT_GT(usage::UsagePattern{}.mean_session_gap, Duration::zero()); // usage
 }
 
 }  // namespace

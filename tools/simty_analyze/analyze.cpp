@@ -36,7 +36,6 @@ const std::vector<ModuleRule>& repo_modules() {
       {"src/gcm", "gcm", 6},
       {"src/trace", "trace", 7},
       {"src/exp", "exp", 8},
-      {"src/usage", "usage", 9},
       {"src/fleet", "fleet", 9},
       {"src/serve", "serve", 9},  // sweep server drives exp runs
       {"src/cli", "cli", 10},
