@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "snapshot/snapshot.hpp"
 #include "support/corrupt.hpp"
@@ -52,6 +53,31 @@ TEST(SnapshotFormat, EveryFieldTypeRoundTripsExactly) {
   EXPECT_EQ(s.str(), "hello snapshot");
   EXPECT_EQ(s.bytes(), std::string("\x00\x01\x02\xff", 4));
   EXPECT_TRUE(s.at_end());
+}
+
+TEST(SnapshotFormat, WriterBytesArePinned) {
+  // The container bytes of the edge cases: a section with no fields,
+  // zero-length str and bytes fields, and more than two sections. Pinned
+  // before the writer was rebuilt around one output buffer.
+  Writer w;
+  w.begin_section("empty", 0);
+  w.end_section();
+  w.begin_section("blobs", 7);
+  w.str("");
+  w.bytes("");
+  w.str("x");
+  w.end_section();
+  w.begin_section("scalars", 0xfedcba98u);
+  w.u8(0xff);
+  w.u32(0x89abcdefu);
+  w.u64(0x0123456789abcdefull);
+  w.i64(-1);
+  w.f64(-0.0);
+  w.end_section();
+  const std::string bytes = w.finish();
+  EXPECT_EQ(bytes.size(), 143u);
+  EXPECT_EQ(common::fnv1a64(bytes), 14296991597991435597ull);
+  EXPECT_EQ(common::fnv1a64(sample_snapshot()), 11545739757090971911ull);
 }
 
 TEST(SnapshotFormat, TagDisciplineCatchesSchemaSkew) {
