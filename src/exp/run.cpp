@@ -183,7 +183,7 @@ void Run::restore_snapshot(const std::string& bytes) {
   // touch any component.
   std::optional<sim::EventId> beta_switch_event;
   r.read_section("run", kSectionVersion, [&](snapshot::SectionReader& s) {
-    const std::string fingerprint = s.bytes();
+    const std::string_view fingerprint = s.bytes_view();
     if (fingerprint != encode_config(config_, /*beta_blind=*/true)) {
       const char* field =
           first_differing_field(config_, fingerprint, /*beta_blind=*/true);

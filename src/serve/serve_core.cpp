@@ -30,14 +30,27 @@ std::string encode_request(const Request& req) {
   return w.finish();
 }
 
-Request decode_request(const std::string& bytes) {
+namespace {
+
+/// The request in a parsed frame's "simty-request" section; `encoding`
+/// views that section's payload, write_config's bytes for the request.
+Request read_request(const snapshot::Reader& reader, std::string_view& encoding) {
   Request req;
-  snapshot::Reader(bytes).read_section(
-      "simty-request", kProtocolVersion,
-      [&req](snapshot::SectionReader& s) { req = exp::read_config(s); });
+  reader.read_section("simty-request", kProtocolVersion,
+                      [&](snapshot::SectionReader& s) {
+                        encoding = s.payload();
+                        req = exp::read_config(s);
+                      });
   SIMTY_CHECK_MSG(req.duration <= kMaxServedDuration,
                   "serve: config field 'duration': must be <= 24 h");
   return req;
+}
+
+}  // namespace
+
+Request decode_request(const std::string& bytes) {
+  std::string_view encoding;
+  return read_request(snapshot::Reader(bytes), encoding);
 }
 
 std::string encode_response(const Response& resp) {
@@ -79,91 +92,83 @@ ServeStats decode_stats(const std::string& bytes) {
   return stats;
 }
 
-CacheKeys cache_keys(const Request& req) {
+CacheKeys cache_keys(std::string_view encoding) {
   // The encoding ends with the seed, then the switch β (both fixed-size).
-  const std::string bytes = exp::encode_config(req);
-  const std::string_view v = bytes;
   const std::size_t n = exp::kConfigTailFieldBytes;
-  const std::size_t seed_at = v.size() - 2 * n;
-  const std::uint64_t head = common::fnv1a64(v.substr(0, seed_at));
-  return {common::fnv1a64(v.substr(seed_at + n), head),
-          common::fnv1a64(v.substr(seed_at, n), head)};
+  SIMTY_CHECK_MSG(encoding.size() >= 2 * n, "serve: config encoding too short");
+  const std::size_t seed_at = encoding.size() - 2 * n;
+  const std::uint64_t head = common::fnv1a64(encoding.substr(0, seed_at));
+  return {common::fnv1a64(encoding.substr(seed_at + n), head),
+          common::fnv1a64(encoding.substr(seed_at, n), head)};
 }
 
-ServeCore::ServeCore(std::size_t max_snapshots)
-    : max_snapshots_(max_snapshots) {
-  SIMTY_CHECK_MSG(max_snapshots_ > 0, "serve: snapshot store needs capacity");
+ServeCore::ServeCore(std::size_t max_snapshots, std::size_t max_results)
+    : results_(max_results), snapshots_(max_snapshots) {
+  SIMTY_CHECK_MSG(max_snapshots > 0, "serve: snapshot store needs capacity");
+  SIMTY_CHECK_MSG(max_results > 0, "serve: result cache needs capacity");
 }
 
-const std::string* ServeCore::store_lookup(std::uint64_t key) {
-  const auto it = snapshots_.find(key);
-  if (it == snapshots_.end()) return nullptr;
-  recency_.splice(recency_.begin(), recency_, it->second.recency);
-  return &it->second.bytes;
-}
-
-void ServeCore::store_insert(std::uint64_t key, std::string bytes) {
-  if (snapshots_.count(key) != 0) return;  // racing sweep points: keep first
-  recency_.push_front(key);
-  snapshots_.emplace(key, StoredSnapshot{std::move(bytes), recency_.begin()});
-  ++stats_.snapshots_stored;
-  while (snapshots_.size() > max_snapshots_) {
-    snapshots_.erase(recency_.back());
-    recency_.pop_back();
-    ++stats_.snapshots_evicted;
-  }
-}
-
-Response ServeCore::run_request(const Request& req, std::uint64_t prefix_key) {
+Response ServeCore::run_request(Request req, std::uint64_t prefix_key) {
+  // Every computed run is backed by the core's arena; an arena never
+  // changes a result bit, and the response and stored prefix bytes live
+  // on the heap.
+  arena_.reset();
+  req.arena_opts.arena = &arena_;
   // Warm starts only make sense with a β switch late enough that the
   // shared prefix is worth snapshotting.
-  const bool warm_eligible =
-      req.beta_switch && req.beta_switch->at > kPrefixMargin;
-  if (warm_eligible) {
-    if (const std::string* prefix = store_lookup(prefix_key)) {
-      ++stats_.prefix_hits;
-      exp::Run run(req);
-      run.restore_snapshot(*prefix);
-      Response resp = to_response(run.finish());
-      resp.warm_started = true;
-      return resp;
-    }
-    ++stats_.prefix_misses;
-    exp::Run run(req);
-    const TimePoint target =
-        TimePoint::origin() + (req.beta_switch->at - kPrefixMargin);
-    run.advance_to_quiescent(target);
-    // Only park the snapshot if quiescence stepping stayed strictly before
-    // the switch — past it the prefix would have baked in this point's β.
-    if (run.now() < TimePoint::origin() + req.beta_switch->at) {
-      store_insert(prefix_key, run.save_snapshot());
-    }
-    return to_response(run.finish());
+  if (!req.beta_switch || req.beta_switch->at <= kPrefixMargin) {
+    return to_response(exp::run_experiment(std::move(req)));
   }
-  return to_response(exp::run_experiment(req));
+  const Duration switch_at = req.beta_switch->at;
+  if (const std::string* prefix = snapshots_.find(prefix_key)) {
+    ++stats_.prefix_hits;
+    exp::Run run(std::move(req));
+    run.restore_snapshot(*prefix);
+    Response resp = to_response(run.finish());
+    resp.warm_started = true;
+    return resp;
+  }
+  ++stats_.prefix_misses;
+  exp::Run run(std::move(req));
+  run.advance_to_quiescent(TimePoint::origin() + (switch_at - kPrefixMargin));
+  // Only park the snapshot if quiescence stepping stayed strictly before
+  // the switch — past it the prefix would have baked in this point's β.
+  if (run.now() < TimePoint::origin() + switch_at) {
+    stats_.snapshots_evicted += snapshots_.insert(prefix_key, run.save_snapshot());
+    ++stats_.snapshots_stored;
+  }
+  return to_response(run.finish());
 }
 
-Response ServeCore::handle(const Request& req) {
+Response ServeCore::answer(Request req, const CacheKeys& keys) {
   ++stats_.requests;
-  const CacheKeys keys = cache_keys(req);
   const auto key = std::make_pair(keys.config_hash, req.seed);
-  const auto it = results_.find(key);
-  if (it != results_.end()) {
+  if (const Response* hit = results_.find(key)) {
     ++stats_.result_hits;
-    Response resp = it->second;
+    Response resp = *hit;
     resp.cached = true;
     return resp;
   }
   ++stats_.result_misses;
-  const Response resp = run_request(req, keys.prefix_hash);
-  results_.emplace(key, resp);
+  const Response resp = run_request(std::move(req), keys.prefix_hash);
+  results_.insert(key, resp);
   return resp;
+}
+
+Response ServeCore::handle(const Request& req) {
+  return answer(req, cache_keys(exp::encode_config(req)));
 }
 
 std::string ServeCore::handle_frame(const std::string& bytes) {
   const snapshot::Reader reader(bytes);
   if (reader.has_section("simty-stats")) return encode_stats(stats_);
-  return encode_response(handle(decode_request(bytes)));
+  std::string_view encoding;
+  Request req = read_request(reader, encoding);
+  // A frame that decodes is the request's encoding byte for byte unless
+  // it spells a value non-canonically (a -0.0 β without a switch); such a
+  // frame only misses the cache entries of its canonical twin.
+  const CacheKeys keys = cache_keys(encoding);
+  return encode_response(answer(std::move(req), keys));
 }
 
 }  // namespace simty::serve

@@ -21,8 +21,11 @@
 #include <list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "common/arena.hpp"
+#include "common/check.hpp"
 #include "exp/experiment.hpp"
 
 namespace simty::serve {
@@ -148,29 +151,79 @@ std::string encode_stats(const ServeStats& stats);
 ServeStats decode_stats(const std::string& bytes);
 
 /// The two cache keys of a request, from one FNV-1a pass over its
-/// encoding. `config_hash` skips the seed, which the result cache pairs
-/// with it; `prefix_hash` stops before beta_switch.beta, so sweep points
-/// share it, and keeps the seed, because a prefix is seed-specific.
+/// encoding (exp::encode_config's bytes, which is what a request frame's
+/// section holds). `config_hash` skips the seed, which the result cache
+/// pairs with it; `prefix_hash` stops before beta_switch.beta, so sweep
+/// points share it, and keeps the seed, because a prefix is seed-specific.
 struct CacheKeys {
   std::uint64_t config_hash = 0;
   std::uint64_t prefix_hash = 0;
 };
-CacheKeys cache_keys(const Request& req);
+CacheKeys cache_keys(std::string_view encoding);
+
+namespace detail {
+
+/// A map of at most `capacity` entries: inserting past it evicts the least
+/// recently found or inserted one.
+template <typename K, typename V>
+class LruMap {
+ public:
+  explicit LruMap(std::size_t capacity) : capacity_(capacity) {}
+
+  /// The value under `key`, now the most recently used; nullptr if absent.
+  const V* find(const K& key) {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return nullptr;
+    recency_.splice(recency_.begin(), recency_, it->second.recency);
+    return &it->second.value;
+  }
+
+  /// Stores `value` under `key`, which must be absent; returns how many
+  /// entries that evicted.
+  std::size_t insert(const K& key, V value) {
+    recency_.push_front(key);
+    const bool inserted =
+        entries_.emplace(key, Entry{std::move(value), recency_.begin()}).second;
+    SIMTY_CHECK_MSG(inserted, "serve: cache insert over a present key");
+    std::size_t evicted = 0;
+    for (; entries_.size() > capacity_; ++evicted) {
+      entries_.erase(recency_.back());
+      recency_.pop_back();
+    }
+    return evicted;
+  }
+
+ private:
+  struct Entry {
+    V value;
+    typename std::list<K>::iterator recency;
+  };
+  std::size_t capacity_;
+  std::list<K> recency_;  // front = most recent
+  std::map<K, Entry> entries_;
+};
+
+}  // namespace detail
 
 /// Transport-free server core. Single-threaded, like the stack it runs.
 class ServeCore {
  public:
-  /// `max_snapshots` bounds the prefix store (LRU eviction); run snapshots
-  /// are a few hundred KB each, so the default keeps the daemon small.
-  explicit ServeCore(std::size_t max_snapshots = 8);
+  /// `max_snapshots` bounds the prefix store and `max_results` the result
+  /// cache, each evicting the least recently used entry. Run snapshots are
+  /// a few KB to a few hundred KB each and a result a few hundred bytes,
+  /// so the defaults keep the daemon small; any `max_results` of at least
+  /// a sweep's length keeps a repeated sweep cached.
+  explicit ServeCore(std::size_t max_snapshots = 8, std::size_t max_results = 4096);
 
   /// Answers one run request (cache → warm start → cold run, in that
   /// order of preference).
   Response handle(const Request& req);
 
   /// Decodes one protocol frame ("simty-request" or "simty-stats") and
-  /// returns the encoded reply. Malformed frames throw std::logic_error —
-  /// the transport turns that into an error reply, never a crash.
+  /// returns the encoded reply. The frame is parsed once: the request and
+  /// both cache keys come from its one section. Malformed frames throw
+  /// std::logic_error — the transport turns that into an error reply,
+  /// never a crash.
   std::string handle_frame(const std::string& bytes);
 
   const ServeStats& stats() const { return stats_; }
@@ -180,21 +233,15 @@ class ServeCore {
   /// margin absorbs advance_to_quiescent stepping past the target.
   static constexpr Duration kPrefixMargin = Duration::minutes(1);
 
-  Response run_request(const Request& req, std::uint64_t prefix_key);
-  const std::string* store_lookup(std::uint64_t key);
-  void store_insert(std::uint64_t key, std::string bytes);
+  Response answer(Request req, const CacheKeys& keys);
+  Response run_request(Request req, std::uint64_t prefix_key);
 
-  std::size_t max_snapshots_;
   ServeStats stats_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, Response> results_;
-  // LRU prefix store: recency list front = most recent; map values point
-  // into the list.
-  struct StoredSnapshot {
-    std::string bytes;
-    std::list<std::uint64_t>::iterator recency;
-  };
-  std::list<std::uint64_t> recency_;
-  std::map<std::uint64_t, StoredSnapshot> snapshots_;
+  // Backs every run the core computes, reset before each: a warmed arena
+  // keeps its high-water blocks, so later runs allocate little.
+  common::Arena arena_;
+  detail::LruMap<std::pair<std::uint64_t, std::uint64_t>, Response> results_;
+  detail::LruMap<std::uint64_t, std::string> snapshots_;  // β-blind prefixes
 };
 
 }  // namespace simty::serve

@@ -34,11 +34,15 @@
 // (std::logic_error), never undefined behavior; tests/snapshot feeds this
 // reader randomized corruptions under the ASan/UBSan CI job.
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace simty::snapshot {
 
@@ -55,7 +59,41 @@ enum class FieldType : std::uint8_t {
   kStr = 7,
 };
 
-/// Serializes sections of tagged fields; finish() yields the container.
+namespace detail {
+
+/// `v` with its bytes in reverse order.
+template <typename U>
+constexpr U byteswap(U v) {
+  U out = 0;
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    out = static_cast<U>((out << 8) | (v & 0xffu));
+    v = static_cast<U>(v >> 8);
+  }
+  return out;
+}
+
+/// Stores `v` little-endian at `p` (one memcpy; a byte swap first on a
+/// big-endian host).
+template <typename U>
+void store_le(char* p, U v) {
+  if constexpr (std::endian::native == std::endian::big) v = byteswap(v);
+  std::memcpy(p, &v, sizeof(U));
+}
+
+/// Loads a little-endian U from `p`.
+template <typename U>
+U load_le(const char* p) {
+  U v = 0;
+  std::memcpy(&v, p, sizeof(U));
+  if constexpr (std::endian::native == std::endian::big) v = byteswap(v);
+  return v;
+}
+
+}  // namespace detail
+
+/// Serializes sections of tagged fields into one output buffer: a
+/// section's header is written when it opens and its payload length
+/// patched when it closes, so finish() copies no payload again.
 class Writer {
  public:
   /// Opens a section; fields written next belong to it. Section names must
@@ -75,20 +113,22 @@ class Writer {
   /// The open section's fields so far (to hash or embed an encoding).
   std::string_view payload() const;
 
-  /// Assembles magic + header + all sections. The writer is spent after.
+  /// Patches the section count and hands over the container; the writer
+  /// starts afresh after.
   std::string finish();
 
  private:
-  struct Section {
-    std::string name;
-    std::uint32_t version = 0;
-    std::string payload;
-  };
   void require_open() const;
-  // The open section's payload, with `type`'s tag byte appended.
-  std::string& tagged(FieldType type);
+  // A tag byte and a fixed-width value, appended with one copy.
+  template <typename U>
+  void fixed(FieldType type, U v);
   void blob(FieldType type, std::string_view v);  // str/bytes: length + data
-  std::vector<Section> sections_;
+  void start();  // magic, format version, section count placeholder
+
+  std::string out_;  // the container so far
+  std::uint32_t sections_ = 0;
+  std::size_t length_at_ = 0;   // the open section's payload length field
+  std::size_t payload_at_ = 0;  // the open section's first payload byte
   bool open_ = false;
 };
 
@@ -102,15 +142,21 @@ class SectionReader {
 
   std::string_view name() const { return name_; }
   std::uint32_t version() const { return version_; }
+  /// The whole payload, read or not (a view into the Reader's bytes).
+  std::string_view payload() const { return payload_; }
 
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64();
-  double f64();
+  std::uint8_t u8() { return take<std::uint8_t>(FieldType::kU8); }
+  std::uint32_t u32() { return take<std::uint32_t>(FieldType::kU32); }
+  std::uint64_t u64() { return take<std::uint64_t>(FieldType::kU64); }
+  std::int64_t i64() {
+    return static_cast<std::int64_t>(take<std::uint64_t>(FieldType::kI64));
+  }
+  double f64() { return std::bit_cast<double>(take<std::uint64_t>(FieldType::kF64)); }
   bool boolean() { return u8() != 0; }
-  std::string str();
-  std::string bytes();
+  std::string str() { return std::string(blob(FieldType::kStr)); }
+  std::string bytes() { return std::string(blob(FieldType::kBytes)); }
+  /// A bytes field as a view into the Reader's bytes, not a copy.
+  std::string_view bytes_view() { return blob(FieldType::kBytes); }
 
   /// Guards a count read from the payload before it sizes an allocation:
   /// `n` items of at least `min_bytes_each` serialized bytes must still fit
@@ -127,10 +173,21 @@ class SectionReader {
   std::uint8_t peek_tag() const;
 
  private:
-  // Checks the next tag is `want`, then reads its n-byte value.
-  std::uint64_t take(FieldType want, std::size_t n);
-  std::string blob(FieldType type);  // str/bytes
-  std::uint64_t read_le(std::size_t n);
+  // Reads the next field, a `want` tag and a fixed-width U. The fast path
+  // is one bounds check covering tag and value, a tag compare and a load;
+  // anything else goes to reject(), which throws the message naming what
+  // is wrong.
+  template <typename U>
+  U take(FieldType want) {
+    if (remaining() > sizeof(U) && payload_[pos_] == static_cast<char>(want)) {
+      const U v = detail::load_le<U>(payload_.data() + pos_ + 1);
+      pos_ += 1 + sizeof(U);
+      return v;
+    }
+    reject(want);
+  }
+  [[noreturn]] void reject(FieldType want) const;
+  std::string_view blob(FieldType type);  // str/bytes
   std::string_view name_;
   std::uint32_t version_ = 0;
   std::string_view payload_;

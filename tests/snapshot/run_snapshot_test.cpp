@@ -10,6 +10,7 @@
 
 #include <string>
 
+#include "common/arena.hpp"
 #include "exp/run.hpp"
 #include "support/result_equality.hpp"
 #include "trace/tracer.hpp"
@@ -106,6 +107,49 @@ TEST(RunSnapshotTest, BinaryTraceSurvivesCheckpoint) {
     resumed.finish();
   }
   EXPECT_EQ(straight_tracer.binary(), resumed_tracer.binary());
+}
+
+TEST(RunSnapshotTest, ArenaBackedRunMatchesHeapRunByteForByte) {
+  // The sweep server backs its runs with one arena, reset per run: the
+  // snapshot, the resumed trace, the delivery log and every result must
+  // equal the heap-backed run's, on a cold arena and on a warmed one.
+  struct Outputs {
+    std::string snapshot, trace, csv;
+    RunResult result;
+  };
+  const auto run = [](common::Arena* arena) {
+    ExperimentConfig config = base_config(PolicyKind::kSimty);
+    config.workload = WorkloadKind::kHeavy;
+    config.arena_opts.arena = arena;
+    trace::Tracer prefix_tracer;
+    config.tracer = &prefix_tracer;
+    Outputs out;
+    {
+      exp::Run first(config);
+      first.advance_to_quiescent(TimePoint::origin() + Duration::hours(1));
+      out.snapshot = first.save_snapshot();
+    }
+    if (arena != nullptr) arena->reset();
+    trace::Tracer resumed_tracer;
+    config.tracer = &resumed_tracer;
+    exp::Run resumed(config);
+    resumed.restore_snapshot(out.snapshot);
+    out.result = resumed.finish();
+    out.csv = resumed.delivery_log().to_csv();
+    out.trace = resumed_tracer.binary();
+    return out;
+  };
+  const Outputs heap = run(nullptr);
+  common::Arena arena;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass);
+    arena.reset();
+    const Outputs backed = run(&arena);
+    EXPECT_EQ(heap.snapshot, backed.snapshot);
+    EXPECT_EQ(heap.trace, backed.trace);
+    EXPECT_EQ(heap.csv, backed.csv);
+    expect_identical(heap.result, backed.result);
+  }
 }
 
 TEST(RunSnapshotTest, CheckpointResumeWithDozeMatches) {
