@@ -1,3 +1,4 @@
+// Own stack: a cellular-sync config field would serve only this bench (ROADMAP 7).
 // Ablation A13: connected standby over the 3G cellular radio (Table 2's
 // WCDMA path). Data promotes the RRC machine to DCH and inactivity timers
 // demote it seconds later, so every unaligned sync pays a signaling

@@ -5,113 +5,40 @@
 // timely syncs). The guarantee audit quantifies the trade.
 
 #include <cstdio>
-#include <memory>
 
-#include "alarm/doze.hpp"
-#include "alarm/native_policy.hpp"
-#include "alarm/simty_policy.hpp"
-#include "apps/workload.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "hw/device.hpp"
-#include "hw/power_bus.hpp"
-#include "hw/rtc.hpp"
-#include "hw/wakelock.hpp"
-#include "metrics/delay_stats.hpp"
-#include "metrics/interval_audit.hpp"
-#include "power/energy_accounting.hpp"
-#include "sim/simulator.hpp"
+#include "exp/experiment.hpp"
 
 using namespace simty;
-
-namespace {
-
-struct Outcome {
-  double total_j = 0.0;
-  double wakeups = 0.0;
-  double delay = 0.0;
-  double worst_gap = 0.0;
-  double violations = 0.0;
-};
-
-Outcome run(bool use_simty, bool with_doze, std::uint64_t seed) {
-  sim::Simulator sim;
-  hw::PowerBus bus;
-  power::EnergyAccountant accountant;
-  bus.add_listener(&accountant);
-  const hw::PowerModel model = hw::PowerModel::nexus5();
-  hw::Device device(sim, model, bus);
-  hw::Rtc rtc(sim, device);
-  hw::WakelockManager wakelocks(sim, model, bus);
-  std::unique_ptr<alarm::AlignmentPolicy> policy;
-  if (use_simty) policy = std::make_unique<alarm::SimtyPolicy>();
-  else policy = std::make_unique<alarm::NativePolicy>();
-  alarm::AlarmManager manager(sim, device, rtc, wakelocks, std::move(policy));
-  metrics::DelayStats delays;
-  metrics::IntervalAudit audit;
-  manager.add_delivery_observer(delays.observer());
-  manager.add_delivery_observer(audit.observer());
-
-  alarm::DozeController::Config dc;
-  dc.idle_threshold = Duration::minutes(30);
-  alarm::DozeController doze(sim, manager, device, dc);
-  if (with_doze) doze.enable();
-
-  apps::WorkloadConfig wc;
-  wc.seed = seed;
-  apps::Workload workload = apps::Workload::light(wc);
-  workload.deploy(sim, manager);
-
-  const TimePoint horizon = TimePoint::origin() + Duration::hours(3);
-  sim.run_until(horizon);
-  device.finalize(horizon);
-  wakelocks.finalize(horizon);
-  accountant.finalize(horizon);
-  return Outcome{accountant.breakdown().total().joules_f(),
-                 static_cast<double>(device.wakeup_count()),
-                 delays.imperceptible().average(), audit.worst_gap_ratio(),
-                 static_cast<double>(audit.check_bounds(0.96).size())};
-}
-
-Outcome averaged(bool use_simty, bool with_doze) {
-  Outcome sum;
-  const int reps = 3;
-  for (int i = 0; i < reps; ++i) {
-    const Outcome o = run(use_simty, with_doze, static_cast<std::uint64_t>(i + 1));
-    sum.total_j += o.total_j / reps;
-    sum.wakeups += o.wakeups / reps;
-    sum.delay += o.delay / reps;
-    sum.worst_gap = std::max(sum.worst_gap, o.worst_gap);
-    sum.violations += o.violations / reps;
-  }
-  return sum;
-}
-
-}  // namespace
 
 int main() {
   struct Variant {
     const char* label;
-    bool simty;
+    exp::PolicyKind policy;
     bool doze;
   };
   const Variant kVariants[] = {
-      {"NATIVE", false, false},
-      {"SIMTY", true, false},
-      {"NATIVE + doze", false, true},
-      {"SIMTY + doze", true, true},
+      {"NATIVE", exp::PolicyKind::kNative, false},
+      {"SIMTY", exp::PolicyKind::kSimty, false},
+      {"NATIVE + doze", exp::PolicyKind::kNative, true},
+      {"SIMTY + doze", exp::PolicyKind::kSimty, true},
   };
+  const int kReps = 3;
 
   TextTable t("Doze maintenance windows vs alignment (light workload, 3 h, 3 seeds)");
   t.set_header({"Variant", "total (J)", "wakeups", "imperceptible delay",
                 "worst gap/ReIn", "gap violations"});
-  double native_total = 0.0;
   for (const Variant& v : kVariants) {
-    const Outcome o = averaged(v.simty, v.doze);
-    if (native_total == 0.0) native_total = o.total_j;
-    t.add_row({v.label, str_format("%.1f", o.total_j),
-               str_format("%.0f", o.wakeups), percent(o.delay),
-               str_format("%.2f", o.worst_gap), str_format("%.1f", o.violations)});
+    exp::ExperimentConfig c;
+    c.policy = v.policy;
+    c.system_alarms = false;
+    c.doze = v.doze;
+    const exp::RunResult r = exp::run_repeated(c, kReps, exp::default_jobs());
+    t.add_row({v.label, str_format("%.1f", r.energy.total().joules_f()),
+               str_format("%.0f", exp::cpu_wakeups(r).actual),
+               percent(r.delay_imperceptible), str_format("%.2f", r.worst_gap_ratio),
+               str_format("%.1f", static_cast<double>(r.gap_violations) / kReps)});
   }
   std::printf("%s", t.render().c_str());
   std::printf("\nDoze wins on raw joules by sacrificing the very guarantees SIMTY\n"

@@ -5,20 +5,12 @@
 // duration-diverse synthetic workload.
 
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <vector>
 
-#include "alarm/duration_policy.hpp"
-#include "alarm/simty_policy.hpp"
-#include "apps/workload.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "exp/experiment.hpp"
-#include "hw/device.hpp"
-#include "hw/power_bus.hpp"
-#include "hw/rtc.hpp"
-#include "hw/wakelock.hpp"
-#include "power/energy_accounting.hpp"
-#include "sim/simulator.hpp"
 
 using namespace simty;
 
@@ -44,40 +36,13 @@ std::vector<apps::AppProfile> bimodal_profiles() {
   return out;
 }
 
-double run_bimodal(bool duration_aware, std::uint64_t seed) {
-  sim::Simulator sim;
-  hw::PowerBus bus;
-  power::EnergyAccountant accountant;
-  bus.add_listener(&accountant);
-  const hw::PowerModel model = hw::PowerModel::nexus5();
-  hw::Device device(sim, model, bus);
-  hw::Rtc rtc(sim, device);
-  hw::WakelockManager wakelocks(sim, model, bus);
-  std::unique_ptr<alarm::AlignmentPolicy> policy;
-  if (duration_aware) policy = std::make_unique<alarm::DurationSimtyPolicy>();
-  else policy = std::make_unique<alarm::SimtyPolicy>();
-  alarm::AlarmManager manager(sim, device, rtc, wakelocks, std::move(policy));
-
-  apps::WorkloadConfig wc;
-  wc.seed = seed;
-  apps::Workload workload = apps::Workload::from_profiles(bimodal_profiles(), wc);
-  workload.deploy(sim, manager);
-
-  const TimePoint horizon = TimePoint::origin() + Duration::hours(3);
-  sim.run_until(horizon);
-  device.finalize(horizon);
-  wakelocks.finalize(horizon);
-  accountant.finalize(horizon);
-  return accountant.breakdown().total().joules_f();
-}
-
 exp::RunResult run(exp::PolicyKind policy, exp::WorkloadKind workload,
                    std::size_t apps) {
   exp::ExperimentConfig c;
   c.policy = policy;
   c.workload = workload;
   c.synthetic_apps = apps;
-  return exp::run_repeated(c, 3);
+  return exp::run_repeated(c, 3, exp::default_jobs());
 }
 
 void compare(const char* title, exp::WorkloadKind workload, std::size_t apps) {
@@ -107,11 +72,14 @@ int main() {
           exp::WorkloadKind::kSynthetic, 32);
 
   // The stress case the extension was designed for: bimodal holds.
-  double base = 0.0, dur = 0.0;
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    base += run_bimodal(false, s) / 3.0;
-    dur += run_bimodal(true, s) / 3.0;
-  }
+  const int jobs = exp::default_jobs();
+  exp::ExperimentConfig c;
+  c.custom_profiles = bimodal_profiles();
+  c.system_alarms = false;
+  c.policy = exp::PolicyKind::kSimty;
+  const double base = exp::run_repeated(c, 3, jobs).energy.total().joules_f();
+  c.policy = exp::PolicyKind::kSimtyDuration;
+  const double dur = exp::run_repeated(c, 3, jobs).energy.total().joules_f();
   TextTable t("Duration-similarity extension: bimodal-hold workload (5x1s + 5x12s Wi-Fi)");
   t.set_header({"Policy", "total (J)"});
   t.add_row({"SIMTY", str_format("%.1f", base)});

@@ -6,88 +6,41 @@
 // alignment, and its benefit collapses at fine slots.
 
 #include <cstdio>
-#include <memory>
+#include <vector>
 
-#include "alarm/fixed_interval_policy.hpp"
-#include "alarm/native_policy.hpp"
-#include "alarm/simty_policy.hpp"
-#include "apps/workload.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "hw/device.hpp"
-#include "hw/power_bus.hpp"
-#include "hw/rtc.hpp"
-#include "hw/wakelock.hpp"
-#include "power/energy_accounting.hpp"
-#include "sim/simulator.hpp"
+#include "exp/experiment.hpp"
 
 using namespace simty;
 
-namespace {
-
-struct Outcome {
-  std::string name;
-  double total_j = 0.0;
-  double wakeups = 0.0;
-};
-
-Outcome run(std::unique_ptr<alarm::AlignmentPolicy> policy, std::uint64_t seed) {
-  sim::Simulator sim;
-  hw::PowerBus bus;
-  power::EnergyAccountant accountant;
-  bus.add_listener(&accountant);
-  const hw::PowerModel model = hw::PowerModel::nexus5();
-  hw::Device device(sim, model, bus);
-  hw::Rtc rtc(sim, device);
-  hw::WakelockManager wakelocks(sim, model, bus);
-  alarm::AlarmManager manager(sim, device, rtc, wakelocks, std::move(policy));
-
-  apps::WorkloadConfig wc;
-  wc.seed = seed;
-  apps::Workload workload = apps::Workload::heavy(wc);
-  workload.deploy(sim, manager);
-
-  const TimePoint horizon = TimePoint::origin() + Duration::hours(3);
-  sim.run_until(horizon);
-  device.finalize(horizon);
-  wakelocks.finalize(horizon);
-  accountant.finalize(horizon);
-  return Outcome{manager.policy().name(),
-                 accountant.breakdown().total().joules_f(),
-                 static_cast<double>(device.wakeup_count())};
-}
-
-Outcome averaged(const std::function<std::unique_ptr<alarm::AlignmentPolicy>()>& make) {
-  Outcome sum;
-  const int reps = 3;
-  for (int i = 0; i < reps; ++i) {
-    const Outcome o = run(make(), static_cast<std::uint64_t>(i + 1));
-    sum.name = o.name;
-    sum.total_j += o.total_j / reps;
-    sum.wakeups += o.wakeups / reps;
-  }
-  return sum;
-}
-
-}  // namespace
-
 int main() {
-  std::vector<Outcome> outcomes;
-  outcomes.push_back(averaged([] { return std::make_unique<alarm::NativePolicy>(); }));
+  std::vector<exp::ExperimentConfig> configs;
+  const auto add = [&configs](exp::PolicyKind policy) -> exp::ExperimentConfig& {
+    exp::ExperimentConfig& c = configs.emplace_back();
+    c.policy = policy;
+    c.workload = exp::WorkloadKind::kHeavy;
+    c.system_alarms = false;
+    return c;
+  };
+  add(exp::PolicyKind::kNative);
   for (const std::int64_t slot_s : {30, 60, 120, 300, 600}) {
-    outcomes.push_back(averaged([slot_s] {
-      return std::make_unique<alarm::FixedIntervalPolicy>(Duration::seconds(slot_s));
-    }));
+    add(exp::PolicyKind::kFixedInterval).fixed_interval = Duration::seconds(slot_s);
   }
-  outcomes.push_back(averaged([] { return std::make_unique<alarm::SimtyPolicy>(); }));
+  add(exp::PolicyKind::kSimty);
 
-  const double native_total = outcomes.front().total_j;
+  std::vector<exp::RunResult> outcomes;
+  for (const exp::ExperimentConfig& c : configs) {
+    outcomes.push_back(exp::run_repeated(c, 3, exp::default_jobs()));
+  }
+
+  const Energy native_total = outcomes.front().energy.total();
   TextTable t("Fixed-interval remedy (ref [5]) vs NATIVE and SIMTY — heavy workload, 3 h");
   t.set_header({"Policy", "total (J)", "saving vs NATIVE", "CPU wakeups"});
-  for (const Outcome& o : outcomes) {
-    t.add_row({o.name, str_format("%.1f", o.total_j),
-               percent(1.0 - o.total_j / native_total),
-               str_format("%.0f", o.wakeups)});
+  for (const exp::RunResult& r : outcomes) {
+    t.add_row({r.policy_name, str_format("%.1f", r.energy.total().joules_f()),
+               percent(1.0 - r.energy.total().ratio(native_total)),
+               str_format("%.0f", exp::cpu_wakeups(r).actual)});
   }
   std::printf("%s", t.render().c_str());
   return 0;

@@ -1,3 +1,4 @@
+// Own stack: a link-quality config field would serve only this bench (ROADMAP 7).
 // Ablation A10: link-quality sensitivity (ref [8]: achievable rates vary
 // widely over time). Syncs carry byte payloads over a two-state Markov
 // Wi-Fi link; sweeping the fraction of time the link is bad lengthens

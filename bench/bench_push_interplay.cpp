@@ -1,3 +1,4 @@
+// Own stack: a GCM-push config field would serve only this bench (ROADMAP 7).
 // Ablation A8: GCM push traffic vs alarm alignment (paper footnote 1 calls
 // the two mechanisms orthogonal). Adds push streams of increasing rate to
 // the light workload and measures both policies. Expectations: push wakes

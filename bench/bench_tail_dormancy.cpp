@@ -3,27 +3,22 @@
 // high-power tail. Sweeping a Wi-Fi tail shows (a) tails inflate standby
 // energy under both policies, (b) alignment grows MORE valuable with
 // tails (batched syncs share one tail; warm starts skip activation), and
-// (c) fast dormancy (truncating the tail, ref [12]'s lever) composes with
-// alignment rather than replacing it.
+// (c) fast dormancy (ref [12]'s lever, here simply a 300 ms model tail)
+// composes with alignment rather than replacing it.
 
 #include <cstdio>
-#include <memory>
+#include <vector>
 
-#include "alarm/native_policy.hpp"
-#include "alarm/simty_policy.hpp"
-#include "apps/workload.hpp"
+#include "common/parallel_map.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "hw/device.hpp"
-#include "hw/power_bus.hpp"
-#include "hw/rtc.hpp"
-#include "hw/wakelock.hpp"
-#include "power/energy_accounting.hpp"
-#include "sim/simulator.hpp"
+#include "exp/run.hpp"
 
 using namespace simty;
 
 namespace {
+
+const int kReps = 3;
 
 struct Outcome {
   double total_j = 0.0;
@@ -31,49 +26,36 @@ struct Outcome {
   double tail_seconds = 0.0;
 };
 
-Outcome run(bool use_simty, Duration tail, bool fast_dormancy, std::uint64_t seed) {
-  sim::Simulator sim;
-  hw::PowerBus bus;
-  power::EnergyAccountant accountant;
-  bus.add_listener(&accountant);
-  hw::PowerModel model = hw::PowerModel::nexus5();
-  model.component(hw::Component::kWifi).tail = tail;
-  model.component(hw::Component::kWifi).tail_power = Power::milliwatts(120);
-  hw::Device device(sim, model, bus);
-  hw::Rtc rtc(sim, device);
-  hw::WakelockManager wakelocks(sim, model, bus);
-  if (fast_dormancy) {
-    wakelocks.set_fast_dormancy(hw::Component::kWifi, Duration::millis(300));
+// The kReps seeds of one policy at one Wi-Fi tail, as configs.
+void add_reps(std::vector<exp::ExperimentConfig>& configs, exp::PolicyKind policy,
+              Duration tail) {
+  for (int i = 0; i < kReps; ++i) {
+    exp::ExperimentConfig& c = configs.emplace_back();
+    c.policy = policy;
+    c.system_alarms = false;
+    c.seed = static_cast<std::uint64_t>(i + 1);
+    c.power_model.component(hw::Component::kWifi).tail = tail;
+    c.power_model.component(hw::Component::kWifi).tail_power = Power::milliwatts(120);
   }
-  std::unique_ptr<alarm::AlignmentPolicy> policy;
-  if (use_simty) policy = std::make_unique<alarm::SimtyPolicy>();
-  else policy = std::make_unique<alarm::NativePolicy>();
-  alarm::AlarmManager manager(sim, device, rtc, wakelocks, std::move(policy));
-
-  apps::WorkloadConfig wc;
-  wc.seed = seed;
-  apps::Workload workload = apps::Workload::light(wc);
-  workload.deploy(sim, manager);
-
-  const TimePoint horizon = TimePoint::origin() + Duration::hours(3);
-  sim.run_until(horizon);
-  device.finalize(horizon);
-  wakelocks.finalize(horizon);
-  accountant.finalize(horizon);
-  return Outcome{
-      accountant.breakdown().total().joules_f(),
-      static_cast<double>(wakelocks.usage(hw::Component::kWifi).warm_starts),
-      wakelocks.usage(hw::Component::kWifi).tail_time.seconds_f()};
 }
 
-Outcome averaged(bool use_simty, Duration tail, bool fd) {
+// Wi-Fi warm starts and tail time are component state, not RunResult
+// scalars, so each seed runs as an exp::Run.
+Outcome run(const exp::ExperimentConfig& c) {
+  exp::Run run(c);
+  const exp::RunResult r = run.finish();
+  const hw::ComponentUsage& wifi = run.wakelocks().usage(hw::Component::kWifi);
+  return Outcome{r.energy.total().joules_f(), static_cast<double>(wifi.warm_starts),
+                 wifi.tail_time.seconds_f()};
+}
+
+// The mean over the kReps seeds starting at outcomes[first].
+Outcome averaged(const std::vector<Outcome>& outcomes, std::size_t first) {
   Outcome sum;
-  const int reps = 3;
-  for (int i = 0; i < reps; ++i) {
-    const Outcome o = run(use_simty, tail, fd, static_cast<std::uint64_t>(i + 1));
-    sum.total_j += o.total_j / reps;
-    sum.warm_starts += o.warm_starts / reps;
-    sum.tail_seconds += o.tail_seconds / reps;
+  for (std::size_t i = first; i < first + kReps; ++i) {
+    sum.total_j += outcomes[i].total_j / kReps;
+    sum.warm_starts += outcomes[i].warm_starts / kReps;
+    sum.tail_seconds += outcomes[i].tail_seconds / kReps;
   }
   return sum;
 }
@@ -81,21 +63,37 @@ Outcome averaged(bool use_simty, Duration tail, bool fd) {
 }  // namespace
 
 int main() {
-  TextTable t("Wi-Fi tail sweep (light workload, 3 h, 3 seeds)");
-  t.set_header({"tail", "fast dormancy", "NATIVE (J)", "SIMTY (J)", "SIMTY saving",
-                "SIMTY warm starts", "SIMTY tail time (s)"});
+  struct Row {
+    Duration tail;
+    bool fast_dormancy;
+  };
+  std::vector<Row> rows;
+  std::vector<exp::ExperimentConfig> configs;
   for (const std::int64_t tail_ms : {0, 500, 1500, 3000}) {
     for (const bool fd : {false, true}) {
       if (tail_ms == 0 && fd) continue;  // nothing to truncate
       const Duration tail = Duration::millis(tail_ms);
-      const Outcome native = averaged(false, tail, fd);
-      const Outcome simty = averaged(true, tail, fd);
-      t.add_row({tail.to_string(), fd ? "on (300ms)" : "off",
-                 str_format("%.1f", native.total_j), str_format("%.1f", simty.total_j),
-                 percent(1.0 - simty.total_j / native.total_j),
-                 str_format("%.0f", simty.warm_starts),
-                 str_format("%.0f", simty.tail_seconds)});
+      rows.push_back(Row{tail, fd});
+      const Duration model_tail = fd ? Duration::millis(300) : tail;
+      add_reps(configs, exp::PolicyKind::kNative, model_tail);
+      add_reps(configs, exp::PolicyKind::kSimty, model_tail);
     }
+  }
+  const std::vector<Outcome> outcomes =
+      common::parallel_map(configs.size(), exp::default_jobs(),
+                           [&configs](std::size_t i) { return run(configs[i]); });
+
+  TextTable t("Wi-Fi tail sweep (light workload, 3 h, 3 seeds)");
+  t.set_header({"tail", "fast dormancy", "NATIVE (J)", "SIMTY (J)", "SIMTY saving",
+                "SIMTY warm starts", "SIMTY tail time (s)"});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Outcome native = averaged(outcomes, 2 * kReps * i);
+    const Outcome simty = averaged(outcomes, 2 * kReps * i + kReps);
+    t.add_row({rows[i].tail.to_string(), rows[i].fast_dormancy ? "on (300ms)" : "off",
+               str_format("%.1f", native.total_j), str_format("%.1f", simty.total_j),
+               percent(1.0 - simty.total_j / native.total_j),
+               str_format("%.0f", simty.warm_starts),
+               str_format("%.0f", simty.tail_seconds)});
   }
   std::printf("%s", t.render().c_str());
   return 0;

@@ -92,6 +92,7 @@ class Run {
 
   sim::Simulator& simulator() { return sim_; }
   const hw::Device& device() const { return device_; }
+  const hw::WakelockManager& wakelocks() const { return wakelocks_; }
   alarm::AlarmManager& alarm_manager() { return manager_; }
 
   /// Run's own fields: the "metrics" section, the delivery observers' state

@@ -12,11 +12,6 @@ WakelockManager::WakelockManager(sim::Simulator& sim, const PowerModel& model,
                                  PowerBus& bus)
     : sim_(sim), model_(model), bus_(bus), held_(sim.arena()) {}
 
-Duration WakelockManager::effective_tail(Component c) const {
-  const auto idx = static_cast<std::size_t>(c);
-  return rails_[idx].tail_override.value_or(model_.component(c).tail);
-}
-
 WakelockId WakelockManager::acquire(Component c, std::string_view holder) {
   const auto idx = static_cast<std::size_t>(c);
   const TimePoint now = sim_.now();
@@ -83,7 +78,7 @@ void WakelockManager::release(WakelockId id) {
   SIMTY_CHECK(counts_[idx] > 0);
   if (--counts_[idx] == 0) {
     rails_[idx].usage.on_time += now - rails_[idx].on_since;
-    const Duration tail = effective_tail(c);
+    const Duration tail = model_.component(c).tail;
     if (tail.is_zero()) {
       bus_.publish_component_power(now, c, false, Power::zero());
       SIMTY_TRACE_INSTANT(now, trace::TraceCategory::kHw, "component-off",
@@ -121,11 +116,6 @@ int WakelockManager::lock_count(Component c) const {
 
 bool WakelockManager::in_tail(Component c) const {
   return rails_[static_cast<std::size_t>(c)].tail_event.has_value();
-}
-
-void WakelockManager::set_fast_dormancy(Component c, Duration truncated) {
-  SIMTY_CHECK_MSG(!truncated.is_negative(), "fast-dormancy tail must be >= 0");
-  rails_[static_cast<std::size_t>(c)].tail_override = truncated;
 }
 
 const ComponentUsage& WakelockManager::usage(Component c) const {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/arena.hpp"
+#include "common/check.hpp"
 #include "common/time.hpp"
 #include "hw/component.hpp"
 #include "hw/power_bus.hpp"
@@ -108,10 +109,6 @@ class WakelockManager {
   /// True while the component lingers in its post-release tail.
   bool in_tail(Component c) const;
 
-  /// Overrides the component's tail length (fast dormancy, ref [12]):
-  /// forces the radio down after `truncated` instead of the model's tail.
-  void set_fast_dormancy(Component c, Duration truncated);
-
   const ComponentUsage& usage(Component c) const;
 
   /// Locks held longer than `threshold` get reported. A zero threshold
@@ -155,7 +152,6 @@ class WakelockManager {
   PowerModel model_;
   PowerBus& bus_;
 
-  Duration effective_tail(Component c) const;
   void end_tail(std::size_t idx);
 
   common::ArenaVector<Held> held_;  // in the simulator's arena
@@ -165,7 +161,6 @@ class WakelockManager {
     TimePoint on_since;
     TimePoint tail_since;
     std::optional<sim::EventId> tail_event;
-    std::optional<Duration> tail_override;
     ComponentUsage usage;
 
     template <typename Self, typename F>
@@ -180,17 +175,18 @@ class WakelockManager {
             const std::uint64_t id = s.u64();
             e = id == 0 ? std::nullopt : std::optional(sim::EventId{id});
           }));
-      // Presence, then the override or zero: the value is written either way.
+      // A fixed slot that keeps the section's bytes: a rail's tail is the
+      // model's (fast dormancy is a short model tail), so the slot is an
+      // absent override (false, then 0) and a present one is rejected.
       f("tail_override", snapshot::by_hand(
-          self.tail_override,
-          [](snapshot::Writer& w, const auto& tail) {
-            w.boolean(tail.has_value());
-            w.i64(tail.value_or(Duration::zero()).us());
+          self,
+          [](snapshot::Writer& w, const auto&) {
+            w.boolean(false);
+            w.i64(0);
           },
-          [](snapshot::SectionReader& s, auto& tail) {
-            const bool present = s.boolean();
-            const Duration value = Duration::micros(s.i64());
-            tail = present ? std::optional(value) : std::nullopt;
+          [](snapshot::SectionReader& s, auto&) {
+            SIMTY_CHECK_MSG(!s.boolean(), "snapshot: a tail override is not supported");
+            s.i64();
           }));
       f("usage", self.usage);
     }

@@ -1,6 +1,6 @@
-// Radio-tail and fast-dormancy behaviour of the wakelock manager (ref [12]
-// territory: "once activated, the network interface will be kept on for
-// longer than necessary").
+// Radio-tail behaviour of the wakelock manager (ref [12] territory: "once
+// activated, the network interface will be kept on for longer than
+// necessary"); fast dormancy is a short model tail.
 
 #include <gtest/gtest.h>
 
@@ -95,16 +95,16 @@ TEST_F(WakelockTailTest, ColdStartAfterTailExpires) {
   mgr_->release(b);
 }
 
-TEST_F(WakelockTailTest, FastDormancyTruncatesTail) {
-  mgr_->set_fast_dormancy(Component::kWifi, Duration::millis(500));
+TEST_F(WakelockTailTest, FastDormancyIsAShortModelTail) {
+  // Fast dormancy (ref [12]) truncates the tail: a 500 ms model tail.
+  model_.component(Component::kWifi).tail = Duration::millis(500);
+  mgr_ = std::make_unique<WakelockManager>(sim_, model_, bus_);
   const WakelockId id = mgr_->acquire(Component::kWifi, "email");
   advance(Duration::seconds(1));
   mgr_->release(id);
   advance(Duration::millis(600));
   EXPECT_FALSE(mgr_->in_tail(Component::kWifi));
   EXPECT_EQ(mgr_->usage(Component::kWifi).tail_time, Duration::millis(500));
-  EXPECT_THROW(mgr_->set_fast_dormancy(Component::kWifi, -Duration::seconds(1)),
-               std::logic_error);
 }
 
 TEST_F(WakelockTailTest, ZeroTailComponentPowersDownImmediately) {

@@ -89,6 +89,22 @@ TEST(RestoreChecks, TypeSkewedFieldIsRejectedNamingSectionAndField) {
   EXPECT_TRUE(contains(error, "section 'accountant' field 'breakdown.sleep'")) << error;
 }
 
+TEST(RestoreChecks, PresentTailOverrideIsRejectedNamingTheField) {
+  const ExperimentConfig config = hour_config();
+  const std::string snap = snapshot_at_30min(config);
+  // wakelocks: the first rail's on_since, tail_since and tail_event are
+  // tagged 8-byte fields; its tail_override presence flag is the u8 after.
+  const std::string present =
+      support::edit_section(snap, "wakelocks", [](std::string& p) {
+        ASSERT_EQ(p[27], static_cast<char>(snapshot::FieldType::kU8));
+        ASSERT_EQ(p[28], 0);
+        p[28] = 1;
+      });
+  const std::string error = restore_error(config, present);
+  EXPECT_TRUE(contains(error, "section 'wakelocks' field 'rails.tail_override'"))
+      << error;
+}
+
 TEST(RestoreChecks, RandomizedCorruptionOfRealSnapshotsNeverEscapesTheChecks) {
   struct Case {
     const char* name;
