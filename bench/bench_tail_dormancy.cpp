@@ -6,6 +6,7 @@
 // (c) fast dormancy (ref [12]'s lever, here simply a 300 ms model tail)
 // composes with alignment rather than replacing it.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -66,18 +67,26 @@ int main() {
   struct Row {
     Duration tail;
     bool fast_dormancy;
+    std::size_t model;  // index of the row's model tail in `model_tails`
   };
   std::vector<Row> rows;
-  std::vector<exp::ExperimentConfig> configs;
+  // Every fast-dormancy row runs the same 300 ms model tail, so each
+  // distinct model tail runs once and the rows share its outcomes.
+  std::vector<Duration> model_tails;
   for (const std::int64_t tail_ms : {0, 500, 1500, 3000}) {
     for (const bool fd : {false, true}) {
       if (tail_ms == 0 && fd) continue;  // nothing to truncate
       const Duration tail = Duration::millis(tail_ms);
-      rows.push_back(Row{tail, fd});
       const Duration model_tail = fd ? Duration::millis(300) : tail;
-      add_reps(configs, exp::PolicyKind::kNative, model_tail);
-      add_reps(configs, exp::PolicyKind::kSimty, model_tail);
+      auto it = std::find(model_tails.begin(), model_tails.end(), model_tail);
+      if (it == model_tails.end()) it = model_tails.insert(it, model_tail);
+      rows.push_back(Row{tail, fd, static_cast<std::size_t>(it - model_tails.begin())});
     }
+  }
+  std::vector<exp::ExperimentConfig> configs;
+  for (const Duration model_tail : model_tails) {
+    add_reps(configs, exp::PolicyKind::kNative, model_tail);
+    add_reps(configs, exp::PolicyKind::kSimty, model_tail);
   }
   const std::vector<Outcome> outcomes =
       common::parallel_map(configs.size(), exp::default_jobs(),
@@ -87,8 +96,8 @@ int main() {
   t.set_header({"tail", "fast dormancy", "NATIVE (J)", "SIMTY (J)", "SIMTY saving",
                 "SIMTY warm starts", "SIMTY tail time (s)"});
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Outcome native = averaged(outcomes, 2 * kReps * i);
-    const Outcome simty = averaged(outcomes, 2 * kReps * i + kReps);
+    const Outcome native = averaged(outcomes, 2 * kReps * rows[i].model);
+    const Outcome simty = averaged(outcomes, 2 * kReps * rows[i].model + kReps);
     t.add_row({rows[i].tail.to_string(), rows[i].fast_dormancy ? "on (300ms)" : "off",
                str_format("%.1f", native.total_j), str_format("%.1f", simty.total_j),
                percent(1.0 - simty.total_j / native.total_j),

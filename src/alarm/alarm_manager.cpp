@@ -78,23 +78,6 @@ void AlarmManager::cancel(AlarmId id) {
   schedule_nonwakeup_check();
 }
 
-std::size_t AlarmManager::cancel_by_tag(const std::string& prefix) {
-  std::vector<AlarmId> victims;
-  for (const common::ArenaPtr<Registered>& reg : registry_) {
-    if (reg->handler && reg->alarm.spec().tag.rfind(prefix, 0) == 0) {
-      victims.push_back(reg->alarm.id());
-    }
-  }
-  for (const AlarmId id : victims) cancel(id);
-  return victims.size();
-}
-
-void AlarmManager::set_policy(common::ArenaPtr<AlignmentPolicy> policy) {
-  SIMTY_CHECK(policy != nullptr);
-  policy_ = std::move(policy);
-  rebatch_all();
-}
-
 void AlarmManager::rebatch_all() {
   // Pull every queued alarm out, then reinsert in nominal order under the
   // current policy — Android's rebatchAllAlarms.
@@ -444,11 +427,9 @@ void AlarmManager::deliver_batch(common::ArenaPtr<Batch> batch) {
 
       sim_.schedule_at(
           now + start,
-          [this, c, tag, hold = task.hold] {
-            const hw::WakelockId lock = wakelocks_.acquire(c, tag);
-            // try_release: a WakelockGuardian may have revoked the lock.
-            sim_.schedule_after(hold,
-                                [this, lock] { wakelocks_.try_release(lock); },
+          [this, c, hold = task.hold] {
+            const hw::WakelockId lock = wakelocks_.acquire(c);
+            sim_.schedule_after(hold, [this, lock] { wakelocks_.release(lock); },
                                 sim::EventPriority::kFramework, "wakelock-release");
           },
           sim::EventPriority::kFramework, "wakelock-acquire");

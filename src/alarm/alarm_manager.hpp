@@ -157,15 +157,6 @@ class AlarmManager {
   /// Cancels and removes an alarm entirely.
   void cancel(AlarmId id);
 
-  /// Cancels every alarm whose tag starts with `prefix` (Android cancels
-  /// by matching intent; tags play that role here). Returns the count.
-  std::size_t cancel_by_tag(const std::string& prefix);
-
-  /// Swaps the alignment policy at runtime and rebatches every queued
-  /// alarm under it (the rebatchAllAlarms analogue). Enables adaptive
-  /// policy switching, e.g. NATIVE while charged, SIMTY when low.
-  void set_policy(common::ArenaPtr<AlignmentPolicy> policy);
-
   /// Dissolves every entry and reinserts all alarms in nominal order under
   /// the current policy.
   void rebatch_all();

@@ -11,8 +11,10 @@ namespace simty::apps {
 
 namespace {
 
-// Lognormal-ish hold: exp(N(0, sigma)) scaling of the base hold, clamped
-// to a sane band so a single sample cannot outlast the repeat interval.
+// An irregular original's hold: exp(N(0, sigma)) scaling of the base hold
+// (heavy-tailed, unlike the bounded uniform jitter of well-behaved apps),
+// clamped to a sane band so a single sample cannot outlast the repeat
+// interval.
 Duration irregular_hold(const AppProfile& profile, Rng& rng) {
   const double sigma = std::max(0.2, profile.hold_jitter);
   double factor = std::exp(rng.normal(0.0, sigma));
@@ -24,22 +26,6 @@ Duration irregular_hold(const AppProfile& profile, Rng& rng) {
 }
 
 }  // namespace
-
-IrregularApp::IrregularApp(AppProfile profile, Rng rng)
-    : ResidentApp(std::move(profile), rng) {}
-
-alarm::TaskSpec IrregularApp::next_task() {
-  return alarm::TaskSpec{profile_.hardware, irregular_hold(profile_, rng_)};
-}
-
-ImitatedApp::ImitatedApp(AppProfile profile, const AppTrace& trace)
-    : ResidentApp(std::move(profile), Rng(0)),
-      length_(trace.entries.size()),
-      recorder_(0) {
-  SIMTY_CHECK_MSG(length_ > 0, "imitated app needs a non-empty trace");
-  entries_.reserve(length_);
-  for (const TraceEntry& e : trace.entries) entries_.push_back(e);
-}
 
 ImitatedApp::ImitatedApp(AppProfile profile, std::size_t length, std::uint64_t seed,
                          common::Arena* arena)

@@ -4,10 +4,9 @@
 // The paper found five apps whose wakelock durations were not reproducible
 // run to run, and replaced them with "imitated apps" that replay the time
 // and hardware patterns logged in a profiling pass. We reproduce that
-// methodology: IrregularApp models the erratic original (heavy-tailed
-// holds), record_trace() captures its per-delivery holds, and ImitatedApp
-// replays the recorded trace verbatim — making NATIVE-vs-SIMTY comparisons
-// fair, exactly as in the paper.
+// methodology: the erratic original draws heavy-tailed holds,
+// record_trace() logs a run of them, and ImitatedApp replays that trace —
+// making NATIVE-vs-SIMTY comparisons fair, exactly as in the paper.
 
 #include <vector>
 
@@ -31,24 +30,9 @@ struct AppTrace {
 /// Entries logged per irregular app in the workloads' profiling pass.
 inline constexpr std::size_t kImitatedTraceLength = 256;
 
-/// Models an irregular original: holds follow a heavy-tailed (lognormal-
-/// like) distribution around the profile's base hold instead of the
-/// bounded uniform jitter of well-behaved apps.
-class IrregularApp : public ResidentApp {
- public:
-  IrregularApp(AppProfile profile, Rng rng);
-
- protected:
-  alarm::TaskSpec next_task() override;
-};
-
 /// Replays a trace cyclically; fully deterministic.
 class ImitatedApp : public ResidentApp {
  public:
-  /// Replays a caller-supplied trace verbatim (e.g. one extracted from a
-  /// delivery log).
-  ImitatedApp(AppProfile profile, const AppTrace& trace);
-
   /// Replays record_trace(profile, length, seed), recording entry i on
   /// first use: each entry is the next draw of the seed's stream, so the
   /// trace is prefix-stable and a run records only the entries it replays.
@@ -81,9 +65,9 @@ class ImitatedApp : public ResidentApp {
   std::size_t cursor_ = 0;
 };
 
-/// Profiles an irregular app offline: samples `deliveries` holds of an
-/// IrregularApp seeded with `seed` and returns the logged trace. This is
-/// the "logged in advance" step of the paper's §4.1.
+/// Profiles an irregular app offline: samples `deliveries` of its
+/// heavy-tailed holds from a stream seeded with `seed` and returns the
+/// logged trace. This is the "logged in advance" step of the paper's §4.1.
 AppTrace record_trace(const AppProfile& profile, std::size_t deliveries,
                       std::uint64_t seed);
 

@@ -49,17 +49,6 @@ Workload Workload::heavy(const WorkloadConfig& config, common::Arena* arena) {
   return w;
 }
 
-Workload Workload::from_imitations(
-    std::vector<std::pair<AppProfile, AppTrace>> imitations,
-    const WorkloadConfig& config) {
-  SIMTY_CHECK_MSG(!imitations.empty(), "imitation workload needs at least one app");
-  Workload w(config, nullptr);
-  for (auto& [profile, trace] : imitations) {
-    w.apps_.push_back(std::make_unique<ImitatedApp>(std::move(profile), trace));
-  }
-  return w;
-}
-
 Workload Workload::from_profiles(const std::vector<AppProfile>& profiles,
                                  const WorkloadConfig& config, common::Arena* arena) {
   SIMTY_CHECK_MSG(!profiles.empty(), "custom workload needs at least one profile");

@@ -61,12 +61,6 @@ class Workload {
                                 const WorkloadConfig& config,
                                 common::Arena* arena = nullptr);
 
-  /// Workload of imitated apps replaying caller-supplied traces verbatim
-  /// (e.g. traces extracted from a recorded delivery log).
-  static Workload from_imitations(
-      std::vector<std::pair<AppProfile, AppTrace>> imitations,
-      const WorkloadConfig& config);
-
   Workload(Workload&&) = default;
   Workload& operator=(Workload&&) = default;
 

@@ -125,7 +125,8 @@ std::vector<Flag> run_flags(RunPlan& p) {
 }
 
 // Reads row `f`'s value from args[i + 1], advancing i, and applies it: "" or
-// the usage error (for a duration it names the largest count).
+// the usage error (for a duration, the largest count when the text is a
+// number out of range, else the quoted text).
 std::string apply(const Flag& f, const std::vector<std::string>& args, std::size_t& i) {
   const std::string error = std::string(f.name) + " " + f.error;
   FlagValue v;
@@ -144,6 +145,7 @@ std::string apply(const Flag& f, const std::vector<std::string>& args, std::size
   } else if (f.kind == K::kDuration) {
     const auto d = parse_duration(v.text, f.unit);
     if (!d || d->us() < f.min || d->us() > f.max) {
+      if (!parse_double(v.text)) return error + ": '" + v.text + "' is not a number";
       return error + str_format(" (at most %.6g)", static_cast<double>(f.max) /
                                                        static_cast<double>(f.unit.us()));
     }

@@ -32,12 +32,6 @@ TimeInterval TimeInterval::intersect(const TimeInterval& o) const {
   return TimeInterval{std::max(start_, o.start_), std::min(end_, o.end_)};
 }
 
-TimeInterval TimeInterval::hull(const TimeInterval& o) const {
-  if (is_empty()) return o;
-  if (o.is_empty()) return *this;
-  return TimeInterval{std::min(start_, o.start_), std::max(end_, o.end_)};
-}
-
 TimeInterval TimeInterval::shifted(Duration d) const {
   if (is_empty()) return *this;
   return TimeInterval{start_ + d, end_ + d};

@@ -52,9 +52,6 @@ class TimeInterval {
   /// Set intersection; empty result when the intervals are disjoint.
   TimeInterval intersect(const TimeInterval& o) const;
 
-  /// Smallest interval containing both (empty operands are identities).
-  TimeInterval hull(const TimeInterval& o) const;
-
   /// Shifts both endpoints by `d` (empty intervals stay empty).
   TimeInterval shifted(Duration d) const;
 

@@ -1,8 +1,6 @@
 #include "common/table.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <stdexcept>
 
 namespace simty {
 
@@ -94,13 +92,6 @@ std::string CsvWriter::to_string() const {
   std::string out = csv_line(header_);
   for (const auto& row : rows_) out += csv_line(row);
   return out;
-}
-
-void CsvWriter::save(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("CsvWriter::save: cannot open " + path);
-  f << to_string();
-  if (!f) throw std::runtime_error("CsvWriter::save: write failed for " + path);
 }
 
 }  // namespace simty

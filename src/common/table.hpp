@@ -23,8 +23,6 @@ class TextTable {
   /// Appends a horizontal separator between the rows added before/after.
   void add_separator();
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with single-space padding and `|` column separators.
   std::string render() const;
 
@@ -48,9 +46,6 @@ class CsvWriter {
   /// Serializes header + rows; fields containing `,`, `"` or newlines are
   /// quoted and embedded quotes doubled.
   std::string to_string() const;
-
-  /// Writes to a file; throws std::runtime_error on I/O failure.
-  void save(const std::string& path) const;
 
  private:
   std::vector<std::string> header_;

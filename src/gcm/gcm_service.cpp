@@ -49,11 +49,11 @@ void GcmService::on_incoming(PushMessage message) {
                                ? link_->transfer_time(message.payload_bytes)
                                : config_.default_fetch_hold;
     device_.acquire_cpu_lock();
-    const hw::WakelockId lock = wakelocks_.acquire(hw::Component::kWifi, "gcm.fetch");
+    const hw::WakelockId lock = wakelocks_.acquire(hw::Component::kWifi);
     sim_.schedule_after(
         fetch,
         [this, lock, message, handler = &it->second] {
-          wakelocks_.try_release(lock);  // a guardian may have revoked it
+          wakelocks_.release(lock);
           ++delivered_;
           (*handler)(message);
           device_.release_cpu_lock();

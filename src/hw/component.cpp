@@ -94,10 +94,6 @@ ComponentSet& ComponentSet::operator|=(ComponentSet o) {
   return *this;
 }
 
-std::size_t ComponentSet::shared_count(ComponentSet o) const {
-  return static_cast<std::size_t>(std::popcount(bits_ & o.bits_));
-}
-
 std::string ComponentSet::to_string() const {
   std::string out = "{";
   for_each([&out](Component c) {

@@ -82,10 +82,6 @@ class ComponentSet {
   /// True when the two sets share at least one component.
   bool intersects(ComponentSet o) const { return (bits_ & o.bits_) != 0; }
 
-  /// Number of components shared with `o` (popcount on the bitmask
-  /// intersection; no member iteration).
-  std::size_t shared_count(ComponentSet o) const;
-
   /// True when this set contains any user-perceptible component. A single
   /// mask test — the hot path of alarm/entry perceptibility.
   bool any_perceptible() const { return (bits_ & perceptible_mask()) != 0; }

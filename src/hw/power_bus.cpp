@@ -20,14 +20,6 @@ void PowerBus::add_listener(PowerListener* listener) {
   listeners_.push_back(listener);
 }
 
-void PowerBus::remove_listener(PowerListener* listener) {
-  std::size_t kept = 0;
-  for (PowerListener* l : listeners_) {
-    if (l != listener) listeners_[kept++] = l;
-  }
-  listeners_.resize(kept);
-}
-
 void PowerBus::publish_device_state(TimePoint t, DeviceState state, Power base_level) {
   for (PowerListener* l : listeners_) l->on_device_state(t, state, base_level);
 }

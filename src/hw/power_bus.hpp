@@ -56,7 +56,6 @@ class PowerBus {
   explicit PowerBus(common::Arena* arena = nullptr) : listeners_(arena) {}
 
   void add_listener(PowerListener* listener);
-  void remove_listener(PowerListener* listener);
 
   void publish_device_state(TimePoint t, DeviceState state, Power base_level);
   void publish_component_power(TimePoint t, Component c, bool on, Power level);

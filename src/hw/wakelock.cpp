@@ -12,11 +12,11 @@ WakelockManager::WakelockManager(sim::Simulator& sim, const PowerModel& model,
                                  PowerBus& bus)
     : sim_(sim), model_(model), bus_(bus), held_(sim.arena()) {}
 
-WakelockId WakelockManager::acquire(Component c, std::string_view holder) {
+WakelockId WakelockManager::acquire(Component c) {
   const auto idx = static_cast<std::size_t>(c);
   const TimePoint now = sim_.now();
   const WakelockId id{next_id_++};
-  held_.push_back(Held{id, c, holder, now});
+  held_.push_back(Held{id, c});
   ++rails_[idx].usage.acquisitions;
   if (counts_[idx]++ == 0) {
     const ComponentPower& p = model_.component(c);
@@ -43,23 +43,6 @@ WakelockId WakelockManager::acquire(Component c, std::string_view holder) {
   return id;
 }
 
-bool WakelockManager::try_release(WakelockId id) {
-  const auto it = std::find_if(held_.begin(), held_.end(),
-                               [&](const Held& h) { return h.id == id; });
-  if (it == held_.end()) return false;
-  release(id);
-  return true;
-}
-
-std::vector<WakelockManager::HeldInfo> WakelockManager::held_locks() const {
-  std::vector<HeldInfo> out;
-  out.reserve(held_.size());
-  for (const Held& h : held_) {
-    out.push_back(HeldInfo{h.id, h.component, std::string(h.holder), h.acquired_at});
-  }
-  return out;
-}
-
 void WakelockManager::release(WakelockId id) {
   const auto it = std::find_if(held_.begin(), held_.end(),
                                [&](const Held& h) { return h.id == id; });
@@ -67,12 +50,6 @@ void WakelockManager::release(WakelockId id) {
   const TimePoint now = sim_.now();
   const Component c = it->component;
   const auto idx = static_cast<std::size_t>(c);
-
-  const Duration held_for = now - it->acquired_at;
-  if (!watchdog_threshold_.is_zero() && held_for > watchdog_threshold_) {
-    anomalies_.push_back(
-        WakelockAnomaly{c, std::string(it->holder), it->acquired_at, held_for, false});
-  }
   held_.erase(it);
 
   SIMTY_CHECK(counts_[idx] > 0);
@@ -120,21 +97,6 @@ bool WakelockManager::in_tail(Component c) const {
 
 const ComponentUsage& WakelockManager::usage(Component c) const {
   return rails_[static_cast<std::size_t>(c)].usage;
-}
-
-std::size_t WakelockManager::audit(TimePoint now) {
-  if (watchdog_threshold_.is_zero()) return 0;
-  std::size_t found = 0;
-  for (const Held& h : held_) {
-    const Duration held_for = now - h.acquired_at;
-    if (held_for > watchdog_threshold_) {
-      anomalies_.push_back(
-          WakelockAnomaly{h.component, std::string(h.holder), h.acquired_at, held_for,
-                          true});
-      ++found;
-    }
-  }
-  return found;
 }
 
 void WakelockManager::save(snapshot::Writer& w) const {

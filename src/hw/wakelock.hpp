@@ -5,17 +5,11 @@
 // profiling: tasks acquire a named lock on a component while they use it;
 // a component is powered (and pays its activation energy) only while at
 // least one lock is held. On-cycle counts per component are exactly the
-// numerators of the paper's Table 4. A WakeScope-style watchdog flags
-// locks held beyond a threshold — the "no-sleep bug" failure mode of
-// refs [3] and [6].
+// numerators of the paper's Table 4.
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/arena.hpp"
 #include "common/check.hpp"
@@ -32,24 +26,6 @@ namespace simty::hw {
 struct WakelockId {
   std::uint64_t value = 0;
   bool operator==(const WakelockId&) const = default;
-};
-
-/// A lock held suspiciously long (potential no-sleep bug).
-struct WakelockAnomaly {
-  Component component;
-  std::string holder;
-  TimePoint acquired_at;
-  Duration held_for;
-  bool still_held;  // true when flagged by audit() rather than at release
-
-  template <typename Self, typename F>
-  static void for_each_state_field(Self& self, F&& f) {
-    f("component", self.component);
-    f("holder", self.holder);
-    f("acquired_at", self.acquired_at);
-    f("held_for", self.held_for);
-    f("still_held", self.still_held);
-  }
 };
 
 /// Per-component usage statistics.
@@ -78,30 +54,13 @@ class WakelockManager {
   WakelockManager(const WakelockManager&) = delete;
   WakelockManager& operator=(const WakelockManager&) = delete;
 
-  /// Acquires a lock on `c` for `holder` (app/alarm tag, for diagnostics).
-  /// First lock on an unpowered component powers it and pays activation.
-  /// The manager keeps the view, not a copy: `holder` must outlive the lock
-  /// (string literals, or a tag of the alarm manager's registry).
-  WakelockId acquire(Component c, std::string_view holder);
+  /// Acquires a lock on `c`. The first lock on an unpowered component
+  /// powers it and pays activation.
+  WakelockId acquire(Component c);
 
   /// Releases a previously acquired lock; the last release powers the
   /// component down. Unknown/double release throws.
   void release(WakelockId id);
-
-  /// Like release(), but returns false instead of throwing when the lock
-  /// is gone — used by holders whose locks a guardian may have revoked.
-  bool try_release(WakelockId id);
-
-  /// Snapshot of a currently held lock.
-  struct HeldInfo {
-    WakelockId id;
-    Component component;
-    std::string holder;
-    TimePoint acquired_at;
-  };
-
-  /// All currently held locks (registration order).
-  std::vector<HeldInfo> held_locks() const;
 
   bool is_on(Component c) const;
   int lock_count(Component c) const;
@@ -110,17 +69,6 @@ class WakelockManager {
   bool in_tail(Component c) const;
 
   const ComponentUsage& usage(Component c) const;
-
-  /// Locks held longer than `threshold` get reported. A zero threshold
-  /// disables the watchdog (the default).
-  void set_watchdog_threshold(Duration threshold) { watchdog_threshold_ = threshold; }
-
-  /// Anomalies recorded at release time.
-  const std::vector<WakelockAnomaly>& anomalies() const { return anomalies_; }
-
-  /// Scans currently-held locks; appends still-held anomalies and returns
-  /// how many were found by this scan.
-  std::size_t audit(TimePoint now);
 
   /// Flushes on-time accounting for still-powered components up to `now`.
   void finalize(TimePoint now);
@@ -135,8 +83,21 @@ class WakelockManager {
   template <typename Self, typename F>
   static void for_each_state_field(Self& self, F&& f) {
     f("rails", self.rails_);
-    f("anomalies", self.anomalies_);
-    f("watchdog_threshold", self.watchdog_threshold_);
+    // Fixed slots that keep the section's bytes: the manager keeps no
+    // anomaly list and no watchdog, so they are an empty count and a zero
+    // threshold, and anything else is rejected.
+    f("anomalies", snapshot::by_hand(
+        self,
+        [](snapshot::Writer& w, const auto&) { w.u64(0); },
+        [](snapshot::SectionReader& s, auto&) {
+          SIMTY_CHECK_MSG(s.u64() == 0, "snapshot: wakelock anomalies are not supported");
+        }));
+    f("watchdog_threshold", snapshot::by_hand(
+        self,
+        [](snapshot::Writer& w, const auto&) { w.i64(0); },
+        [](snapshot::SectionReader& s, auto&) {
+          SIMTY_CHECK_MSG(s.i64() == 0, "snapshot: a wakelock watchdog is not supported");
+        }));
     f("next_id", self.next_id_);
   }
 
@@ -144,8 +105,6 @@ class WakelockManager {
   struct Held {
     WakelockId id;
     Component component;
-    std::string_view holder;
-    TimePoint acquired_at;
   };
 
   sim::Simulator& sim_;
@@ -192,8 +151,6 @@ class WakelockManager {
     }
   };
   std::array<Rail, kComponentCount> rails_{};
-  std::vector<WakelockAnomaly> anomalies_;
-  Duration watchdog_threshold_ = Duration::zero();
   std::uint64_t next_id_ = 1;
 };
 

@@ -26,7 +26,6 @@
 #include "hw/component.hpp"       // IWYU pragma: export
 #include "hw/device.hpp"          // IWYU pragma: export
 #include "hw/device_spec.hpp"     // IWYU pragma: export
-#include "hw/guardian.hpp"        // IWYU pragma: export
 #include "hw/power_bus.hpp"       // IWYU pragma: export
 #include "hw/power_model.hpp"     // IWYU pragma: export
 #include "hw/rtc.hpp"             // IWYU pragma: export

@@ -375,19 +375,19 @@ SnapshotDiff diff_snapshots(const DecodedSnapshot& a, const DecodedSnapshot& b) 
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("snapshot: cannot open " + path);
+  if (!f) throw std::runtime_error("cannot open " + path);
   std::string bytes((std::istreambuf_iterator<char>(f)),
                     std::istreambuf_iterator<char>());
-  if (f.bad()) throw std::runtime_error("snapshot: read failed for " + path);
+  if (f.bad()) throw std::runtime_error("read failed for " + path);
   return bytes;
 }
 
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("snapshot: cannot open " + path);
+  if (!f) throw std::runtime_error("cannot open " + path);
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   f.close();
-  if (!f) throw std::runtime_error("snapshot: write failed for " + path);
+  if (!f) throw std::runtime_error("write failed for " + path);
 }
 
 void write_file_atomic(const std::string& path, const std::string& bytes) {
@@ -395,7 +395,7 @@ void write_file_atomic(const std::string& path, const std::string& bytes) {
   write_file(tmp, bytes);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    throw std::runtime_error("snapshot: rename failed for " + path);
+    throw std::runtime_error("rename failed for " + path);
   }
 }
 

@@ -273,7 +273,10 @@ const char* to_string(FieldType t);
 /// Reads a whole file; throws std::runtime_error on I/O failure.
 std::string read_file(const std::string& path);
 
-/// Writes bytes to `path`; throws std::runtime_error on I/O failure.
+/// Writes bytes to `path`; throws std::runtime_error naming the path when
+/// the file cannot be opened or a byte does not reach it (the stream is
+/// checked after close, so a full device is an error, not a short file).
+/// Every file a tool writes goes through here or write_file_atomic.
 void write_file(const std::string& path, const std::string& bytes);
 
 /// Writes bytes to `path` via a same-directory temporary + rename, so a

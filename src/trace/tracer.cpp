@@ -1,8 +1,6 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <string_view>
@@ -134,14 +132,6 @@ std::string json_escape(const char* s) {
     }
   }
   return out;
-}
-
-void write_file(const std::string& path, const std::string& bytes,
-                const char* what) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error(std::string(what) + ": cannot open " + path);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!f) throw std::runtime_error(std::string(what) + ": write failed for " + path);
 }
 
 }  // namespace
@@ -316,14 +306,6 @@ void Tracer::restore(snapshot::SectionReader& s) {
   open_spans_ = saved.open_spans;
 }
 
-void Tracer::save_chrome_json(const std::string& path) const {
-  write_file(path, chrome_json(), "Tracer::save_chrome_json");
-}
-
-void Tracer::save_binary(const std::string& path) const {
-  write_file(path, binary(), "Tracer::save_binary");
-}
-
 Tracer* current() { return g_current; }
 
 TraceScope::TraceScope(Tracer* tracer) : previous_(g_current) {
@@ -381,11 +363,7 @@ DecodedTrace decode_trace(const std::string& bytes) {
 }
 
 DecodedTrace load_trace(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("trace: cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-  return decode_trace(bytes);
+  return decode_trace(snapshot::read_file(path));
 }
 
 namespace {

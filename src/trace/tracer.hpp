@@ -104,10 +104,6 @@ class Tracer {
   /// Compact binary export; see decode_trace() for the format contract.
   std::string binary() const;
 
-  /// File wrappers; throw std::runtime_error on I/O failure.
-  void save_chrome_json(const std::string& path) const;
-  void save_binary(const std::string& path) const;
-
   /// Serializes the held events (labels deduplicated by content, like
   /// binary()) plus the open-span counter. restore() replaces
   /// this tracer's contents; restored labels are owned by the tracer, so

@@ -162,6 +162,20 @@ TEST(CliOptions, RejectsBadInput) {
   EXPECT_FALSE(parse({"--frobnicate"}).ok());
   // Errors carry a pointer to --help.
   EXPECT_NE(parse({"--frobnicate"}).error.find("--help"), std::string::npos);
+  // A duration that is not a number is quoted; only a number out of range
+  // gets the bound.
+  const std::vector<std::vector<std::string>> not_numbers = {
+      {"--snapshot-at", "60m", "--save-snapshot", "s"},
+      {"--hours", "3h"},
+      {"--drx-cycle", "abc"},
+  };
+  for (const std::vector<std::string>& args : not_numbers) {
+    const std::string error = parse_args(args).error;
+    EXPECT_EQ(error.rfind(args[0] + " needs", 0), 0u) << error;
+    EXPECT_NE(error.find("'" + args[1] + "' is not a number"), std::string::npos)
+        << error;
+    EXPECT_EQ(error.find("at most"), std::string::npos) << error;
+  }
 }
 
 TEST(CliOptions, RejectsNonFiniteAndHexDoubles) {
@@ -201,6 +215,7 @@ TEST(CliOptions, RejectsDurationsPastInt64Microseconds) {
     const ParseResult r = parse_args(args);
     EXPECT_FALSE(r.ok()) << flag;
     EXPECT_EQ(r.error.rfind(flag + " needs", 0), 0u) << r.error;
+    EXPECT_NE(r.error.find("(at most "), std::string::npos) << r.error;
   }
   // The largest count that fits still parses, to the microsecond.
   const ParseResult edge = parse({"--minutes", "153722867280"});

@@ -68,14 +68,6 @@ TEST(TimeInterval, IntersectionIsAssociativeOnChains) {
   EXPECT_EQ(a.intersect(b).intersect(c), (TimeInterval{at(20), at(30)}));
 }
 
-TEST(TimeInterval, Hull) {
-  const TimeInterval a{at(0), at(5)};
-  const TimeInterval b{at(20), at(30)};
-  EXPECT_EQ(a.hull(b), (TimeInterval{at(0), at(30)}));
-  EXPECT_EQ(TimeInterval::empty().hull(b), b);
-  EXPECT_EQ(b.hull(TimeInterval::empty()), b);
-}
-
 TEST(TimeInterval, Shifted) {
   const TimeInterval a{at(5), at(10)};
   EXPECT_EQ(a.shifted(Duration::seconds(3)), (TimeInterval{at(8), at(13)}));

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <string>
 
 namespace simty {
 namespace {
@@ -54,25 +53,6 @@ TEST(CsvWriter, QuotesSpecialFields) {
   EXPECT_NE(out.find("\"quote\"\"inside\""), std::string::npos);
   EXPECT_NE(out.find("\"line\nbreak\""), std::string::npos);
   EXPECT_EQ(out.substr(0, 10), "name,note\n");
-}
-
-TEST(CsvWriter, SaveWritesFile) {
-  CsvWriter w({"x"});
-  w.add_row({"1"});
-  const std::string path = ::testing::TempDir() + "/simty_csv_test.csv";
-  w.save(path);
-  std::ifstream f(path);
-  std::string line;
-  std::getline(f, line);
-  EXPECT_EQ(line, "x");
-  std::getline(f, line);
-  EXPECT_EQ(line, "1");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, SaveFailureThrows) {
-  CsvWriter w({"x"});
-  EXPECT_THROW(w.save("/nonexistent-dir-simty/out.csv"), std::runtime_error);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ class WakelockTailTest : public ::testing::Test {
 };
 
 TEST_F(WakelockTailTest, ReleaseEntersTailThenPowersDown) {
-  const WakelockId id = mgr_->acquire(Component::kWifi, "sync");
+  const WakelockId id = mgr_->acquire(Component::kWifi);
   advance(Duration::seconds(2));
   mgr_->release(id);
   EXPECT_TRUE(mgr_->in_tail(Component::kWifi));
@@ -66,13 +66,13 @@ TEST_F(WakelockTailTest, ReleaseEntersTailThenPowersDown) {
 
 TEST_F(WakelockTailTest, WarmStartSkipsActivation) {
   const double act = model_.component(Component::kWifi).activation.mj();
-  const WakelockId a = mgr_->acquire(Component::kWifi, "sync1");
+  const WakelockId a = mgr_->acquire(Component::kWifi);
   advance(Duration::seconds(1));
   mgr_->release(a);
   EXPECT_DOUBLE_EQ(probe_.activations, act);  // one cold start
 
   advance(Duration::seconds(1));  // still in the 3 s tail
-  const WakelockId b = mgr_->acquire(Component::kWifi, "sync2");
+  const WakelockId b = mgr_->acquire(Component::kWifi);
   EXPECT_DOUBLE_EQ(probe_.activations, act);  // NO second activation
   EXPECT_TRUE(mgr_->is_on(Component::kWifi));
   EXPECT_FALSE(mgr_->in_tail(Component::kWifi));
@@ -85,10 +85,10 @@ TEST_F(WakelockTailTest, WarmStartSkipsActivation) {
 
 TEST_F(WakelockTailTest, ColdStartAfterTailExpires) {
   const double act = model_.component(Component::kWifi).activation.mj();
-  const WakelockId a = mgr_->acquire(Component::kWifi, "sync1");
+  const WakelockId a = mgr_->acquire(Component::kWifi);
   mgr_->release(a);
   advance(Duration::seconds(10));  // tail long gone
-  const WakelockId b = mgr_->acquire(Component::kWifi, "sync2");
+  const WakelockId b = mgr_->acquire(Component::kWifi);
   EXPECT_DOUBLE_EQ(probe_.activations, 2 * act);
   EXPECT_EQ(mgr_->usage(Component::kWifi).cycles, 2u);
   EXPECT_EQ(mgr_->usage(Component::kWifi).warm_starts, 0u);
@@ -99,7 +99,7 @@ TEST_F(WakelockTailTest, FastDormancyIsAShortModelTail) {
   // Fast dormancy (ref [12]) truncates the tail: a 500 ms model tail.
   model_.component(Component::kWifi).tail = Duration::millis(500);
   mgr_ = std::make_unique<WakelockManager>(sim_, model_, bus_);
-  const WakelockId id = mgr_->acquire(Component::kWifi, "email");
+  const WakelockId id = mgr_->acquire(Component::kWifi);
   advance(Duration::seconds(1));
   mgr_->release(id);
   advance(Duration::millis(600));
@@ -109,7 +109,7 @@ TEST_F(WakelockTailTest, FastDormancyIsAShortModelTail) {
 
 TEST_F(WakelockTailTest, ZeroTailComponentPowersDownImmediately) {
   // WPS keeps the calibrated zero tail.
-  const WakelockId id = mgr_->acquire(Component::kWps, "fix");
+  const WakelockId id = mgr_->acquire(Component::kWps);
   advance(Duration::seconds(1));
   mgr_->release(id);
   EXPECT_FALSE(mgr_->in_tail(Component::kWps));
@@ -117,7 +117,7 @@ TEST_F(WakelockTailTest, ZeroTailComponentPowersDownImmediately) {
 }
 
 TEST_F(WakelockTailTest, FinalizeFlushesOpenTail) {
-  const WakelockId id = mgr_->acquire(Component::kWifi, "sync");
+  const WakelockId id = mgr_->acquire(Component::kWifi);
   mgr_->release(id);
   advance(Duration::seconds(1));  // 1 s into the 3 s tail
   mgr_->finalize(sim_.now());
@@ -128,8 +128,8 @@ TEST_F(WakelockTailTest, FinalizeFlushesOpenTail) {
 }
 
 TEST_F(WakelockTailTest, NestedLocksOnlyTailAfterLastRelease) {
-  const WakelockId a = mgr_->acquire(Component::kWifi, "x");
-  const WakelockId b = mgr_->acquire(Component::kWifi, "y");
+  const WakelockId a = mgr_->acquire(Component::kWifi);
+  const WakelockId b = mgr_->acquire(Component::kWifi);
   mgr_->release(a);
   EXPECT_FALSE(mgr_->in_tail(Component::kWifi));
   EXPECT_TRUE(mgr_->is_on(Component::kWifi));

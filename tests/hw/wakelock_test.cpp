@@ -43,7 +43,7 @@ class WakelockTest : public ::testing::Test {
 };
 
 TEST_F(WakelockTest, FirstAcquirePowersOnWithActivation) {
-  const WakelockId id = mgr_->acquire(Component::kWifi, "line");
+  const WakelockId id = mgr_->acquire(Component::kWifi);
   EXPECT_TRUE(mgr_->is_on(Component::kWifi));
   ASSERT_EQ(probe_.events.size(), 1u);
   EXPECT_TRUE(probe_.events[0].on);
@@ -56,8 +56,8 @@ TEST_F(WakelockTest, FirstAcquirePowersOnWithActivation) {
 }
 
 TEST_F(WakelockTest, NestedLocksPayActivationOnce) {
-  const WakelockId a = mgr_->acquire(Component::kWps, "followmee");
-  const WakelockId b = mgr_->acquire(Component::kWps, "celltracker");
+  const WakelockId a = mgr_->acquire(Component::kWps);
+  const WakelockId b = mgr_->acquire(Component::kWps);
   EXPECT_EQ(mgr_->lock_count(Component::kWps), 2);
   // One activation, one power-on event — the amortization that makes
   // hardware similarity pay off.
@@ -73,9 +73,9 @@ TEST_F(WakelockTest, NestedLocksPayActivationOnce) {
 }
 
 TEST_F(WakelockTest, SeparateCyclesCountSeparately) {
-  const WakelockId a = mgr_->acquire(Component::kWifi, "x");
+  const WakelockId a = mgr_->acquire(Component::kWifi);
   mgr_->release(a);
-  const WakelockId b = mgr_->acquire(Component::kWifi, "y");
+  const WakelockId b = mgr_->acquire(Component::kWifi);
   mgr_->release(b);
   EXPECT_EQ(mgr_->usage(Component::kWifi).cycles, 2u);
   EXPECT_DOUBLE_EQ(probe_.activation_mj,
@@ -83,18 +83,18 @@ TEST_F(WakelockTest, SeparateCyclesCountSeparately) {
 }
 
 TEST_F(WakelockTest, OnTimeAccumulatesAcrossCycles) {
-  const WakelockId a = mgr_->acquire(Component::kWifi, "x");
+  const WakelockId a = mgr_->acquire(Component::kWifi);
   advance(Duration::seconds(3));
   mgr_->release(a);
   advance(Duration::seconds(10));
-  const WakelockId b = mgr_->acquire(Component::kWifi, "x");
+  const WakelockId b = mgr_->acquire(Component::kWifi);
   advance(Duration::seconds(2));
   mgr_->release(b);
   EXPECT_EQ(mgr_->usage(Component::kWifi).on_time, Duration::seconds(5));
 }
 
 TEST_F(WakelockTest, FinalizeFlushesHeldLocks) {
-  mgr_->acquire(Component::kAccelerometer, "moves");
+  mgr_->acquire(Component::kAccelerometer);
   advance(Duration::seconds(7));
   mgr_->finalize(sim_.now());
   EXPECT_EQ(mgr_->usage(Component::kAccelerometer).on_time, Duration::seconds(7));
@@ -104,8 +104,8 @@ TEST_F(WakelockTest, FinalizeFlushesHeldLocks) {
 }
 
 TEST_F(WakelockTest, IndependentComponentsDoNotInterfere) {
-  mgr_->acquire(Component::kWifi, "a");
-  mgr_->acquire(Component::kSpeaker, "b");
+  mgr_->acquire(Component::kWifi);
+  mgr_->acquire(Component::kSpeaker);
   EXPECT_TRUE(mgr_->is_on(Component::kWifi));
   EXPECT_TRUE(mgr_->is_on(Component::kSpeaker));
   EXPECT_FALSE(mgr_->is_on(Component::kVibrator));
@@ -113,47 +113,9 @@ TEST_F(WakelockTest, IndependentComponentsDoNotInterfere) {
 
 TEST_F(WakelockTest, UnknownReleaseThrows) {
   EXPECT_THROW(mgr_->release(WakelockId{999}), std::logic_error);
-  const WakelockId id = mgr_->acquire(Component::kWifi, "x");
+  const WakelockId id = mgr_->acquire(Component::kWifi);
   mgr_->release(id);
   EXPECT_THROW(mgr_->release(id), std::logic_error);
-}
-
-TEST_F(WakelockTest, WatchdogFlagsLongHoldAtRelease) {
-  mgr_->set_watchdog_threshold(Duration::seconds(60));
-  const WakelockId id = mgr_->acquire(Component::kWifi, "buggy-app");
-  advance(Duration::seconds(120));
-  mgr_->release(id);
-  ASSERT_EQ(mgr_->anomalies().size(), 1u);
-  const WakelockAnomaly& a = mgr_->anomalies()[0];
-  EXPECT_EQ(a.component, Component::kWifi);
-  EXPECT_EQ(a.holder, "buggy-app");
-  EXPECT_EQ(a.held_for, Duration::seconds(120));
-  EXPECT_FALSE(a.still_held);
-}
-
-TEST_F(WakelockTest, WatchdogAuditFindsStillHeldLocks) {
-  mgr_->set_watchdog_threshold(Duration::seconds(60));
-  mgr_->acquire(Component::kWps, "nosleep-bug");
-  advance(Duration::seconds(300));
-  EXPECT_EQ(mgr_->audit(sim_.now()), 1u);
-  ASSERT_EQ(mgr_->anomalies().size(), 1u);
-  EXPECT_TRUE(mgr_->anomalies()[0].still_held);
-}
-
-TEST_F(WakelockTest, WatchdogDisabledByDefault) {
-  const WakelockId id = mgr_->acquire(Component::kWifi, "x");
-  advance(Duration::hours(1));
-  mgr_->release(id);
-  EXPECT_TRUE(mgr_->anomalies().empty());
-  EXPECT_EQ(mgr_->audit(sim_.now()), 0u);
-}
-
-TEST_F(WakelockTest, ShortHoldsAreNotAnomalies) {
-  mgr_->set_watchdog_threshold(Duration::seconds(60));
-  const WakelockId id = mgr_->acquire(Component::kWifi, "good-app");
-  advance(Duration::seconds(3));
-  mgr_->release(id);
-  EXPECT_TRUE(mgr_->anomalies().empty());
 }
 
 }  // namespace

@@ -158,7 +158,7 @@ TEST_F(WurTest, WakelockManagerAccountsKWurCycles) {
   EXPECT_DOUBLE_EQ(model.component(Component::kWur).activation.mj(), 0.5);
 
   WakelockManager locks(sim_, model, bus_);
-  const WakelockId id = locks.acquire(Component::kWur, "wur-decode");
+  const WakelockId id = locks.acquire(Component::kWur);
   sim_.run_until(at(2));
   locks.release(id);
 

@@ -105,6 +105,40 @@ TEST(RestoreChecks, PresentTailOverrideIsRejectedNamingTheField) {
       << error;
 }
 
+TEST(RestoreChecks, WakelockAnomaliesAndWatchdogAreRejectedNamingTheField) {
+  const ExperimentConfig config = hour_config();
+  const std::string snap = snapshot_at_30min(config);
+  // wakelocks ends with three tagged 8-byte fields: the anomalies count,
+  // the watchdog threshold and next_id.
+  // One well-formed anomaly: component, holder, acquired_at, held_for,
+  // still_held.
+  snapshot::Writer anomaly;
+  anomaly.begin_section("field", 0);
+  anomaly.u64(1);
+  anomaly.u8(0);
+  anomaly.str("app");
+  anomaly.i64(0);
+  anomaly.i64(120'000'000);
+  anomaly.boolean(false);
+  const std::string one_anomaly(anomaly.payload());
+  const std::string anomalies =
+      support::edit_section(snap, "wakelocks", [&](std::string& p) {
+        ASSERT_EQ(p[p.size() - 27], static_cast<char>(snapshot::FieldType::kU64));
+        p.replace(p.size() - 27, 9, one_anomaly);
+      });
+  std::string error = restore_error(config, anomalies);
+  EXPECT_TRUE(contains(error, "section 'wakelocks' field 'anomalies'")) << error;
+
+  const std::string watchdog =
+      support::edit_section(snap, "wakelocks", [](std::string& p) {
+        ASSERT_EQ(p[p.size() - 18], static_cast<char>(snapshot::FieldType::kI64));
+        p[p.size() - 17] = 1;  // a 1 µs threshold
+      });
+  error = restore_error(config, watchdog);
+  EXPECT_TRUE(contains(error, "section 'wakelocks' field 'watchdog_threshold'"))
+      << error;
+}
+
 TEST(RestoreChecks, RandomizedCorruptionOfRealSnapshotsNeverEscapesTheChecks) {
   struct Case {
     const char* name;

@@ -135,6 +135,19 @@ TEST(SnapshotFormat, FileRoundTripAndAtomicWrite) {
   EXPECT_THROW(read_file(path), std::runtime_error);
 }
 
+TEST(SnapshotFormat, WriteFailureThrowsNamingThePath) {
+  // Every file a tool writes goes through write_file: a path that cannot
+  // be opened and a device that takes no bytes are both errors.
+  for (const std::string path : {"/nonexistent-dir-simty/out.csv", "/dev/full"}) {
+    try {
+      write_file(path, "bytes");
+      ADD_FAILURE() << path << " written";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(SnapshotFormat, ObviousMalformationsAreRejected) {
   const std::string good = sample_snapshot();
   EXPECT_THROW(Reader(""), std::logic_error);

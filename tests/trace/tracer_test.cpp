@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "snapshot/snapshot.hpp"
 #include "support/corrupt.hpp"
 
 namespace simty::trace {
@@ -296,17 +297,12 @@ TEST(Tracer, SaveAndLoadBinaryFile) {
   Tracer t;
   t.instant(at_us(1), TraceCategory::kSim, "tick", 1);
   const std::string path = ::testing::TempDir() + "/simty_trace_test.bin";
-  t.save_binary(path);
+  snapshot::write_file(path, t.binary());
   const DecodedTrace d = load_trace(path);
   ASSERT_EQ(d.events.size(), 1u);
   EXPECT_EQ(d.label_of(d.events[0]), "tick");
   std::remove(path.c_str());
   EXPECT_THROW(load_trace("/nonexistent/simty.trace"), std::runtime_error);
-  EXPECT_THROW(t.save_binary("/nonexistent/simty.trace"), std::runtime_error);
-
-  const std::string json_path = ::testing::TempDir() + "/simty_trace_test.json";
-  t.save_chrome_json(json_path);
-  std::remove(json_path.c_str());
 }
 
 }  // namespace

@@ -25,7 +25,7 @@
 #include "exp/reporting.hpp"
 #include "exp/run.hpp"
 // The IWYU heuristic only sees classes and definitions, not declared free
-// functions (read_file / write_file_atomic are what's used here).
+// functions (read_file / write_file / write_file_atomic are what's used here).
 #include "snapshot/snapshot.hpp"  // simty-analyze: allow(include)
 #include "trace/delivery_log.hpp"
 #include "trace/tracer.hpp"
@@ -34,14 +34,29 @@ using namespace simty;
 
 namespace {
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+// Writes one output file; on failure prints the error and returns false.
+bool write_output(const std::string& path, const std::string& content) {
+  try {
+    snapshot::write_file(path, content);
+    return true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return false;
   }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
+}
+
+// Writes the --trace and --trace-json outputs; false after an error.
+bool write_traces(const cli::RunPlan& plan, const trace::Tracer& tracer) {
+  if (plan.trace_path) {
+    if (!write_output(*plan.trace_path, tracer.binary())) return false;
+    std::printf("run trace (%zu events) written to %s\n", tracer.size(),
+                plan.trace_path->c_str());
+  }
+  if (plan.trace_json_path) {
+    if (!write_output(*plan.trace_json_path, tracer.chrome_json())) return false;
+    std::printf("chrome trace (%zu events) written to %s\n", tracer.size(),
+                plan.trace_json_path->c_str());
+  }
   return true;
 }
 
@@ -91,20 +106,10 @@ int run_fleet_mode(const cli::RunPlan& plan, trace::Tracer& tracer) {
     std::printf("%s\n", fleet::render_fleet_report(results.back()).c_str());
   }
   if (plan.fleet_csv_path) {
-    if (!write_file(*plan.fleet_csv_path, fleet::fleet_csv(results))) return 1;
+    if (!write_output(*plan.fleet_csv_path, fleet::fleet_csv(results))) return 1;
     std::printf("fleet csv written to %s\n", plan.fleet_csv_path->c_str());
   }
-  if (plan.trace_path) {
-    tracer.save_binary(*plan.trace_path);
-    std::printf("run trace (%zu events) written to %s\n", tracer.size(),
-                plan.trace_path->c_str());
-  }
-  if (plan.trace_json_path) {
-    tracer.save_chrome_json(*plan.trace_json_path);
-    std::printf("chrome trace (%zu events) written to %s\n", tracer.size(),
-                plan.trace_json_path->c_str());
-  }
-  return 0;
+  return write_traces(plan, tracer) ? 0 : 1;
 }
 
 // Snapshot save mode: pause each policy's base-seed run at its first
@@ -213,29 +218,20 @@ int main(int argc, char** argv) {
   if (!paging.empty()) std::printf("%s\n", paging.c_str());
 
   if (plan.csv_path) {
-    if (!write_file(*plan.csv_path, exp::results_csv(columns))) return 1;
+    if (!write_output(*plan.csv_path, exp::results_csv(columns))) return 1;
     std::printf("results csv written to %s\n", plan.csv_path->c_str());
   }
   if (plan.waveform_path) {
-    if (!write_file(*plan.waveform_path, waveform_monitor.waveform_csv(100000)))
+    if (!write_output(*plan.waveform_path, waveform_monitor.waveform_csv(100000))) {
       return 1;
+    }
     std::printf("power waveform written to %s\n", plan.waveform_path->c_str());
   }
   if (plan.delivery_log_path) {
     const trace::DeliveryLog& log = last_run->delivery_log();
-    log.save(*plan.delivery_log_path);
+    if (!write_output(*plan.delivery_log_path, log.to_csv())) return 1;
     std::printf("delivery trace (%zu records) written to %s\n", log.size(),
                 plan.delivery_log_path->c_str());
   }
-  if (plan.trace_path) {
-    tracer.save_binary(*plan.trace_path);
-    std::printf("run trace (%zu events) written to %s\n", tracer.size(),
-                plan.trace_path->c_str());
-  }
-  if (plan.trace_json_path) {
-    tracer.save_chrome_json(*plan.trace_json_path);
-    std::printf("chrome trace (%zu events) written to %s\n", tracer.size(),
-                plan.trace_json_path->c_str());
-  }
-  return 0;
+  return write_traces(plan, tracer) ? 0 : 1;
 }
