@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "fleet/report.hpp"
 #include "support/result_equality.hpp"
 #include "trace/tracer.hpp"
@@ -127,6 +129,28 @@ TEST(FleetRunner, GoldenSmallFleetMatchesDeviceByDeviceRecomputation) {
   reference.overall.cohort = "ALL";
 
   expect_identical(fleet, reference);
+}
+
+TEST(FleetRunner, FleetCsvDigestIsPinned) {
+  // The fleet's exact output bits: the FNV-1a digest of the full-precision
+  // CSV of a one-cohort, 8-device, seed-5 SIMTY fleet, recorded once and
+  // never regenerated. A mismatch means a refactor moved an aggregate bit.
+  CohortSpec phones;
+  phones.name = "phones";
+  phones.min_apps = 2;
+  phones.max_apps = 4;
+  phones.standby = Duration::minutes(3);
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    FleetConfig fc;
+    fc.cohorts = {phones};
+    fc.devices = 8;
+    fc.policy = exp::PolicyKind::kSimty;
+    fc.seed = 5;
+    fc.jobs = jobs;
+    fc.shard_devices = 8;
+    EXPECT_EQ(common::fnv1a64(fleet_csv({run_fleet(fc)})), 0x3b626a5b8b3fda4cull);
+  }
 }
 
 TEST(FleetRunner, DeviceRunsDifferAcrossTheFleet) {
