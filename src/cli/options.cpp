@@ -1,5 +1,6 @@
 #include "cli/options.hpp"
 
+#include <filesystem>
 #include <set>
 
 #include "common/strings.hpp"
@@ -113,20 +114,21 @@ std::vector<Flag> run_flags(RunPlan& p) {
       {"--snapshot-at", K::kDuration, store(p.snapshot_at), "needs positive minutes", 1,
        kMax, Duration::minutes(1)},
       {"--cohorts", K::kText, store(p.cohorts_path), "needs a path"},
-      {"--fleet-csv", K::kText, store(p.fleet_csv_path), "needs a path"},
-      {"--save-snapshot", K::kText, store(p.save_snapshot_path), "needs a path"},
+      {"--fleet-csv", K::kOutputPath, store(p.fleet_csv_path), "needs a path"},
+      {"--save-snapshot", K::kOutputPath, store(p.save_snapshot_path), "needs a path"},
       {"--restore-snapshot", K::kText, store(p.restore_snapshot_path), "needs a path"},
-      {"--csv", K::kText, store(p.csv_path), "needs a path"},
-      {"--delivery-log", K::kText, store(p.delivery_log_path), "needs a path"},
-      {"--waveform", K::kText, store(p.waveform_path), "needs a path"},
-      {"--trace", K::kText, store(p.trace_path), "needs a path"},
-      {"--trace-json", K::kText, store(p.trace_json_path), "needs a path"},
+      {"--csv", K::kOutputPath, store(p.csv_path), "needs a path"},
+      {"--delivery-log", K::kOutputPath, store(p.delivery_log_path), "needs a path"},
+      {"--waveform", K::kOutputPath, store(p.waveform_path), "needs a path"},
+      {"--trace", K::kOutputPath, store(p.trace_path), "needs a path"},
+      {"--trace-json", K::kOutputPath, store(p.trace_json_path), "needs a path"},
   };
 }
 
 // Reads row `f`'s value from args[i + 1], advancing i, and applies it: "" or
 // the usage error (for a duration, the largest count when the text is a
-// number out of range, else the quoted text).
+// number out of range, else the quoted text; for an output path, the missing
+// directory or that the path is one).
 std::string apply(const Flag& f, const std::vector<std::string>& args, std::size_t& i) {
   const std::string error = std::string(f.name) + " " + f.error;
   FlagValue v;
@@ -150,6 +152,15 @@ std::string apply(const Flag& f, const std::vector<std::string>& args, std::size
                                                        static_cast<double>(f.unit.us()));
     }
     v.duration = *d;
+  } else if (f.kind == K::kOutputPath) {
+    const std::filesystem::path dir = std::filesystem::path(v.text).parent_path();
+    if (!dir.empty() && !std::filesystem::is_directory(dir)) {
+      return std::string(f.name) + " " + v.text + ": directory " + dir.string() +
+             " does not exist";
+    }
+    if (std::filesystem::is_directory(v.text)) {
+      return std::string(f.name) + " " + v.text + ": is a directory";
+    }
   }
   return f.set(v) ? "" : error;
 }
@@ -161,19 +172,15 @@ const Flag* find(const std::vector<Flag>& table, const std::string& name) {
   return nullptr;
 }
 
-}  // namespace
-
-std::string parse_flags(const std::vector<std::string>& args,
-                        const std::vector<Flag>& own, ExperimentConfig& config) {
+// parse_flags, recording in `seen` the flags given.
+std::string parse_flags(const std::vector<std::string>& args, const std::vector<Flag>& own,
+                        ExperimentConfig& config, std::set<std::string>& seen) {
   const std::vector<Flag> shared = config_flags(config);
-  std::set<std::string> seen;  // the shared flags given
   for (std::size_t i = 0; i < args.size(); ++i) {
     const Flag* f = find(own, args[i]);
-    if (f == nullptr) {
-      f = find(shared, args[i]);
-      if (f == nullptr) return "unknown flag: " + args[i];
-      seen.insert(args[i]);
-    }
+    if (f == nullptr) f = find(shared, args[i]);
+    if (f == nullptr) return "unknown flag: " + args[i];
+    seen.insert(args[i]);
     if (std::string error = apply(*f, args, i); !error.empty()) return error;
   }
   if (seen.contains("--wur") && !seen.contains("--drx-cycle")) {
@@ -188,6 +195,20 @@ std::string parse_flags(const std::vector<std::string>& args,
   return "";
 }
 
+// The flags a fleet run reads: its cohorts set each device's workload and
+// duration, so any other flag is rejected rather than ignored.
+const std::set<std::string> kFleetFlags = {"--fleet", "--policy", "--seed",
+                                           "--jobs", "--hw-levels", "--cohorts",
+                                           "--fleet-csv", "--trace", "--trace-json"};
+
+}  // namespace
+
+std::string parse_flags(const std::vector<std::string>& args,
+                        const std::vector<Flag>& own, ExperimentConfig& config) {
+  std::set<std::string> seen;
+  return parse_flags(args, own, config, seen);
+}
+
 ParseResult parse_args(const std::vector<std::string>& args) {
   RunPlan plan;
   for (const std::string& arg : args) {
@@ -196,11 +217,21 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       return ParseResult{plan, ""};
     }
   }
-  if (const std::string error = parse_flags(args, run_flags(plan), plan.config);
+  std::set<std::string> seen;
+  if (const std::string error = parse_flags(args, run_flags(plan), plan.config, seen);
       !error.empty()) {
     return fail(error);
   }
   if (plan.policies.empty()) return fail("at least one --policy is required");
+  if (plan.fleet_devices) {
+    for (const std::string& flag : seen) {
+      if (!kFleetFlags.contains(flag)) {
+        std::string reads;
+        for (const std::string& name : kFleetFlags) reads += " " + name;
+        return fail(flag + " does not apply to --fleet, which reads only" + reads);
+      }
+    }
+  }
   if (!plan.fleet_devices && plan.cohorts_path) {
     return fail("--cohorts requires --fleet");
   }
@@ -212,11 +243,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   }
   if (plan.save_snapshot_path && plan.restore_snapshot_path) {
     return fail("--save-snapshot and --restore-snapshot are exclusive");
-  }
-  if (plan.fleet_devices &&
-      (plan.save_snapshot_path || plan.restore_snapshot_path)) {
-    return fail("snapshot flags apply to experiment runs, not --fleet "
-                "(fleet shards checkpoint via FleetConfig::checkpoint_dir)");
   }
   if (plan.snapshot_at && *plan.snapshot_at >= plan.config.duration) {
     return fail("--snapshot-at must fall inside the run duration");
@@ -260,7 +286,9 @@ std::string usage() {
       "  --hw-levels 2|3|4    hardware-similarity granularity (default 3)\n"
       "  --fleet N            fleet mode: simulate N devices per policy,\n"
       "                       sampled from cohorts (aggregates are\n"
-      "                       bit-identical at any --jobs)\n"
+      "                       bit-identical at any --jobs); takes only\n"
+      "                       --policy --seed --jobs --hw-levels --cohorts\n"
+      "                       --fleet-csv --trace --trace-json\n"
       "  --cohorts FILE       cohort spec file (see EXPERIMENTS.md;\n"
       "                       default: the built-in three-cohort fleet)\n"
       "  --fleet-csv PATH     write full-precision fleet aggregates CSV\n"

@@ -27,8 +27,9 @@ struct RunPlan {
   int jobs = 1;                              // parallel workers for repetitions
 
   /// Fleet mode (--fleet N): run a device population per policy instead of
-  /// seed repetitions; workload/duration flags are superseded by the
-  /// cohort specs. See fleet/fleet_runner.hpp.
+  /// seed repetitions. The cohort specs set each device's workload and
+  /// duration, so fleet mode rejects the run-only flags. See
+  /// fleet/fleet_runner.hpp.
   std::optional<std::uint64_t> fleet_devices;
   std::optional<std::string> cohorts_path;    // --cohorts FILE
   std::optional<std::string> fleet_csv_path;  // --fleet-csv PATH
@@ -68,8 +69,10 @@ ParseResult parse_args(const std::vector<std::string>& args);
 /// How a flag reads its value into FlagValue: a switch reads none (integer
 /// 1), an integer must lie in [min, max], a number must be finite, a
 /// duration is a count of `unit`s (parse_duration) whose microseconds lie in
-/// [min, max], and text is taken as given.
-enum class FlagKind { kSwitch, kInteger, kNumber, kDuration, kText };
+/// [min, max], text is taken as given, and an output path is text whose
+/// directory exists and that is not itself a directory (checked before any
+/// run, not when the file is written).
+enum class FlagKind { kSwitch, kInteger, kNumber, kDuration, kText, kOutputPath };
 
 struct FlagValue {
   long long integer = 1;

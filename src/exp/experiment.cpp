@@ -18,7 +18,6 @@
 #include "common/check.hpp"
 #include "common/parallel_map.hpp"
 #include "common/strings.hpp"
-#include "exp/config_codec.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace simty::exp {
@@ -87,6 +86,81 @@ std::optional<WorkloadKind> parse_workload(std::string_view name) {
 
 namespace {
 
+// Field lists of the records inside ExperimentConfig, in wire order.
+template <typename T, typename F>
+void for_each_field(T& v, F&& f) {
+  using S = std::remove_const_t<T>;
+  if constexpr (std::is_same_v<S, alarm::SimilarityConfig>) {
+    f("hw_mode", v.hw_mode);
+    f("time_mode", v.time_mode);
+    f("energy_hungry", v.energy_hungry);
+  } else if constexpr (std::is_same_v<S, apps::AppProfile>) {
+    f("name", v.name);
+    f("repeat", v.repeat);
+    f("alpha", v.alpha);
+    f("mode", v.mode);
+    f("hardware", v.hardware);
+    f("base_hold", v.base_hold);
+    f("hold_jitter", v.hold_jitter);
+    f("in_light", v.in_light);
+    f("irregular", v.irregular);
+    f("payload_bytes", v.payload_bytes);
+    f("retry_probability", v.retry_probability);
+    f("retry_backoff", v.retry_backoff);
+  } else if constexpr (std::is_same_v<S, ExperimentConfig::BetaSwitch>) {
+    f("at", v.at);  // the switch's β is a config field of its own
+  } else if constexpr (std::is_same_v<S, net::DrxConfig>) {
+    f("paging_cycle", v.paging_cycle);
+    f("on_duration", v.on_duration);
+    f("listen", v.listen);
+    f("mean_page_gap", v.mean_page_gap);
+    f("page_hold", v.page_hold);
+    f("wur", v.wur);
+    f("wur_delay_budget", v.wur_delay_budget);
+  } else if constexpr (std::is_same_v<S, hw::WurConfig>) {
+    f("listen", v.listen);
+    f("wake_trigger", v.wake_trigger);
+    f("wake_latency", v.wake_latency);
+  } else if constexpr (std::is_same_v<S, hw::PowerModel>) {
+    f("sleep", v.sleep);
+    f("waking", v.waking);
+    f("awake_base", v.awake_base);
+    f("wake_transition", v.wake_transition);
+    f("wake_latency", v.wake_latency);
+    f("idle_linger", v.idle_linger);
+    f("handler_floor", v.handler_floor);
+    f("components", v.components);
+  } else {
+    static_assert(std::is_same_v<S, hw::ComponentPower>, "config type without a codec");
+    f("activation", v.activation);
+    f("active", v.active);
+    f("serial_fraction", v.serial_fraction);
+    f("tail", v.tail);
+    f("tail_power", v.tail_power);
+  }
+}
+
+using OptionalSwitch = std::optional<ExperimentConfig::BetaSwitch>;
+
+/// Writes the fields it visits: the shared state-field codec, plus the
+/// config-only types, with records walked through for_each_field.
+struct ConfigWriter : snapshot::FieldWriterBase<ConfigWriter> {
+  bool beta_blind = false;
+
+  explicit ConfigWriter(snapshot::Writer& w, bool blind = false)
+      : FieldWriterBase(w), beta_blind(blind) {}
+
+  using FieldWriterBase::operator();
+  void operator()(const char*, hw::ComponentSet v) const { w_.u32(v.bits()); }
+  void operator()(const char*, SwitchBeta<const OptionalSwitch> v) const {
+    if (!beta_blind) w_.f64(v.beta_switch ? v.beta_switch->beta : 0.0);
+  }
+  template <typename T>
+  void record(const T& v) const {
+    for_each_field(v, *this);
+  }
+};
+
 /// Reads the fields it visits: the shared state-field codec, with every
 /// value validated and records walked through for_each_field.
 struct ConfigReader : snapshot::FieldReaderBase<ConfigReader> {
@@ -150,11 +224,6 @@ struct ConfigReader : snapshot::FieldReaderBase<ConfigReader> {
   }
 };
 
-// for_each_config_field as a value, for the shared codec templates.
-constexpr auto kConfigFields = [](const auto& c, auto&& f) {
-  for_each_config_field(c, f);
-};
-
 }  // namespace
 
 void write_config(snapshot::Writer& w, const ExperimentConfig& c, bool beta_blind) {
@@ -176,12 +245,24 @@ ExperimentConfig read_config(snapshot::SectionReader& s) {
 }
 
 std::string encode_config(const ExperimentConfig& c, bool beta_blind) {
-  return encode_fields(c, kConfigFields, beta_blind);
+  snapshot::Writer w;
+  w.begin_section("config", 0);
+  write_config(w, c, beta_blind);
+  return std::string(w.payload());
 }
 
 const char* first_differing_field(const ExperimentConfig& c, std::string_view encoding,
                                   bool beta_blind) {
-  return first_differing(c, encoding, kConfigFields, beta_blind);
+  // Fields are self-delimiting: the first one whose running encoding stops
+  // being a prefix of `encoding` is the one that differs.
+  snapshot::Writer w;
+  w.begin_section("config", 0);
+  const char* differing = nullptr;
+  for_each_config_field(c, [&](const char* name, const auto& member) {
+    ConfigWriter{w, beta_blind}(name, member);
+    if (differing == nullptr && !encoding.starts_with(w.payload())) differing = name;
+  });
+  return differing;
 }
 
 RunResult::HwCounts cpu_wakeups(const RunResult& r) {

@@ -28,9 +28,9 @@ namespace simty::fleet {
 
 /// The per-device metrics the fleet tracks, one line each: X(name,
 /// histogram upper bound, buckets). A line declares the DeviceMetrics field
-/// and CohortAggregate stream of that name, and drives add/merge/save/
-/// restore and the fleet_csv rows. Shards share the linear histogram
-/// geometry so sketches merge; overflow quantiles resolve to the max.
+/// and CohortAggregate stream of that name, and drives add/merge and the
+/// fleet_csv rows. Shards share the linear histogram geometry so sketches
+/// merge; overflow quantiles resolve to the max.
 #define SIMTY_FLEET_METRICS(X)                                               \
   X(energy_j, 1000.0, 500)         /* session joules; 2 J per bucket */      \
   X(avg_power_mw, 400.0, 400)      /* average standby mW; 1 mW per bucket */ \
@@ -57,14 +57,6 @@ class MetricAggregate {
 
   /// Sketch quantile; 0 when empty.
   double quantile(double q) const { return hist_.empty() ? 0.0 : hist_.quantile(q); }
-
-  /// Exact state (Welford doubles raw, histogram counts); a restore
-  /// requires matching histogram geometry.
-  template <typename Self, typename F>
-  static void for_each_state_field(Self& self, F&& f) {
-    f("stats", self.stats_);
-    f("histogram", self.hist_);
-  }
 
  private:
   OnlineStats stats_;
@@ -108,17 +100,6 @@ struct CohortAggregate {
     for_each_metric([&](const char*, auto stream, auto field) {
       (this->*stream).add(m.*field);
     });
-  }
-
-  /// State fields: name, device count and every metric stream. A restore
-  /// overwrites this aggregate wholesale (including the name) and is
-  /// bit-exact: continuing the same device add-sequence after a restore
-  /// reproduces the straight-run aggregate.
-  template <typename Self, typename F>
-  static void for_each_state_field(Self& self, F&& f) {
-    f("cohort", self.cohort);
-    f("devices", self.devices);
-    for_each_metric([&](const char* name, auto stream, auto) { f(name, self.*stream); });
   }
 
   /// Folds `other` in; keeps this aggregate's name.

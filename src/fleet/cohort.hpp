@@ -80,27 +80,6 @@ struct CohortSpec {
   void validate() const;
 };
 
-/// Calls f(name, member) for each CohortSpec field, in wire order: a
-/// cohort's part of FleetConfig's encoding (for_each_fleet_field).
-template <typename F>
-void for_each_cohort_field(const CohortSpec& s, F&& f) {
-  f("name", s.name);
-  f("weight", s.weight);
-  f("min_apps", s.min_apps);
-  f("max_apps", s.max_apps);
-  f("rein_jitter", s.rein_jitter);
-  f("alpha_jitter", s.alpha_jitter);
-  f("beta_lo", s.beta_lo);
-  f("beta_hi", s.beta_hi);
-  f("wearable_fraction", s.wearable_fraction);
-  f("power_scale_lo", s.power_scale_lo);
-  f("power_scale_hi", s.power_scale_hi);
-  f("degraded_network_fraction", s.degraded_network_fraction);
-  f("degraded_hold_factor_max", s.degraded_hold_factor_max);
-  f("standby", s.standby);
-  f("system_alarms", s.system_alarms);
-}
-
 /// One concrete device drawn from a cohort.
 struct DeviceSample {
   std::uint64_t device_index = 0;  // index within the cohort

@@ -1,14 +1,10 @@
 #include "fleet/fleet_runner.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <stdexcept>
 
 #include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/parallel_map.hpp"
-#include "exp/config_codec.hpp"
-#include "snapshot/codec.hpp"
 #include "trace/tracer.hpp"
 
 namespace simty::fleet {
@@ -32,79 +28,15 @@ namespace {
 
 /// A contiguous device-major slice of one cohort.
 struct Shard {
-  std::size_t index = 0;  // ordinal in shard order (checkpoint file name)
   std::size_t cohort = 0;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
 };
 
-constexpr std::uint32_t kShardCkptVersion = 2;
-
-// for_each_fleet_field as a value, for the shared codec templates.
-constexpr auto kFleetFields = [](const FleetConfig& c, auto&& f) {
-  for_each_fleet_field(c, f);
-};
-
-std::string shard_ckpt_path(const FleetConfig& config, const Shard& shard) {
-  return config.checkpoint_dir + "/shard_" + std::to_string(shard.index) +
-         ".ckpt";
-}
-
-/// Writes the shard's resumable state: the fleet's encoding and the shard
-/// index (together they fix the cohort and device range), the next device
-/// to run, and the exact aggregate so far. Atomic rename keeps a kill
-/// mid-write from leaving a torn checkpoint behind.
-void write_shard_ckpt(const std::string& path, const FleetConfig& config,
-                      const Shard& shard, std::uint64_t next_device,
-                      const CohortAggregate& agg) {
-  snapshot::Writer w;
-  w.begin_section("fleet-shard", kShardCkptVersion);
-  w.bytes(exp::encode_fields(config, kFleetFields));
-  w.u64(shard.index);
-  w.u64(next_device);
-  snapshot::write_fields(w, agg);
-  w.end_section();
-  snapshot::write_file_atomic(path, w.finish());
-}
-
-/// Loads a checkpoint and verifies it belongs to this shard of this fleet
-/// (a directory reused under another config must fail loudly, naming the
-/// field, not silently skew aggregates). Returns the device index to
-/// resume at.
-std::uint64_t read_shard_ckpt(const std::string& path, const FleetConfig& config,
-                              const Shard& shard, CohortAggregate& agg) {
-  const snapshot::Reader reader(snapshot::read_file(path));
-  std::uint64_t next_device = 0;
-  reader.read_section("fleet-shard", kShardCkptVersion, [&](snapshot::SectionReader& s) {
-    const std::string stored = s.bytes();
-    if (stored != exp::encode_fields(config, kFleetFields)) {
-      const char* field = exp::first_differing(config, stored, kFleetFields);
-      SIMTY_CHECK_MSG(false, std::string("shard checkpoint: written under another fleet "
-                                         "config (field '") +
-                                 (field != nullptr ? field : "?") + "' differs)");
-    }
-    SIMTY_CHECK_MSG(s.u64() == shard.index, "shard checkpoint: index mismatch");
-    next_device = s.u64();
-    SIMTY_CHECK_MSG(next_device >= shard.begin && next_device <= shard.end,
-                    "shard checkpoint: resume point outside shard");
-    snapshot::read_fields(s, agg);
-  });
-  SIMTY_CHECK_MSG(agg.devices == next_device - shard.begin,
-                  "shard checkpoint: aggregate count disagrees with cursor");
-  return next_device;
-}
-
 // `config` has its cohorts resolved.
 CohortAggregate run_shard(const FleetConfig& config, const Shard& shard) {
   const CohortSpec& spec = config.cohorts[shard.cohort];
   CohortAggregate agg(spec.name);
-  std::uint64_t resume_at = shard.begin;
-  const bool checkpointing = !config.checkpoint_dir.empty();
-  const std::string ckpt_path =
-      checkpointing ? shard_ckpt_path(config, shard) : std::string();
-  if (checkpointing && std::filesystem::exists(ckpt_path)) {
-    resume_at = read_shard_ckpt(ckpt_path, config, shard, agg);
-  }
   // One arena per executing thread, reset before every device: each device
   // run carves its per-run state from it (event-queue slabs, the policy,
   // alarms and the registry, batches and queues, the batch index, apps and
@@ -114,28 +46,14 @@ CohortAggregate run_shard(const FleetConfig& config, const Shard& shard) {
   // alarm tags and the result — is budgeted by the alloc gate's fleet-shard
   // case. Arena presence never changes a result bit.
   thread_local common::Arena arena;
-  std::uint64_t processed = 0;  // devices run in THIS invocation
-  for (std::uint64_t d = resume_at; d < shard.end; ++d) {
-    if (config.fault_shard == static_cast<std::int64_t>(shard.index) &&
-        processed == config.fault_after_devices) {
-      throw std::runtime_error("fleet: injected fault in shard " +
-                               std::to_string(shard.index));
-    }
+  for (std::uint64_t d = shard.begin; d < shard.end; ++d) {
     arena.reset();
     exp::ExperimentConfig device_cfg =
         device_config(spec, sample_device(spec, config.seed, d), config.policy,
                       config.similarity);
     device_cfg.arena_opts.arena = &arena;
     agg.add(device_metrics(exp::run_experiment(std::move(device_cfg))));
-    ++processed;
-    if (checkpointing && config.checkpoint_every > 0 &&
-        processed % config.checkpoint_every == 0) {
-      write_shard_ckpt(ckpt_path, config, shard, d + 1, agg);
-    }
   }
-  // Final checkpoint (cursor == end): a restart after this shard finished
-  // restores the complete aggregate instead of recomputing the shard.
-  if (checkpointing) write_shard_ckpt(ckpt_path, config, shard, shard.end, agg);
   return agg;
 }
 
@@ -154,12 +72,8 @@ FleetResult run_fleet(const FleetConfig& fleet) {
   std::vector<Shard> shards;
   for (std::size_t i = 0; i < cohorts.size(); ++i) {
     for (std::uint64_t b = 0; b < counts[i]; b += config.shard_devices) {
-      shards.push_back(Shard{shards.size(), i, b,
-                             std::min(b + config.shard_devices, counts[i])});
+      shards.push_back(Shard{i, b, std::min(b + config.shard_devices, counts[i])});
     }
-  }
-  if (!config.checkpoint_dir.empty()) {
-    std::filesystem::create_directories(config.checkpoint_dir);
   }
 
   // Fleet-level spans only, on the calling thread: device runs install a

@@ -56,45 +56,7 @@ struct FleetConfig {
   /// Optional run tracer; fleet-level spans are recorded on the calling
   /// thread only (device runs stay untraced, serial and parallel alike).
   trace::Tracer* tracer = nullptr;
-
-  /// Directory for per-shard checkpoint files (shard_<i>.ckpt); empty
-  /// disables checkpointing. A killed run restarted with the same config
-  /// and directory resumes every shard from its last checkpoint and
-  /// produces aggregates bit-identical to an uninterrupted run: each
-  /// checkpoint snapshots the shard's CohortAggregate at a device
-  /// boundary, and resuming continues the exact same add-sequence. Each
-  /// checkpoint carries the fleet's encoding (for_each_fleet_field, empty
-  /// cohorts resolved to the defaults): a directory reused under another
-  /// config fails, naming the first differing field.
-  std::string checkpoint_dir;
-
-  /// Devices between checkpoint writes within a shard. Checkpoint cadence
-  /// never changes results — only how much work a restart repeats.
-  std::uint64_t checkpoint_every = 64;
-
-  /// Fault injection for restart tests: the shard with this index (in
-  /// shard order) throws std::runtime_error after processing
-  /// `fault_after_devices` devices in the current invocation. -1 disables.
-  std::int64_t fault_shard = -1;
-  std::uint64_t fault_after_devices = 0;
 };
-
-/// Calls f(name, value) for each FleetConfig field that can change an
-/// aggregate bit, in wire order: the fleet's one encoding, which
-/// fingerprints shard checkpoints. Each cohort's fields follow the cohort
-/// count as fields of their own, so a mismatch names the cohort field (e.g.
-/// rein_jitter). jobs, tracer, the checkpoint settings and the fault
-/// injection are not fields.
-template <typename F>
-void for_each_fleet_field(const FleetConfig& c, F&& f) {
-  f("cohorts", static_cast<std::uint64_t>(c.cohorts.size()));
-  for (const CohortSpec& spec : c.cohorts) for_each_cohort_field(spec, f);
-  f("devices", c.devices);
-  f("policy", c.policy);
-  f("similarity", c.similarity);
-  f("seed", c.seed);
-  f("shard_devices", c.shard_devices);
-}
 
 /// Aggregated outcome of one fleet run.
 struct FleetResult {

@@ -125,7 +125,7 @@ TEST(CliOptions, RejectsInconsistentSnapshotFlags) {
   // Save and restore in one invocation is a contradiction.
   EXPECT_FALSE(parse({"--snapshot-at", "60", "--save-snapshot", "s",
                       "--restore-snapshot", "s"}).ok());
-  // Fleet shards checkpoint through FleetConfig, not these flags.
+  // Snapshots are of experiment runs; a fleet run takes no snapshot flag.
   EXPECT_FALSE(parse({"--fleet", "100", "--restore-snapshot", "s"}).ok());
   EXPECT_FALSE(parse({"--fleet", "100", "--snapshot-at", "60",
                       "--save-snapshot", "s"}).ok());
@@ -176,6 +176,58 @@ TEST(CliOptions, RejectsBadInput) {
         << error;
     EXPECT_EQ(error.find("at most"), std::string::npos) << error;
   }
+  // Fleet mode reads only its own flags; any other is named, not ignored.
+  const std::vector<std::vector<std::string>> not_fleet = {
+      {"--csv", "x.csv"},       {"--minutes", "3"},
+      {"--hours", "3"},         {"--workload", "heavy"},
+      {"--apps", "4"},          {"--beta", "0.5"},
+      {"--reps", "2"},          {"--delivery-log", "d.csv"},
+      {"--waveform", "w.csv"},  {"--doze"},
+      {"--drx-cycle", "1280"},  {"--no-system-alarms"},
+      {"--fixed-interval", "60"},
+  };
+  for (const std::vector<std::string>& extra : not_fleet) {
+    std::vector<std::string> args = {"--fleet", "10"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    const std::string error = parse_args(args).error;
+    EXPECT_EQ(error.rfind(extra[0] + " does not apply to --fleet", 0), 0u) << error;
+  }
+}
+
+TEST(CliOptions, FleetModeTakesItsOwnFlags) {
+  const ParseResult r =
+      parse({"--fleet", "10", "--policy", "all", "--seed", "3", "--jobs", "2",
+             "--hw-levels", "4", "--cohorts", "c.conf", "--fleet-csv", "f.csv",
+             "--trace", "t.bin", "--trace-json", "t.json"});
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(*r.plan->fleet_devices, 10u);
+  EXPECT_EQ(r.plan->fleet_csv_path, "f.csv");
+}
+
+TEST(CliOptions, RejectsAnOutputPathWhoseDirectoryIsMissing) {
+  // Checked before any run: the write itself comes after every simulation.
+  const std::string missing = ::testing::TempDir() + "simty-no-such-dir/out";
+  const std::vector<std::vector<std::string>> rows = {
+      {"--csv", missing},
+      {"--waveform", missing},
+      {"--delivery-log", missing},
+      {"--trace", missing},
+      {"--trace-json", missing},
+      {"--fleet", "10", "--fleet-csv", missing},
+      {"--snapshot-at", "5", "--save-snapshot", missing},
+  };
+  for (const std::vector<std::string>& args : rows) {
+    const std::string& flag = args[args.size() - 2];
+    const std::string error = parse_args(args).error;
+    EXPECT_EQ(error.rfind(flag + " " + missing + ": directory ", 0), 0u) << error;
+    EXPECT_NE(error.find("does not exist"), std::string::npos) << error;
+  }
+  // A directory is not a file to write.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_EQ(parse({"--csv", dir}).error.rfind("--csv " + dir + ": is a directory", 0), 0u);
+  // A bare file name is in the working directory; an existing one is fine.
+  EXPECT_TRUE(parse({"--csv", "out.csv"}).ok());
+  EXPECT_TRUE(parse({"--csv", ::testing::TempDir() + "out.csv"}).ok());
 }
 
 TEST(CliOptions, RejectsNonFiniteAndHexDoubles) {

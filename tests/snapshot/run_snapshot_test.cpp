@@ -1,10 +1,9 @@
 // Checkpoint/resume bit-identity: a run saved at a quiescent instant and
 // resumed in a fresh Run must finish byte-identical to a straight run — the
 // delivery CSV, the binary trace, and every result field. This is the
-// contract the warm-start sweep server and the fleet shard checkpoints are
-// built on, so it is tested across all four policies on the light and heavy
-// workloads, with doze on, and with a checkpoint inside a same-instant batch
-// neighborhood.
+// contract the warm-start sweep server is built on, so it is tested across
+// all four policies on the light and heavy workloads, with doze on, and with
+// a checkpoint inside a same-instant batch neighborhood.
 
 #include <gtest/gtest.h>
 

@@ -1,20 +1,16 @@
-// Snapshot byte identity: the FNV-1a digest of Run::save_snapshot() (and of
-// one fleet shard checkpoint) for a fixed set of runs, pinned to the values
-// the container produced before its per-component codecs were generated
-// from field lists. A refactor of the save/restore code must leave every
-// snapshot byte unchanged, so these digests are never regenerated: a
-// mismatch means the wire format moved.
+// Snapshot byte identity: the FNV-1a digest of Run::save_snapshot() for a
+// fixed set of runs, pinned to the values the container produced before its
+// per-component codecs were generated from field lists. A refactor of the
+// save/restore code must leave every snapshot byte unchanged, so these
+// digests are never regenerated: a mismatch means the wire format moved.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 
 #include "common/hash.hpp"
 #include "exp/run.hpp"
-#include "fleet/fleet_runner.hpp"
-#include "snapshot/snapshot.hpp"
 #include "trace/tracer.hpp"
 
 namespace simty::exp {
@@ -79,27 +75,6 @@ TEST(SnapshotDigest, Tracer) {
   EXPECT_EQ(snapshot_digest(config), 0xdd3037e116c24eacull);
 }
 #endif
-
-TEST(SnapshotDigest, FleetShardCheckpoint) {
-  fleet::CohortSpec phones;
-  phones.name = "phones";
-  phones.min_apps = 2;
-  phones.max_apps = 4;
-  phones.standby = Duration::minutes(3);
-  fleet::FleetConfig fc;
-  fc.cohorts = {phones};
-  fc.devices = 8;
-  fc.policy = PolicyKind::kSimty;
-  fc.seed = 5;
-  fc.jobs = 1;
-  fc.shard_devices = 8;
-  fc.checkpoint_dir = ::testing::TempDir() + "simty_snapshot_digest_fleet";
-  std::filesystem::remove_all(fc.checkpoint_dir);
-  fleet::run_fleet(fc);
-  const std::string ckpt = snapshot::read_file(fc.checkpoint_dir + "/shard_0.ckpt");
-  std::filesystem::remove_all(fc.checkpoint_dir);
-  EXPECT_EQ(common::fnv1a64(ckpt), 0x721fa24f3b25d25bull);
-}
 
 }  // namespace
 }  // namespace simty::exp
