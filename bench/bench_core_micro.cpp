@@ -3,8 +3,7 @@
 // Three implementations run the same churn workloads:
 //   soa  — the production sim::EventQueue (struct-of-arrays 4-ary heap:
 //          dense 16-byte keys with the payload slot packed into the order
-//          word, armed-bitset tombstone pruning, pop_batch same-instant
-//          drain).
+//          word, armed-bitset tombstone pruning).
 //   aos  — bench/reference_event_queue.hpp, the pre-SoA queue retained
 //          verbatim (interleaved heap items, armed flag inside the fat
 //          slot record, indirect-call EventFn moves). Same machine, same
@@ -182,10 +181,10 @@ constexpr std::size_t kBurstBackground = 1u << 16;  // far-future pending depth
 
 // Same-instant burst churn over a deep backlog: kBurstBackground far-future
 // events hold the heap at depth, then every round schedules kBurstSize
-// events sharing one (time, priority) firing group and drains them all.
-// The soa queue coalesces the drain with pop_batch — one multi-delete pass
-// detaches the whole group — while the aos queue pays a full-depth
-// sift-down per event.
+// events sharing one (time, priority) firing group and drains them all
+// with plain pops. Both queues pay a full-depth sift-down per event; the
+// soa queue's dense keys and prefetched sibling lines make each one
+// cheaper.
 template <typename Schedule, typename Drain>
 double churn_burst(Schedule schedule, Drain drain) {
   Rng rng(4321);
@@ -308,9 +307,6 @@ double run_burst_leg_soa() {
         q.schedule(when, static_cast<sim::EventPriority>(pri), std::move(cb), "burst");
       },
       [&](std::size_t n) {
-        // One coalesced root-fix pass stages the whole firing group.
-        const std::size_t staged = q.pop_batch();
-        (void)staged;
         for (std::size_t i = 0; i < n; ++i) {
           auto fired = q.pop();
           fired.callback();

@@ -17,13 +17,9 @@ AlarmManager::AlarmManager(sim::Simulator& sim, hw::Device& device, hw::Rtc& rtc
                            common::Arena* arena)
     : sim_(sim), device_(device), rtc_(rtc), wakelocks_(wakelocks),
       policy_(std::move(policy)), arena_(arena), registry_(arena),
-      spare_batches_(arena), candidates_(arena), observers_(arena),
-      session_observers_(arena) {
+      spare_batches_(arena), observers_(arena), session_observers_(arena) {
   SIMTY_CHECK(policy_ != nullptr);
-  for (std::size_t k = 0; k < 2; ++k) {
-    queues_[k].set_arena(arena);
-    indices_[k].set_arena(arena);
-  }
+  for (BatchQueue& q : queues_) q.set_arena(arena);
   device_.add_wake_listener([this](hw::WakeReason r) { on_device_wake(r); });
 }
 
@@ -89,7 +85,6 @@ void AlarmManager::rebatch_all() {
     }
     q.clear();
   }
-  for (auto& idx : indices_) idx.clear();
   std::sort(alarms.begin(), alarms.end(), [](const Alarm* x, const Alarm* y) {
     return x->nominal() < y->nominal();
   });
@@ -133,53 +128,10 @@ BatchQueue& AlarmManager::queue_ref(AlarmKind kind) {
   return queues_[static_cast<std::size_t>(kind)];
 }
 
-BatchIndex& AlarmManager::index_ref(AlarmKind kind) {
-  return indices_[static_cast<std::size_t>(kind)];
-}
-
-void AlarmManager::renumber(BatchQueue& q, std::size_t from, std::size_t to) {
-  for (std::size_t i = from; i < to; ++i) q[i]->set_queue_pos(i);
-}
-
-std::optional<std::size_t> AlarmManager::select_entry(const Alarm& a,
-                                                      AlarmKind kind) {
-  auto& q = queue_ref(kind);
-  const std::optional<CandidateQuery> query =
-      indexed_selection_ ? policy_->candidate_query(a) : std::nullopt;
-  if (!query) return policy_->select_batch(a, q);
-
-  candidates_.clear();
-  index_ref(kind).collect(query->interval, query->entry_kind, candidates_);
-  SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-candidates",
-                      static_cast<std::int64_t>(candidates_.size()));
-  const std::optional<std::size_t> chosen =
-      policy_->select_among(a, q, {candidates_.data(), candidates_.size()});
-
-  if (slow_queue_checks_) {
-    // Differential reference: the candidate set must equal a brute-force
-    // overlap scan, and the selection must equal the linear select_batch.
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      const TimeInterval& entry_iv =
-          query->entry_kind == EntryIntervalKind::kWindow
-              ? q[i]->window_interval()
-              : q[i]->grace_interval();
-      if (entry_iv.overlaps(query->interval)) expected.push_back(i);
-    }
-    SIMTY_CHECK_MSG(std::equal(expected.begin(), expected.end(), candidates_.begin(),
-                               candidates_.end()),
-                    "BatchIndex candidate set diverged from the linear scan");
-    SIMTY_CHECK_MSG(chosen == policy_->select_batch(a, q),
-                    "indexed selection diverged from the linear reference");
-  }
-  return chosen;
-}
-
 void AlarmManager::insert(Alarm* a) {
   const AlarmKind kind = a->spec().kind;
   auto& q = queue_ref(kind);
-  BatchIndex& idx = index_ref(kind);
-  const std::optional<std::size_t> slot = select_entry(*a, kind);
+  const std::optional<std::size_t> slot = policy_->select_batch(*a, q);
   if (slot) {
     SIMTY_CHECK(*slot < q.size());
     Batch& entry = *q[*slot];
@@ -188,9 +140,6 @@ void AlarmManager::insert(Alarm* a) {
                     "policy joined an entry with no grace overlap");
     SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-join",
                         static_cast<std::int64_t>(entry.size()));
-    // The join changed the entry's intervals; its index node still holds
-    // the old key, which is what update() erases under.
-    idx.update(&entry);
     reposition(q, *slot);
   } else {
     // New singleton entry: a stable_sort would place it after every entry
@@ -201,16 +150,12 @@ void AlarmManager::insert(Alarm* a) {
         q.begin(), q.end(), t, [](TimePoint value, const common::ArenaPtr<Batch>& b) {
           return value < b->delivery_time();
         });
-    const auto at = static_cast<std::size_t>(pos - q.begin());
     q.insert(pos, std::move(batch));
-    // Position stamps ride on the O(shift) the vector insert already paid.
-    renumber(q, at, q.size());
-    idx.insert(q[at].get());
     SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-create",
                         static_cast<std::int64_t>(q.size()));
   }
-  if (slow_queue_checks_) sort_queue(a->spec().kind);
-  if (a->spec().kind == AlarmKind::kWakeup) {
+  if (slow_queue_checks_) sort_queue(kind);
+  if (kind == AlarmKind::kWakeup) {
     reprogram_rtc();
   } else {
     schedule_nonwakeup_check();
@@ -218,8 +163,7 @@ void AlarmManager::insert(Alarm* a) {
 }
 
 bool AlarmManager::remove_from_queue(AlarmId id) {
-  for (std::size_t k = 0; k < 2; ++k) {
-    BatchQueue& q = queues_[k];
+  for (BatchQueue& q : queues_) {
     common::ArenaPtr<Batch>* it = std::find_if(
         q.begin(), q.end(), [&](const auto& b) { return b->contains(id); });
     if (it == q.end()) continue;
@@ -227,10 +171,7 @@ bool AlarmManager::remove_from_queue(AlarmId id) {
     // Realignment (§2.1): pull the whole entry out and reinsert the other
     // members in nominal order; the caller reinserts the target alarm.
     common::ArenaPtr<Batch> batch = std::move(*it);
-    indices_[k].erase(batch.get());
-    const auto at = static_cast<std::size_t>(it - q.begin());
     q.erase(it);
-    renumber(q, at, q.size());
     batch->remove(id);
     if (!batch->empty()) {
       ++stats_.realignments;
@@ -277,20 +218,16 @@ void AlarmManager::reposition(BatchQueue& q, std::size_t index) {
         [](TimePoint value, const common::ArenaPtr<Batch>& b) {
           return value < b->delivery_time();
         });
-    const auto dest = static_cast<std::size_t>(pos - q.begin());
     std::rotate(pos, q.begin() + static_cast<std::ptrdiff_t>(index),
                 q.begin() + static_cast<std::ptrdiff_t>(index) + 1);
-    renumber(q, dest, index + 1);
   } else if (index + 1 < q.size() && q[index + 1]->delivery_time() < t) {
     const auto pos = std::lower_bound(
         q.begin() + static_cast<std::ptrdiff_t>(index) + 1, q.end(), t,
         [](const common::ArenaPtr<Batch>& b, TimePoint value) {
           return b->delivery_time() < value;
         });
-    const auto dest = static_cast<std::size_t>(pos - q.begin());
     std::rotate(q.begin() + static_cast<std::ptrdiff_t>(index),
                 q.begin() + static_cast<std::ptrdiff_t>(index) + 1, pos);
-    renumber(q, index, dest);
   }
 }
 
@@ -349,13 +286,10 @@ void AlarmManager::schedule_nonwakeup_check() {
 
 void AlarmManager::deliver_due(AlarmKind kind) {
   auto& q = queue_ref(kind);
-  BatchIndex& idx = index_ref(kind);
   const TimePoint now = sim_.now();
   while (!q.empty() && q.front()->delivery_time() <= now) {
     common::ArenaPtr<Batch> batch = std::move(q.front());
-    idx.erase(batch.get());
     q.erase(q.begin());
-    renumber(q, 0, q.size());
     deliver_batch(std::move(batch));
   }
   if (kind == AlarmKind::kWakeup) {
@@ -490,34 +424,6 @@ void AlarmManager::deliver_batch(common::ArenaPtr<Batch> batch) {
   recycle(std::move(batch));
 }
 
-std::string AlarmManager::dump() const {
-  std::string out = str_format("AlarmManager[%s] t=%.3fs alarms=%zu\n",
-                               policy_->name().c_str(), sim_.now().seconds_f(),
-                               registered_count_);
-  for (const AlarmKind kind : {AlarmKind::kWakeup, AlarmKind::kNonWakeup}) {
-    const auto& q = queue(kind);
-    out += str_format("  %s queue: %zu entries\n", to_string(kind), q.size());
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      const Batch& b = *q[i];
-      out += str_format(
-          "    [%zu] deliver=%.3fs %s window=%s grace=%s hw=%s\n", i,
-          b.delivery_time().seconds_f(),
-          b.perceptible() ? "perceptible" : "imperceptible",
-          b.window_interval().to_string().c_str(),
-          b.grace_interval().to_string().c_str(), b.hardware().to_string().c_str());
-      for (const Alarm* a : b.members()) {
-        out += "      " + a->to_string() + "\n";
-      }
-    }
-  }
-  if (rtc_.programmed()) {
-    out += str_format("  rtc: programmed at %.3fs\n", rtc_.programmed()->seconds_f());
-  } else {
-    out += "  rtc: idle\n";
-  }
-  return out;
-}
-
 std::vector<std::string> AlarmManager::check_invariants() const {
   std::vector<std::string> issues;
   std::map<std::uint64_t, int> seen;
@@ -540,10 +446,6 @@ std::vector<std::string> AlarmManager::check_invariants() const {
             str_format("%s[%zu]: perceptible entry without window overlap",
                        to_string(kind), i));
       }
-      if (b.queue_pos() != i) {
-        issues.push_back(str_format("%s[%zu]: stale queue position %zu",
-                                    to_string(kind), i, b.queue_pos()));
-      }
       for (const Alarm* a : b.members()) {
         ++seen[a->id().value];
         if (!is_registered(a->id())) {
@@ -559,23 +461,6 @@ std::vector<std::string> AlarmManager::check_invariants() const {
     if (count > 1) {
       issues.push_back(str_format("alarm %llu queued %d times",
                                   static_cast<unsigned long long>(id), count));
-    }
-  }
-  for (const AlarmKind kind : {AlarmKind::kWakeup, AlarmKind::kNonWakeup}) {
-    const auto& q = queue(kind);
-    const BatchIndex& idx = indices_[static_cast<std::size_t>(kind)];
-    if (idx.size() != q.size()) {
-      issues.push_back(str_format("%s: index holds %zu entries, queue %zu",
-                                  to_string(kind), idx.size(), q.size()));
-    }
-    for (const Batch* b : idx.entries_inorder()) {
-      if (b->queue_pos() >= q.size() || q[b->queue_pos()].get() != b) {
-        issues.push_back(str_format("%s: index entry not in queue",
-                                    to_string(kind)));
-      }
-    }
-    for (const std::string& issue : idx.check_invariants()) {
-      issues.push_back(str_format("%s index: %s", to_string(kind), issue.c_str()));
     }
   }
   const auto& wq = queue(AlarmKind::kWakeup);
@@ -631,12 +516,10 @@ void AlarmManager::save_queue(snapshot::Writer& w, AlarmKind kind) const {
     w.u64(batch->size());
     for (const Alarm* a : batch->members()) w.u64(a->id().value);
   }
-  w.u64(indices_[static_cast<std::size_t>(kind)].next_seq());
 }
 
 void AlarmManager::restore_queue(snapshot::SectionReader& s, AlarmKind kind) {
   auto& q = queue_ref(kind);
-  BatchIndex& idx = index_ref(kind);
   std::map<std::uint64_t, int> queued;
   const std::uint64_t batch_count = snapshot::read_count(s);
   for (std::uint64_t b = 0; b < batch_count; ++b) {
@@ -663,18 +546,12 @@ void AlarmManager::restore_queue(snapshot::SectionReader& s, AlarmKind kind) {
     }
     SIMTY_CHECK_MSG(!batch->grace_interval().is_empty(),
                     "AlarmManager::restore: entry without grace overlap");
-    batch->set_queue_pos(q.size());
     q.push_back(std::move(batch));
   }
   for (std::size_t i = 1; i < q.size(); ++i) {
     SIMTY_CHECK_MSG(q[i - 1]->delivery_time() <= q[i]->delivery_time(),
                     "AlarmManager::restore: queue out of order");
   }
-  for (const common::ArenaPtr<Batch>& batch : q) idx.insert(batch.get());
-  const std::uint64_t next_seq = s.u64();
-  SIMTY_CHECK_MSG(next_seq >= idx.next_seq(),
-                  "AlarmManager::restore: index insertion counter regressed");
-  idx.set_next_seq(next_seq);
 }
 
 void AlarmManager::restore(snapshot::SectionReader& s,
@@ -686,7 +563,6 @@ void AlarmManager::restore(snapshot::SectionReader& s,
     for (common::ArenaPtr<Batch>& batch : q) recycle(std::move(batch));
     q.clear();
   }
-  for (auto& idx : indices_) idx.clear();
   snapshot::read_fields(s, *this);
   SIMTY_CHECK_MSG(next_id_ >= 1, "AlarmManager::restore: bad id counter");
   for (common::ArenaPtr<Registered>& reg : registry_) {

@@ -21,7 +21,6 @@
 
 #include "alarm/alarm.hpp"
 #include "alarm/batch.hpp"
-#include "alarm/batch_index.hpp"
 #include "alarm/policy.hpp"
 #include "common/arena.hpp"
 #include "hw/device.hpp"
@@ -133,9 +132,9 @@ class AlarmManager {
 
   /// All dependencies must outlive the manager. A non-null `arena` backs
   /// the manager's per-run state — registered alarms, the registry table,
-  /// batches, both queues, the batch-index node slabs and the observer
-  /// lists (per-shard in the fleet runner); it must outlive the manager and
-  /// must not be reset while it lives.
+  /// batches, both queues and the observer lists (per-shard in the fleet
+  /// runner); it must outlive the manager and must not be reset while it
+  /// lives.
   AlarmManager(sim::Simulator& sim, hw::Device& device, hw::Rtc& rtc,
                hw::WakelockManager& wakelocks,
                common::ArenaPtr<AlignmentPolicy> policy,
@@ -179,18 +178,10 @@ class AlarmManager {
   /// Read-only view of a batch queue (sorted by delivery time).
   const BatchQueue& queue(AlarmKind kind) const;
 
-  /// Enables the linear-scan reference checks after every queue mutation:
-  /// the stable_sort order equivalence (see sort_queue) plus, for indexed
-  /// selection, a brute-force overlap scan asserting the BatchIndex
-  /// candidate set and a select_batch replay asserting the chosen entry.
-  /// O(n log n) per insert — tests only. Defaults to on when built with
-  /// -DSIMTY_SLOW_CHECKS.
+  /// Enables the stable_sort order check after every insert (see
+  /// sort_queue). O(n log n) per insert — tests only. Defaults to on when
+  /// built with -DSIMTY_SLOW_CHECKS.
   void set_slow_queue_checks(bool enabled) { slow_queue_checks_ = enabled; }
-
-  /// Disables the BatchIndex fast path, forcing every placement through the
-  /// policy's linear select_batch. For benchmarking the index against its
-  /// reference; results are identical by contract.
-  void set_indexed_selection(bool enabled) { indexed_selection_ = enabled; }
 
   /// Maps a registered alarm back to its delivery handler on restore.
   /// Closures are not serializable, so the owning workload components
@@ -216,7 +207,7 @@ class AlarmManager {
         self, [](snapshot::Writer& w, const auto& m) { m.save_alarms(w); },
         [](snapshot::SectionReader& s, auto& m) { m.restore_alarms(s); }));
     // Each queue as its batches' member ids (structure, not policy
-    // decisions), then its index's insertion counter.
+    // decisions).
     for (const AlarmKind kind : {AlarmKind::kWakeup, AlarmKind::kNonWakeup}) {
       f(kind == AlarmKind::kWakeup ? "wakeup_queue" : "nonwakeup_queue",
         snapshot::by_hand(
@@ -236,18 +227,11 @@ class AlarmManager {
   /// continues under a different β.
   void apply_grace_factor(double beta);
 
-  /// Human-readable state dump (in the spirit of `dumpsys alarm`): both
-  /// queues, every entry's attributes, and every member alarm.
-  std::string dump() const;
-
   /// Verifies internal invariants; returns human-readable violations
   /// (empty = healthy). Checked invariants: queues sorted by delivery
   /// time; every queued alarm registered and queued exactly once; no empty
   /// batches; grace overlap non-empty in every entry; perceptible entries
-  /// have non-empty window overlap; RTC programmed to the wakeup head;
-  /// every entry knows its queue position; each BatchIndex holds exactly
-  /// the queued entries under fresh grace keys (plus its own structural
-  /// invariants).
+  /// have non-empty window overlap; RTC programmed to the wakeup head.
   std::vector<std::string> check_invariants() const;
 
  private:
@@ -279,17 +263,8 @@ class AlarmManager {
   void restore_queue(snapshot::SectionReader& s, AlarmKind kind);
 
   BatchQueue& queue_ref(AlarmKind kind);
-  BatchIndex& index_ref(AlarmKind kind);
 
-  /// Picks the entry `a` should join: the indexed path (candidate_query →
-  /// BatchIndex::collect → select_among) when the policy advertises one and
-  /// indexed selection is on, the linear select_batch otherwise. Under slow
-  /// checks the indexed result is differentially verified against both a
-  /// brute-force overlap scan and the linear reference selection.
-  std::optional<std::size_t> select_entry(const Alarm& a, AlarmKind kind);
-
-  /// Places an alarm via the policy, keeps the queue and index in sync,
-  /// reprograms.
+  /// Places an alarm via the policy, keeps the queue sorted, reprograms.
   void insert(Alarm* a);
 
   /// A singleton entry holding `first`: a recycled batch when one is spare,
@@ -299,9 +274,6 @@ class AlarmManager {
   /// Returns a batch that left the queue to the spare list. Spares are
   /// scratch storage, never state: snapshots do not see them.
   void recycle(common::ArenaPtr<Batch> batch);
-
-  /// Re-stamps queue positions for q[from, to).
-  static void renumber(BatchQueue& q, std::size_t from, std::size_t to);
 
   /// Restores sorted order after the batch at `index` changed its delivery
   /// time (a member joined): rotates only the affected batch to its new
@@ -338,9 +310,7 @@ class AlarmManager {
   common::ArenaVector<common::ArenaPtr<Registered>> registry_;
   std::size_t registered_count_ = 0;  // rows with a handler
   BatchQueue queues_[2];
-  BatchIndex indices_[2];  // mirrors queues_: one interval index per kind
   BatchQueue spare_batches_;  // see recycle()
-  common::ArenaVector<std::size_t> candidates_;  // collect() scratch, reused across inserts
   SessionRecord session_;  // deliver_batch scratch, reused across sessions
   bool delivering_ = false;  // deliver_batch reentrancy guard
   common::ArenaVector<DeliveryObserver> observers_;
@@ -350,7 +320,6 @@ class AlarmManager {
   Stats stats_;
   std::uint64_t next_id_ = 1;
   std::uint64_t last_seen_wakeups_ = 0;
-  bool indexed_selection_ = true;
 #ifdef SIMTY_SLOW_CHECKS
   bool slow_queue_checks_ = true;
 #else

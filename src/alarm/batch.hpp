@@ -9,8 +9,6 @@
 // The window intersection may legitimately be empty for an imperceptible
 // entry whose members were aligned via medium time similarity.
 
-#include <cstdint>
-
 #include "alarm/alarm.hpp"
 #include "common/arena.hpp"
 #include "common/interval.hpp"
@@ -70,18 +68,6 @@ class Batch {
   /// the aggregates are not invertible).
   void refresh();
 
-  /// Current position in the owning queue, maintained by AlarmManager so
-  /// BatchIndex query results can be ordered by queue position without a
-  /// per-query search. Meaningless for batches outside a queue.
-  std::size_t queue_pos() const { return queue_pos_; }
-  void set_queue_pos(std::size_t pos) { queue_pos_ = pos; }
-
-  /// Node slot in the BatchIndex holding this entry, stamped by the index
-  /// on insert so erase needs no lookup. A batch lives in at most one index
-  /// at a time; the index validates the stamp against its node before use.
-  std::int32_t index_slot() const { return index_slot_; }
-  void set_index_slot(std::int32_t slot) { index_slot_ = slot; }
-
  private:
   common::ArenaVector<Alarm*> members_;
   TimeInterval window_ = TimeInterval::empty();
@@ -89,8 +75,6 @@ class Batch {
   hw::ComponentSet hardware_;
   bool perceptible_ = false;
   Duration expected_hold_ = Duration::zero();
-  std::size_t queue_pos_ = 0;
-  std::int32_t index_slot_ = -1;
 };
 
 /// One batch queue, sorted by delivery time. Entries and the array itself

@@ -19,10 +19,6 @@ class DurationSimtyPolicy : public SimtyPolicy {
  protected:
   bool prefers_over(const Alarm& alarm, const Batch& candidate,
                     const Batch& incumbent) const override;
-
-  /// A later equal-rank entry can win on duration similarity, so the
-  /// candidate scan must not stop at the first rank-1 match.
-  bool has_tie_preference() const override { return true; }
 };
 
 /// Similarity of two expected holds as the min/max ratio in [0, 1]

@@ -37,31 +37,9 @@ std::optional<std::size_t> FixedIntervalPolicy::select_batch(
   const TimeInterval window = alarm.window_interval();
   const TimeInterval grace = alarm.grace_interval();
   const bool alarm_perceptible = alarm.perceptible();
-  // Linear reference implementation, differentially checked against the
-  // indexed candidate path under slow queue checks.
+  // The policy's one pass over the queue: join the first joinable entry.
   // simty-lint: allow(queue-scan)
   for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (joinable(slot, window, grace, alarm_perceptible, *queue[i])) return i;
-  }
-  return std::nullopt;
-}
-
-std::optional<CandidateQuery> FixedIntervalPolicy::candidate_query(
-    const Alarm& alarm) const {
-  // Applicability requires at least grace overlap, so grace-overlap
-  // candidates are a superset of the joinable set; select_among re-filters
-  // by slot and applicability.
-  return CandidateQuery{alarm.grace_interval(), EntryIntervalKind::kGrace};
-}
-
-std::optional<std::size_t> FixedIntervalPolicy::select_among(
-    const Alarm& alarm, const BatchQueue& queue,
-    std::span<const std::size_t> candidates) const {
-  const std::int64_t slot = slot_of(alarm.nominal());
-  const TimeInterval window = alarm.window_interval();
-  const TimeInterval grace = alarm.grace_interval();
-  const bool alarm_perceptible = alarm.perceptible();
-  for (const std::size_t i : candidates) {
     if (joinable(slot, window, grace, alarm_perceptible, *queue[i])) return i;
   }
   return std::nullopt;

@@ -17,10 +17,6 @@
 namespace simty::alarm {
 
 /// Slot-quantized alignment with a configurable interval.
-///
-/// Indexed path: the applicability guard rail requires grace overlap, so
-/// grace-overlap candidates are a superset of the joinable set; selection
-/// re-applies the slot and applicability checks over candidates only.
 class FixedIntervalPolicy : public AlignmentPolicy {
  public:
   explicit FixedIntervalPolicy(Duration interval);
@@ -32,13 +28,6 @@ class FixedIntervalPolicy : public AlignmentPolicy {
   std::optional<std::size_t> select_batch(
       const Alarm& alarm,
       const BatchQueue& queue) const override;
-
-  std::optional<CandidateQuery> candidate_query(
-      const Alarm& alarm) const override;
-
-  std::optional<std::size_t> select_among(
-      const Alarm& alarm, const BatchQueue& queue,
-      std::span<const std::size_t> candidates) const override;
 
  private:
   std::int64_t slot_of(TimePoint t) const;

@@ -100,9 +100,4 @@ bool is_applicable(SimilarityLevel time, bool alarm_perceptible,
 /// levels — Low maps to the table's "infinity" and throws here.
 int preferability_rank(int hw_grade, SimilarityLevel time);
 
-/// Table 1's global minimum — rank of a High/High match
-/// (preferability_rank(0, kHigh)). A selection scan that finds this rank
-/// cannot be beaten by any later candidate.
-inline constexpr int kBestPreferabilityRank = 1;
-
 }  // namespace simty::alarm

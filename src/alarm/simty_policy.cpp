@@ -26,8 +26,7 @@ std::optional<std::size_t> SimtyPolicy::select_batch(
   std::optional<std::size_t> best;
   int best_rank = 0;
 
-  // Linear reference implementation, differentially checked against the
-  // indexed candidate path under slow queue checks.
+  // Search and selection phases in one pass over the queue (§3.2.1).
   // simty-lint: allow(queue-scan)
   for (std::size_t i = 0; i < queue.size(); ++i) {
     const int rank = rank_of(window, grace, alarm_perceptible, alarm, *queue[i]);
@@ -36,42 +35,6 @@ std::optional<std::size_t> SimtyPolicy::select_batch(
         (rank == best_rank && prefers_over(alarm, *queue[i], *queue[*best]))) {
       best = i;
       best_rank = rank;
-    }
-  }
-  return best;
-}
-
-std::optional<CandidateQuery> SimtyPolicy::candidate_query(
-    const Alarm& alarm) const {
-  // Applicability needs non-Low time similarity, i.e. at least grace
-  // overlap; High (window overlap) implies it because windows are contained
-  // in graces. So grace overlap is exactly the candidate condition —
-  // kWindowOnly mode only shrinks applicability further, keeping the query
-  // a superset.
-  return CandidateQuery{alarm.grace_interval(), EntryIntervalKind::kGrace};
-}
-
-std::optional<std::size_t> SimtyPolicy::select_among(
-    const Alarm& alarm, const BatchQueue& queue,
-    std::span<const std::size_t> candidates) const {
-  const TimeInterval window = alarm.window_interval();
-  const TimeInterval grace = alarm.grace_interval();
-  const bool alarm_perceptible = alarm.perceptible();
-
-  std::optional<std::size_t> best;
-  int best_rank = 0;
-
-  for (const std::size_t i : candidates) {
-    const int rank = rank_of(window, grace, alarm_perceptible, alarm, *queue[i]);
-    if (rank < 0) continue;
-    if (!best || rank < best_rank ||
-        (rank == best_rank && prefers_over(alarm, *queue[i], *queue[*best]))) {
-      best = i;
-      best_rank = rank;
-      // Rank 1 (High/High) is Table 1's minimum; without a tie preference a
-      // later equal-rank candidate loses first-found-wins, so nothing ahead
-      // can displace this entry.
-      if (best_rank == kBestPreferabilityRank && !has_tie_preference()) break;
     }
   }
   return best;

@@ -13,14 +13,6 @@ namespace simty::alarm {
 /// alarms inside their graces. The *selection phase* ranks applicable
 /// entries by Table 1 (hardware similarity first, then time similarity) and
 /// joins the first-found most-preferable one.
-///
-/// Indexed path: applicability is exactly grace overlap (High time
-/// similarity means window overlap, and windows are contained in graces, so
-/// both High and Medium imply overlapping graces), so the candidate query
-/// asks for entries whose grace interval overlaps the alarm's. The
-/// selection over candidates stops early once a Table-1 rank-1 (High/High)
-/// entry is found: no lower rank exists and, absent a tie preference, later
-/// equal-rank entries lose first-found-wins anyway.
 class SimtyPolicy : public AlignmentPolicy {
  public:
   explicit SimtyPolicy(SimilarityConfig config = {});
@@ -33,24 +25,12 @@ class SimtyPolicy : public AlignmentPolicy {
       const Alarm& alarm,
       const BatchQueue& queue) const override;
 
-  std::optional<CandidateQuery> candidate_query(
-      const Alarm& alarm) const override;
-
-  std::optional<std::size_t> select_among(
-      const Alarm& alarm, const BatchQueue& queue,
-      std::span<const std::size_t> candidates) const override;
-
  protected:
   /// Tie-break hook among entries with equal Table-1 rank; the base policy
   /// keeps the first found (returns false = no preference). The duration-
   /// similarity extension overrides this.
   virtual bool prefers_over(const Alarm& alarm, const Batch& candidate,
                             const Batch& incumbent) const;
-
-  /// True when prefers_over can ever return true. Gates the rank-1 early
-  /// exit: with a tie preference, a later equal-rank entry may still win,
-  /// so the scan must see every candidate.
-  virtual bool has_tie_preference() const { return false; }
 
  private:
   /// Table-1 preferability of joining `entry`, or -1 when the search phase

@@ -48,7 +48,8 @@ int wire_listeners(hw::PowerBus& bus, power::EnergyAccountant& accountant,
 // changes so old snapshots fail loudly instead of misparsing.
 // v2: hw::Component gained kWur (accountant per-component array grew).
 // v3: the run section carries the config fingerprint, not the horizon.
-constexpr std::uint32_t kSectionVersion = 3;
+// v4: the event queue's staged hand-out and the batch index's counters left.
+constexpr std::uint32_t kSectionVersion = 4;
 
 }  // namespace
 

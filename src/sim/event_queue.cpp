@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
@@ -63,9 +62,7 @@ const char* intern_label(std::string_view label) {
 EventQueue::EventQueue() : EventQueue(nullptr) {}
 
 EventQueue::EventQueue(common::Arena* arena)
-    : keys_(arena), callbacks_(arena), meta_(arena), armed_words_(arena),
-      staged_words_(arena), staged_(arena), scratch_pos_(arena),
-      scratch_stack_(arena) {
+    : keys_(arena), callbacks_(arena), meta_(arena), armed_words_(arena) {
   // Physical indices 0..kRoot-1 are padding so sibling groups are
   // cache-line-aligned; their keys are never read.
   keys_.resize(kRoot);
@@ -105,21 +102,6 @@ bool EventQueue::cancel(EventId id) {
   const auto gen = static_cast<std::uint32_t>(id.value >> 32);
   if (idx >= callbacks_.size()) return false;
   if (!armed(idx) || meta_[idx].generation != gen) return false;
-  if (staged_bit(idx)) {
-    // The event was already detached from the heap by pop_batch(): drop it
-    // from the staged buffer and recycle the slot immediately (it was at or
-    // next to the root, which is when the old root-prune would have run).
-    for (std::size_t i = staged_next_; i < staged_.size(); ++i) {
-      if (staged_[i].slot == idx) {
-        staged_[i].slot = kNilSlot;
-        break;
-      }
-    }
-    clear_staged_bit(idx);
-    release_slot(idx);
-    --live_;
-    return true;
-  }
   // Lazy cancellation: tombstone the slot; the heap node is recycled when
   // it surfaces at the root. Drop the callback now so captured resources
   // are released at cancel time, not at some later pop.
@@ -132,112 +114,33 @@ bool EventQueue::cancel(EventId id) {
 
 TimePoint EventQueue::next_time() const {
   SIMTY_CHECK_MSG(live_ > 0, "EventQueue::next_time on empty queue");
-  // Skip recycled/tombstoned staged entries without mutating (sync_staged
-  // does the actual recycling on the next pop/has_staged call).
-  std::size_t i = staged_next_;
-  while (i < staged_.size() &&
-         (staged_[i].slot == kNilSlot || !armed(staged_[i].slot))) {
-    ++i;
-  }
-  if (i < staged_.size()) {
-    // A callback may have scheduled an earlier-key event since the batch
-    // was detached; the earliest pending is the min of both sources.
-    if (heap_empty() || !key_less(keys_[kRoot], staged_[i].key)) {
-      return key_time(staged_[i].key);
-    }
-  }
-  // live_ > 0 and no live staged event => the heap root is live (prune
-  // invariant maintained after every heap mutation).
+  // live_ > 0 => the heap root is live (prune invariant maintained after
+  // every heap mutation).
   return key_time(keys_[kRoot]);
 }
 
 EventQueue::Fired EventQueue::pop() {
   SIMTY_CHECK_MSG(live_ > 0, "EventQueue::pop on empty queue");
-  if (sync_staged()) {
-    const Staged e = staged_[staged_next_];
-    if (heap_empty() || !key_less(keys_[kRoot], e.key)) {
-      ++staged_next_;
-      Fired fired{key_time(e.key), std::move(callbacks_[e.slot]),
-                  meta_[e.slot].label, key_priority(e.key)};
-      clear_staged_bit(e.slot);
-      release_slot(e.slot);
-      --live_;
-      return fired;
-    }
-    // A newly scheduled event outran the staged batch (same instant, higher
-    // priority): fire it first, exactly as k independent pops would.
-  }
-  return pop_root();
-}
-
-std::size_t EventQueue::pop_batch() {
-  SIMTY_CHECK_MSG(live_ > 0, "EventQueue::pop_batch on empty queue");
-  SIMTY_CHECK_MSG(!sync_staged(), "EventQueue::pop_batch with staged events pending");
-  const Key root_key = keys_[kRoot];
-  const std::size_t n = keys_.size();
-  // Fast path: no same-(time, priority) child under the root means the
-  // group is the root alone — leave it for the plain pop() path.
-  const std::size_t first = 4 * kRoot - 8;
-  const std::size_t last = std::min(first + 4, n);
-  bool multi = false;
-  for (std::size_t c = first; c < last; ++c) {
-    if (same_group(keys_[c], root_key)) {
-      multi = true;
-      break;
-    }
-  }
-  if (!multi) return 1;
-
-  // Collect the matched subtree. Every event with the root's (time,
-  // priority) is reachable from the root through matching nodes: an
-  // ancestor of a matching node has a key between the root key and the
-  // node's key, and the only keys in that range share (time, priority).
-  scratch_pos_.clear();
-  scratch_stack_.clear();
-  scratch_stack_.push_back(static_cast<std::uint32_t>(kRoot));
-  while (!scratch_stack_.empty()) {
-    const std::size_t pos = scratch_stack_.back();
-    scratch_stack_.pop_back();
-    scratch_pos_.push_back(static_cast<std::uint32_t>(pos));
-    const std::size_t cfirst = 4 * pos - 8;
-    const std::size_t clast = std::min(cfirst + 4, n);
-    for (std::size_t c = cfirst; c < clast; ++c) {
-      if (same_group(keys_[c], root_key)) {
-        scratch_stack_.push_back(static_cast<std::uint32_t>(c));
-      }
-    }
-  }
-
-  // Stage the group in sequence order. Tombstones ride along as dead
-  // entries so their slots are recycled at the same point in the hand-out
-  // sequence where the old per-pop root prune would have recycled them.
-  std::size_t live_staged = 0;
-  for (const std::uint32_t pos : scratch_pos_) {
-    staged_.push_back(Staged{keys_[pos], key_slot(keys_[pos])});
-  }
-  std::sort(staged_.begin(), staged_.end(),
-            [](const Staged& a, const Staged& b) { return a.key.order < b.key.order; });
-  for (const Staged& e : staged_) {
-    if (armed(e.slot)) {
-      set_staged_bit(e.slot);
-      ++live_staged;
-    }
-  }
-
-  // Multi-delete: remove positions in descending physical order, back-
-  // filling each hole from the heap tail. Only sift-down is needed: any
-  // not-yet-removed ancestor of a hole is itself matched, so it holds a
-  // minimal (time, priority) key that no back-filled element can undercut.
-  std::sort(scratch_pos_.begin(), scratch_pos_.end(),
-            [](std::uint32_t a, std::uint32_t b) { return a > b; });
-  for (const std::uint32_t pos : scratch_pos_) {
-    const std::size_t tail = keys_.size() - 1;
-    if (pos != tail) keys_[pos] = keys_[tail];
-    keys_.pop_back();
-    if (pos != tail) sift_down(pos);
-  }
+  const Key key = keys_[kRoot];
+  const std::uint32_t slot = key_slot(key);
+  // Overlap the two random slab touches (callback move-out, meta release)
+  // with the root sift: issue the loads, fix the heap, then read the slab.
+  __builtin_prefetch(&callbacks_[slot], 1);
+  __builtin_prefetch(&meta_[slot], 1);
+  heap_remove_root();
+  Fired fired{key_time(key), std::move(callbacks_[slot]), meta_[slot].label,
+              key_priority(key)};
+  release_slot(slot);
+  --live_;
   prune_root();
-  return live_staged;
+  // A pop is usually followed by another: start fetching the next root's
+  // slab lines so the next pop's payload access is already in flight.
+  if (!heap_empty()) {
+    const std::uint32_t next = key_slot(keys_[kRoot]);
+    __builtin_prefetch(&callbacks_[next], 1);
+    __builtin_prefetch(&meta_[next], 1);
+  }
+  return fired;
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -251,10 +154,7 @@ std::uint32_t EventQueue::acquire_slot() {
   const auto idx = static_cast<std::uint32_t>(callbacks_.size());
   callbacks_.emplace_back();
   meta_.emplace_back();
-  if ((idx & 63u) == 0) {
-    armed_words_.push_back(0);
-    staged_words_.push_back(0);
-  }
+  if ((idx & 63u) == 0) armed_words_.push_back(0);
   return idx;
 }
 
@@ -365,25 +265,6 @@ void EventQueue::prune_root() {
   }
 }
 
-bool EventQueue::sync_staged() {
-  while (staged_next_ < staged_.size()) {
-    Staged& e = staged_[staged_next_];
-    if (e.slot != kNilSlot) {
-      if (armed(e.slot)) return true;
-      // Tombstone carried into the batch: recycle it now, preserving the
-      // release order the per-pop prune would have produced.
-      release_slot(e.slot);
-      e.slot = kNilSlot;
-    }
-    ++staged_next_;
-  }
-  if (staged_next_ != 0) {
-    staged_.clear();
-    staged_next_ = 0;
-  }
-  return false;
-}
-
 void EventQueue::restore(snapshot::SectionReader& s) {
   // Wholesale replacement: anything the owner scheduled during (re)construction
   // is discarded along with its slots.
@@ -406,12 +287,6 @@ void EventQueue::restore(snapshot::SectionReader& s) {
     SIMTY_CHECK_MSG(key_slot(keys_[i]) < slots,
                     "EventQueue::restore: heap key slot out of range");
   }
-  for (const Staged& e : staged_) {
-    SIMTY_CHECK_MSG(e.slot == kNilSlot || e.slot < slots,
-                    "EventQueue::restore: staged slot out of range");
-  }
-  SIMTY_CHECK_MSG(staged_next_ <= staged_.size(),
-                  "EventQueue::restore: staged cursor out of range");
   SIMTY_CHECK_MSG(free_head_ == kNilSlot || free_head_ < slots,
                   "EventQueue::restore: free head out of range");
   SIMTY_CHECK_MSG(next_seq_ >= 1 && next_seq_ <= kMaxSeq + 1,
@@ -443,29 +318,6 @@ bool EventQueue::fully_bound() const {
     if (armed(i) && !callbacks_[i]) return false;
   }
   return true;
-}
-
-EventQueue::Fired EventQueue::pop_root() {
-  const Key key = keys_[kRoot];
-  const std::uint32_t slot = key_slot(key);
-  // Overlap the two random slab touches (callback move-out, meta release)
-  // with the root sift: issue the loads, fix the heap, then read the slab.
-  __builtin_prefetch(&callbacks_[slot], 1);
-  __builtin_prefetch(&meta_[slot], 1);
-  heap_remove_root();
-  Fired fired{key_time(key), std::move(callbacks_[slot]), meta_[slot].label,
-              key_priority(key)};
-  release_slot(slot);
-  --live_;
-  prune_root();
-  // A pop is usually followed by another: start fetching the next root's
-  // slab lines so the next pop's payload access is already in flight.
-  if (!heap_empty()) {
-    const std::uint32_t next = key_slot(keys_[kRoot]);
-    __builtin_prefetch(&callbacks_[next], 1);
-    __builtin_prefetch(&meta_[next], 1);
-  }
-  return fired;
 }
 
 }  // namespace simty::sim

@@ -25,16 +25,6 @@
 // the (time, priority, seq) key of a live event never changes, and
 // tombstones are invisible to next_time()/pop() by the root-is-live
 // invariant maintained after every mutation.
-//
-// pop_batch() accelerates the common alarm-batching case where many events
-// share one (time, priority): all matching events form a connected subtree
-// through the root (every ancestor key is sandwiched between the root key
-// and a matching descendant key, so it matches too), and one multi-delete
-// pass detaches the whole group into a staged buffer ordered by sequence.
-// Staged events stay cancellable until handed out by pop(), and pop()
-// re-checks the heap root before each hand-out, so a callback scheduling a
-// higher-priority event at the same instant still interleaves exactly as k
-// independent pops would — DESIGN.md carries the full ordering proof.
 
 #include <cstdint>
 #include <string_view>
@@ -90,8 +80,8 @@ class EventQueue {
   EventId schedule(TimePoint when, EventPriority priority, EventFn cb,
                    const char* label = "");
 
-  /// Cancels a pending event (staged or heap-resident). Returns false if it
-  /// already fired/was cancelled.
+  /// Cancels a pending event. Returns false if it already fired/was
+  /// cancelled.
   bool cancel(EventId id);
 
   bool empty() const { return live_ == 0; }
@@ -103,10 +93,7 @@ class EventQueue {
   TimePoint next_time() const;
 
   /// Removes and returns the earliest event's callback and metadata. The
-  /// callback is moved out of the queue, never copied. Staged events (see
-  /// pop_batch) are handed out here too, interleaved with any newly
-  /// scheduled earlier-key events so the fire order is always the global
-  /// (time, priority, seq) order.
+  /// callback is moved out of the queue, never copied.
   struct Fired {
     TimePoint when;
     EventFn callback;
@@ -115,26 +102,13 @@ class EventQueue {
   };
   Fired pop();
 
-  /// Coalesced same-instant firing: detaches every event sharing the root's
-  /// (time, priority) from the heap in one multi-delete pass and stages
-  /// them, in sequence order, for the following pop() calls. Returns the
-  /// number of live events in the group (>= 1). When the group is a single
-  /// event nothing is staged — the next pop() takes the plain heap path.
-  /// Requires a non-empty queue and no staged events pending.
-  std::size_t pop_batch();
-
-  /// True while staged events from a pop_batch() await hand-out. Also
-  /// performs staged-buffer housekeeping (recycling cancelled entries), so
-  /// callers should prefer it over tracking batch counts themselves.
-  bool has_staged() { return sync_staged(); }
-
   /// Slab high-water mark (slots ever allocated); tombstoned slots are
   /// recycled, so this stays near the peak live count. Exposed for tests.
   std::size_t slab_slots() const { return callbacks_.size(); }
 
   /// The snapshot carries the queue's complete structure — heap keys
-  /// verbatim, slab generations/labels/free-list, armed/staged bit words,
-  /// the staged buffer, and the sequence counter. Callbacks cannot be
+  /// verbatim, slab generations/labels/free-list, the armed bit words and
+  /// the sequence counter. Callbacks cannot be
   /// serialized; after restore() every armed event is empty until the
   /// owner rebind()s it (see fully_bound()).
   /// restore() replaces the queue's current contents wholesale; all
@@ -165,23 +139,7 @@ class EventQueue {
           }
         }));
     f("slots", self.meta_);
-    // The armed and staged bit words share one count.
-    f("bit_words", snapshot::by_hand(
-        self,
-        [](snapshot::Writer& w, const auto& q) {
-          w.u64(q.armed_words_.size());
-          for (const std::uint64_t word : q.armed_words_) w.u64(word);
-          for (const std::uint64_t word : q.staged_words_) w.u64(word);
-        },
-        [](snapshot::SectionReader& s, auto& q) {
-          const std::uint64_t n = snapshot::read_count(s);
-          q.armed_words_.clear();
-          q.staged_words_.clear();
-          for (std::uint64_t i = 0; i < n; ++i) q.armed_words_.push_back(s.u64());
-          for (std::uint64_t i = 0; i < n; ++i) q.staged_words_.push_back(s.u64());
-        }));
-    f("staged", self.staged_);
-    f("staged_next", self.staged_next_);
+    f("armed_words", self.armed_words_);
     f("free_head", self.free_head_);
     f("next_seq", self.next_seq_);
     f("live", self.live_);
@@ -248,10 +206,6 @@ class EventQueue {
            (a.when_biased == b.when_biased && a.order < b.order);
 #endif
   }
-  /// Same (time, priority), ignoring seq — the pop_batch grouping.
-  static bool same_group(const Key& a, const Key& b) {
-    return a.when_biased == b.when_biased && (a.order >> 60) == (b.order >> 60);
-  }
   static TimePoint key_time(const Key& k) {
     return TimePoint::from_us(static_cast<std::int64_t>(k.when_biased ^ kWhenBias));
   }
@@ -262,20 +216,6 @@ class EventQueue {
     return static_cast<std::uint32_t>(k.order & 0xffffffffu);
   }
 
-  /// A detached same-instant event awaiting hand-out; key is copied so
-  /// ordering checks never touch the slab. slot == kNilSlot marks an entry
-  /// already recycled (cancelled while staged, or a carried tombstone).
-  struct Staged {
-    Key key;
-    std::uint32_t slot;
-
-    template <typename Self, typename F>
-    static void for_each_state_field(Self& self, F&& f) {
-      f("key", self.key);
-      f("slot", self.slot);
-    }
-  };
-
   bool heap_empty() const { return keys_.size() == kRoot; }
 
   bool armed(std::uint32_t slot) const {
@@ -283,13 +223,6 @@ class EventQueue {
   }
   void set_armed(std::uint32_t slot) { armed_words_[slot >> 6] |= 1ull << (slot & 63u); }
   void clear_armed(std::uint32_t slot) { armed_words_[slot >> 6] &= ~(1ull << (slot & 63u)); }
-  bool staged_bit(std::uint32_t slot) const {
-    return ((staged_words_[slot >> 6] >> (slot & 63u)) & 1u) != 0;
-  }
-  void set_staged_bit(std::uint32_t slot) { staged_words_[slot >> 6] |= 1ull << (slot & 63u); }
-  void clear_staged_bit(std::uint32_t slot) {
-    staged_words_[slot >> 6] &= ~(1ull << (slot & 63u));
-  }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
@@ -299,12 +232,6 @@ class EventQueue {
   /// Recycles tombstones sitting at the heap root, restoring the invariant
   /// that a non-empty heap's root is a live event.
   void prune_root();
-  /// Advances past recycled staged entries (recycling carried tombstones at
-  /// the position the old root-prune would have); true if a live staged
-  /// event is next.
-  bool sync_staged();
-  /// Removes and returns the heap root (must be live).
-  Fired pop_root();
 
   // Heap: dense keys only (slot packed into the order word); carries kRoot
   // padding entries at the front so sibling groups are line-aligned.
@@ -337,14 +264,7 @@ class EventQueue {
   // Payload slab (SoA), indexed by slot.
   common::ArenaVector<EventFn> callbacks_;
   common::ArenaVector<SlotMeta> meta_;
-  common::ArenaVector<std::uint64_t> armed_words_;   // live vs tombstone, 1 bit/slot
-  common::ArenaVector<std::uint64_t> staged_words_;  // staged-and-live, 1 bit/slot
-
-  // pop_batch staging + scratch (capacity retained across batches).
-  common::ArenaVector<Staged> staged_;
-  std::size_t staged_next_ = 0;
-  common::ArenaVector<std::uint32_t> scratch_pos_;
-  common::ArenaVector<std::uint32_t> scratch_stack_;
+  common::ArenaVector<std::uint64_t> armed_words_;  // live vs tombstone, 1 bit/slot
 
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 1;

@@ -39,11 +39,6 @@ void Simulator::restore(snapshot::SectionReader& s) { snapshot::read_fields(s, *
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // Coalesced same-instant firing: detach the whole (time, priority) group
-  // in one heap pass, then hand events out one at a time. pop() interleaves
-  // staged events with anything a callback schedules, so the fire order is
-  // exactly what per-event pops would produce (see EventQueue).
-  if (!queue_.has_staged()) queue_.pop_batch();
   EventQueue::Fired fired = queue_.pop();
   SIMTY_CHECK_MSG(fired.when >= now_, "Simulator: time went backwards");
   now_ = fired.when;

@@ -250,7 +250,10 @@ SectionReader Reader::section(std::string_view name, std::uint32_t version) cons
   for (const Entry& e : sections_) {
     if (e.name != name) continue;
     SIMTY_CHECK_MSG(e.version == version,
-                    "snapshot: section version skew (snapshot from a different build)");
+                    str_format("snapshot: section '%.*s' has version %u, this build "
+                               "reads %u",
+                               static_cast<int>(name.size()), name.data(),
+                               e.version, version));
     return SectionReader(e.name, e.version, e.payload);
   }
   SIMTY_CHECK_MSG(false, "snapshot: missing required section");

@@ -5,6 +5,7 @@
 #include "alarm/exact_policy.hpp"
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
+#include "common/strings.hpp"
 #include "support/framework_fixture.hpp"
 
 namespace simty::alarm {
@@ -309,6 +310,19 @@ TEST_F(AlarmManagerTest, RtcTracksQueueHead) {
   sim_.run_until(at(1000));
   // Queue drained -> RTC cleared.
   EXPECT_FALSE(rtc_->programmed().has_value());
+}
+
+TEST_F(AlarmManagerTest, HealthyManagerHasNoInvariantIssues) {
+  init(std::make_unique<NativePolicy>());
+  for (int i = 0; i < 6; ++i) {
+    manager_->register_alarm(
+        AlarmSpec::repeating(str_format("a%d", i), AppId{1}, RepeatMode::kStatic,
+                             Duration::seconds(300 + i * 60), 0.5, 0.9),
+        at(100 + i * 40), task(ComponentSet{Component::kWifi}, Duration::seconds(1)));
+  }
+  EXPECT_TRUE(manager_->check_invariants().empty());
+  sim_.run_until(at(2000));
+  EXPECT_TRUE(manager_->check_invariants().empty());
 }
 
 }  // namespace

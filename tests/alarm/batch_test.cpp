@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "common/strings.hpp"
+
 namespace simty::alarm {
 namespace {
 
@@ -17,7 +19,8 @@ std::unique_ptr<Alarm> imperceptible_alarm(std::uint64_t id, std::int64_t nomina
                                            double alpha = 0.75, double beta = 0.96) {
   auto a = std::make_unique<Alarm>(
       AlarmId{id},
-      AlarmSpec::repeating("a" + std::to_string(id), AppId{1}, RepeatMode::kStatic,
+      AlarmSpec::repeating(str_format("a%llu", static_cast<unsigned long long>(id)),
+                           AppId{1}, RepeatMode::kStatic,
                            Duration::seconds(repeat), alpha, beta),
       at(nominal));
   a->record_delivery(hw_set, Duration::seconds(2));  // learn the profile

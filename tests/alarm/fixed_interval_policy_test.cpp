@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/strings.hpp"
 #include "support/framework_fixture.hpp"
 
 namespace simty::alarm {
@@ -72,7 +73,7 @@ TEST_F(FixedIntervalIntegration, QuantizesWakeupsOverALongRun) {
   // one per occupied slot, far fewer than deliveries.
   for (int i = 0; i < 5; ++i) {
     manager_->register_alarm(
-        AlarmSpec::repeating("s" + std::to_string(i), AppId{1},
+        AlarmSpec::repeating(str_format("s%d", i), AppId{1},
                              RepeatMode::kStatic, Duration::seconds(300), 0.75,
                              0.96),
         at(300 + i * 13), task(ComponentSet{Component::kWifi}, Duration::seconds(1)));

@@ -2,6 +2,7 @@
 
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
+#include "common/strings.hpp"
 #include "support/framework_fixture.hpp"
 
 namespace simty::alarm {
@@ -13,7 +14,7 @@ TEST_F(PolicySwapTest, RebatchAllIsIdempotentOnStableQueues) {
   init(std::make_unique<SimtyPolicy>());
   for (int i = 0; i < 4; ++i) {
     manager_->register_alarm(
-        AlarmSpec::repeating("s" + std::to_string(i), AppId{1},
+        AlarmSpec::repeating(str_format("s%d", i), AppId{1},
                              RepeatMode::kStatic, Duration::seconds(600), 0.75,
                              0.96),
         at(100 + 50 * i), noop_task());

@@ -10,6 +10,7 @@
 #include "alarm/exact_policy.hpp"
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
+#include "common/strings.hpp"
 
 namespace simty::alarm {
 namespace {
@@ -29,7 +30,7 @@ struct QueueBuilder {
     const auto id = static_cast<std::uint64_t>(alarms.size() + 1);
     auto a = std::make_unique<Alarm>(
         AlarmId{id},
-        AlarmSpec::repeating("a" + std::to_string(id), AppId{1},
+        AlarmSpec::repeating(str_format("a%llu", static_cast<unsigned long long>(id)), AppId{1},
                              RepeatMode::kStatic, Duration::seconds(repeat_s),
                              alpha, beta),
         at(nominal_s));

@@ -106,12 +106,12 @@ TEST_P(ManagerStressTest, RandomOperationStormKeepsInvariants) {
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
       }
       const auto issues = manager_->check_invariants();
-      ASSERT_TRUE(issues.empty()) << issues.front() << "\n" << manager_->dump();
+      ASSERT_TRUE(issues.empty()) << ::testing::PrintToString(issues);
     }
     // Let time pass and deliveries happen.
     sim_.run_until(sim_.now() + Duration::seconds(30 + rng.next_below(300)));
     const auto issues = manager_->check_invariants();
-    ASSERT_TRUE(issues.empty()) << issues.front() << "\n" << manager_->dump();
+    ASSERT_TRUE(issues.empty()) << ::testing::PrintToString(issues);
   }
 
   // Global delivery-guarantee audit over everything that happened.

@@ -1,5 +1,5 @@
 // queue-scan fixture: direct O(n) sweeps of the batch queue in
-// alignment-policy files must go through the BatchIndex candidate path.
+// alignment-policy files are flagged unless marked as the policy's one scan.
 #include <cstddef>
 #include <vector>
 

@@ -114,7 +114,7 @@ TEST(SimtyLintRules, IncludeHygiene) {
 TEST(SimtyLintRules, QueueScanFiresOnlyInAlarmPolicyFiles) {
   check_fixture("queue_scan.cpp", "src/alarm/fake_policy.cpp");
   // Same content is legal outside alarm-policy files: the manager's own
-  // differential reference and non-policy code may sweep freely.
+  // queue maintenance and non-policy code may sweep freely.
   const std::string content = read_fixture("queue_scan.cpp");
   EXPECT_TRUE(lint_source("src/alarm/alarm_manager.cpp", content).empty());
   EXPECT_TRUE(lint_source("src/exp/policy_sweep.cpp", content).empty());

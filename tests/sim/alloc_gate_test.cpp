@@ -3,8 +3,8 @@
 //
 // A counting global operator new proves the "zero steady-state heap
 // allocations" claim instead of asserting it in comments: once the queue's
-// slab, heap, and staging buffers have grown to their working size, a
-// schedule/cancel/pop/pop_batch mix and the simulator's per-event step loop
+// slab and heap have grown to their working size, a schedule/cancel/pop
+// mix and the simulator's per-event step loop
 // (the inner loop of a fleet shard's device run) must perform no heap
 // allocation at all. The gate runs in its own test binary so the operator
 // new replacement cannot distort other suites.
@@ -99,7 +99,7 @@ namespace {
 
 std::uint64_t alloc_count() { return g_allocs.load(std::memory_order_relaxed); }
 
-// Mixed schedule/cancel/pop churn with periodic pop_batch, sized to stay
+// Mixed schedule/cancel/pop churn, sized to stay
 // within `window` pending events. Exercises every hot-path operation the
 // gate covers; callbacks capture one pointer (trivially relocatable).
 template <typename Queue>
@@ -113,7 +113,6 @@ void churn(Queue& q, Rng& rng, std::uint64_t* sink, std::size_t rounds) {
                       [sink] { ++*sink; }, "gate");
     if (i % 7 == 0) q.cancel(last);
     if (i % 3 == 0 && !q.empty()) {
-      if (!q.has_staged()) q.pop_batch();
       auto fired = q.pop();
       fired.callback();
       now_us = fired.when.us();
@@ -129,14 +128,14 @@ TEST(AllocGateTest, WarmedEventQueueChurnsWithZeroAllocations) {
   EventQueue q;
   Rng rng(42);
   std::uint64_t sink = 0;
-  // Warm-up grows the slab, heap array, bitset words, and staging buffers
-  // to steady-state capacity.
+  // Warm-up grows the slab, heap array and bitset words to steady-state
+  // capacity.
   churn(q, rng, &sink, 20'000);
 
   const std::uint64_t before = alloc_count();
   churn(q, rng, &sink, 20'000);
   EXPECT_EQ(alloc_count() - before, 0u)
-      << "steady-state schedule/cancel/pop/pop_batch must not allocate";
+      << "steady-state schedule/cancel/pop must not allocate";
   EXPECT_GT(sink, 0u);
 }
 

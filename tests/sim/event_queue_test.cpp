@@ -262,10 +262,10 @@ TEST(EventQueue, RandomizedDifferentialAgainstMapModel) {
 }
 
 // --------------------------------------------------------------------------
-// pop_batch / staged hand-out semantics
+// Same-instant groups: events sharing one (time, priority)
 // --------------------------------------------------------------------------
 
-TEST(EventQueue, PopBatchStagesRootGroupAndReportsLiveCount) {
+TEST(EventQueue, SameInstantGroupFiresInSequenceOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
@@ -274,23 +274,13 @@ TEST(EventQueue, PopBatchStagesRootGroupAndReportsLiveCount) {
   q.schedule(at(1), EventPriority::kApp, [&order] { order.push_back(99); });
   q.schedule(at(2), EventPriority::kFramework, [&order] { order.push_back(100); });
 
-  // Only the five (t=1, kFramework) events share the root's group.
-  EXPECT_EQ(q.pop_batch(), 5u);
-  EXPECT_TRUE(q.has_staged());
+  // The five (t=1, kFramework) events fire in schedule order, before the
+  // same-instant lower-priority event and the later one.
   while (!q.empty()) q.pop().callback();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 99, 100}));
 }
 
-TEST(EventQueue, PopBatchSingletonStagesNothing) {
-  EventQueue q;
-  q.schedule(at(1), EventPriority::kFramework, [] {});
-  q.schedule(at(2), EventPriority::kFramework, [] {});
-  EXPECT_EQ(q.pop_batch(), 1u);
-  EXPECT_FALSE(q.has_staged());
-  EXPECT_EQ(q.pop().when, at(1));
-}
-
-TEST(EventQueue, StagedEventsStayCancellable) {
+TEST(EventQueue, CancelInsideSameInstantGroup) {
   EventQueue q;
   std::vector<int> order;
   std::vector<EventId> ids;
@@ -298,26 +288,26 @@ TEST(EventQueue, StagedEventsStayCancellable) {
     ids.push_back(
         q.schedule(at(3), EventPriority::kFramework, [&order, i] { order.push_back(i); }));
   }
-  ASSERT_EQ(q.pop_batch(), 4u);
+  // The group's first event fires; its successor is cancelled mid-group.
+  q.pop().callback();
   EXPECT_TRUE(q.cancel(ids[1]));
-  EXPECT_FALSE(q.cancel(ids[1]));  // already cancelled while staged
-  EXPECT_EQ(q.size(), 3u);
+  EXPECT_FALSE(q.cancel(ids[1]));  // already cancelled
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), at(3));
   while (!q.empty()) q.pop().callback();
   EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
   EXPECT_FALSE(q.cancel(ids[0]));  // fired
 }
 
-TEST(EventQueue, PopReChecksHeapRootAgainstStagedEvents) {
+TEST(EventQueue, HigherPriorityEventScheduledMidGroupFiresNext) {
   // A callback scheduling a higher-priority event at the same instant must
-  // see it fire before the rest of the staged group — exactly as k
-  // independent pops would interleave it.
+  // see it fire before the rest of the group.
   EventQueue q;
   std::vector<std::string> order;
   for (int i = 0; i < 3; ++i) {
     q.schedule(at(7), EventPriority::kApp,
                [&order, i] { order.push_back("app" + std::to_string(i)); });
   }
-  ASSERT_EQ(q.pop_batch(), 3u);
   auto first = q.pop();
   first.callback();
   q.schedule(at(7), EventPriority::kHardware, [&order] { order.push_back("hw"); });
@@ -325,12 +315,11 @@ TEST(EventQueue, PopReChecksHeapRootAgainstStagedEvents) {
   EXPECT_EQ(order, (std::vector<std::string>{"app0", "hw", "app1", "app2"}));
 }
 
-// Differential test including pop_batch: 1e5 mixed operations across three
-// phases — a general mix, a tombstone-heavy phase (cancel-dominated, so
-// batches carry dead entries), and a same-instant-burst phase (tiny time
-// range, big firing groups). The map model treats pop_batch as a no-op:
-// staged hand-out must be indistinguishable from k independent pops.
-TEST(EventQueue, RandomizedDifferentialWithPopBatch) {
+// Differential test over 1e5 mixed operations across three phases — a
+// general mix, a tombstone-heavy phase (cancel-dominated, so dead entries
+// pile up under the root), and a same-instant-burst phase (tiny time range,
+// big same-(time, priority) groups).
+TEST(EventQueue, RandomizedDifferentialWithTombstonesAndBursts) {
   EventQueue q;
   MapModel model;
   Rng rng(777);
@@ -374,9 +363,6 @@ TEST(EventQueue, RandomizedDifferentialWithPopBatch) {
       ASSERT_EQ(cancelled, model.cancel(live[pick].model)) << "op " << op;
       if (cancelled) --pending;
     } else {
-      // Drain step: sometimes coalesce the root group first. pop_batch is
-      // only legal with no staged events pending.
-      if (rng.next_below(2) == 0 && !q.has_staged()) q.pop_batch();
       q.pop().callback();
       fired_model.push_back(model.pop());
       ASSERT_EQ(fired_real.size(), fired_model.size());
@@ -387,7 +373,6 @@ TEST(EventQueue, RandomizedDifferentialWithPopBatch) {
   }
 
   while (!q.empty()) {
-    if (!q.has_staged() && rng.next_below(4) == 0) q.pop_batch();
     q.pop().callback();
     fired_model.push_back(model.pop());
   }

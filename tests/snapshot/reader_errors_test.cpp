@@ -88,8 +88,9 @@ TEST(ReaderErrors, TypedReadersKeepTheirMessages) {
     // No tag at all, and a value cut short at every length.
     EXPECT_EQ(read_error(t, ""), kTruncated);
     for (std::size_t have = 0; have < t.width; ++have) {
-      EXPECT_EQ(read_error(t, tag(t.type) + std::string(have, '\x01')), kTruncated)
-          << have << " value bytes";
+      std::string payload = tag(t.type);
+      payload.append(have, '\x01');
+      EXPECT_EQ(read_error(t, payload), kTruncated) << have << " value bytes";
     }
     if (!is_blob(t.type)) continue;
     // A blob length one past the payload, and one far past it.

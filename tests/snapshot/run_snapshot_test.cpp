@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/arena.hpp"
 #include "exp/run.hpp"
@@ -168,11 +170,11 @@ TEST(RunSnapshotTest, CheckpointResumeWithDozeMatches) {
 
 TEST(RunSnapshotTest, CheckpointInsideBatchNeighborhoodMatches) {
   // Checkpoint at an instant chosen per-delivery: right after a batch of
-  // size >= 2 delivered (a same-instant pop_batch group just drained).
+  // size >= 2 delivered (a same-instant event group just drained).
   // advance_to_quiescent steps past the in-flight wake session, so the
   // snapshot lands between two batch groups, never inside one — this test
-  // pins that the surrounding machinery (staged pops, wakelock tails,
-  // device sleep-back) restores exactly.
+  // pins that the surrounding machinery (wakelock tails, device
+  // sleep-back) restores exactly.
   TimePoint batch_instant;
   {
     exp::Run probe_run(base_config(PolicyKind::kSimty));
@@ -328,6 +330,59 @@ std::string snapshot_at_30min(const ExperimentConfig& config) {
   exp::Run run(config);
   run.advance_to_quiescent(TimePoint::origin() + Duration::minutes(30));
   return run.save_snapshot();
+}
+
+/// `snap` with section `name`'s version field set to `version`; returns the
+/// version it had through `was`. Walks the container layout documented in
+/// snapshot/snapshot.hpp (all integers little-endian).
+std::string with_section_version(std::string snap, std::string_view name,
+                                 std::uint32_t version, std::uint32_t* was) {
+  const auto le = [&snap](std::size_t at, std::size_t width) {
+    std::uint64_t v = 0;
+    for (std::size_t i = width; i-- > 0;) {
+      v = (v << 8) | static_cast<unsigned char>(snap[at + i]);
+    }
+    return v;
+  };
+  std::size_t pos = 8 + 4;  // magic, format version
+  const std::uint64_t sections = le(pos, 4);
+  pos += 4;
+  for (std::uint64_t i = 0; i < sections; ++i) {
+    const std::size_t name_len = le(pos, 4);
+    const std::string_view section(snap.data() + pos + 4, name_len);
+    pos += 4 + name_len;
+    if (section == name) {
+      *was = static_cast<std::uint32_t>(le(pos, 4));
+      for (std::size_t b = 0; b < 4; ++b) {
+        snap[pos + b] = static_cast<char>((version >> (8 * b)) & 0xffu);
+      }
+      return snap;
+    }
+    pos += 4;
+    pos += 8 + le(pos, 8);
+  }
+  ADD_FAILURE() << "no section '" << name << "'";
+  return snap;
+}
+
+TEST(RunSnapshotTest, SectionVersionSkewNamesTheSectionAndBothVersions) {
+  // A snapshot from a build with another field list (here: the sim section
+  // of a version-3 build, which still carried the staged hand-out) is
+  // rejected naming the section and both versions.
+  const ExperimentConfig config = base_config(PolicyKind::kNative);
+  std::uint32_t current = 0;
+  const std::string snap =
+      with_section_version(snapshot_at_30min(config), "sim", 3, &current);
+  ASSERT_NE(current, 3u);
+  exp::Run run(config);
+  try {
+    run.restore_snapshot(snap);
+    ADD_FAILURE() << "restored a section of another version";
+  } catch (const std::logic_error& e) {
+    std::string want = "section 'sim' has version 3, this build reads ";
+    want += std::to_string(current);
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
 }
 
 TEST(RunSnapshotTest, RestoreRejectsHorizonMismatch) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Diffs a fresh bench --json output against its checked-in baseline.
 #
-#   tools/check_bench_baseline.sh bench/BENCH_queue_scale.json fresh.json
+#   tools/check_bench_baseline.sh bench/BENCH_core_micro.json fresh.json
 #
 # Two gates:
 #   1. The record-name sets must match exactly — dropping or renaming a

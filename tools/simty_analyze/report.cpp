@@ -49,7 +49,9 @@ std::string to_json(const Result& result) {
     out += "\"chain\": [";
     for (std::size_t c = 0; c < f.chain.size(); ++c) {
       if (c) out += ", ";
-      out += "\"" + escape(f.chain[c]) + "\"";
+      out += '"';
+      out += escape(f.chain[c]);
+      out += '"';
     }
     out += "]}";
   }

@@ -53,8 +53,7 @@ struct Options {
   /// Files where per-event work must not introduce owning std:: containers
   /// or type-erased callables outside the arena-backed types (Arena,
   /// ArenaVector, EventFn). Entries may be directories or single files.
-  std::vector<std::string> owning_hot_path_prefixes = {"src/sim",
-                                                       "src/alarm/batch_index.hpp"};
+  std::vector<std::string> owning_hot_path_prefixes = {"src/sim"};
   /// Unordered-container names declared outside this file (e.g. members
   /// declared in the companion header of a .cpp being linted).
   std::vector<std::string> extra_unordered_names;

@@ -379,11 +379,11 @@ void rule_assert(Ctx& ctx) {
   }
 }
 
-/// Alignment-policy files must route selection through the BatchIndex
-/// candidate path; a direct O(n) sweep of the batch queue — a for loop
-/// bounded by `queue.size()`/`queue->size()` or a range-for over `queue` —
-/// turns every insert into a full scan. Deliberate linear reference
-/// implementations carry an allow() comment.
+/// A policy scans the batch queue once per placement, in select_batch (the
+/// paper's search over the entry queue). Any other O(n) sweep of the queue
+/// in a policy file — a for loop bounded by `queue.size()`/`queue->size()`
+/// or a range-for over `queue` — adds a second full scan to every insert.
+/// The one deliberate scan carries an allow() comment.
 void rule_queue_scan(Ctx& ctx) {
   const std::string_view joined = ctx.joined;
   for_each_word(joined, "for", [&](std::size_t pos) {
@@ -434,10 +434,9 @@ void rule_queue_scan(Ctx& ctx) {
     }
     if (scan) {
       ctx.emit(ctx.line_of(pos), "queue-scan",
-               "O(n) sweep of the batch queue in a policy file; route "
-               "selection through the BatchIndex candidate path "
-               "(candidate_query/select_among), or mark a deliberate linear "
-               "reference with an allow comment");
+               "O(n) sweep of the batch queue in a policy file; a policy "
+               "scans the queue once, in select_batch — mark that one scan "
+               "with an allow comment");
     }
   });
 }
