@@ -4,7 +4,7 @@
 // The fleet runner simulates one device after another on each shard; the
 // sweep runner repeats one config across seeds. Both used to pay the general
 // allocator on every run for storage whose lifetime is exactly "one run":
-// event-queue slabs, batch-index treap nodes, tracer chunks. An Arena makes
+// event-queue slabs, alarms, batches and queues, apps. An Arena makes
 // that lifetime explicit — allocation is a pointer bump, and reset() rewinds
 // to the start while *retaining* every block, so the second and every later
 // run on a shard allocates nothing at all.

@@ -124,15 +124,15 @@ struct ExperimentConfig {
 
   /// Per-run storage backing. A non-null arena backs the run's per-run
   /// state: event-queue slabs, the policy, registered alarms and their
-  /// registry, batches and queues, batch-index nodes, apps and their
-  /// traces, the listener and observer lists and the interval audit. A
-  /// caller that runs many experiments back to back (the fleet shard loop,
-  /// sweep repetitions) resets it between runs, so a warmed arena leaves a
-  /// run a handful of heap allocations (the fleet-shard alloc gate's
-  /// budget). Presence of an arena never changes any result bit. The arena
-  /// must outlive the run and, being single-threaded, forces the serial
-  /// path in run_repeated (the parallel runner injects its own per-worker
-  /// arenas when the config carries none).
+  /// registry, batches and queues, apps and their traces, the listener and
+  /// observer lists and the interval audit. A caller that runs many
+  /// experiments back to back (the fleet shard loop, sweep repetitions)
+  /// resets it between runs, so a warmed arena leaves a run a handful of
+  /// heap allocations (the fleet-shard alloc gate's budget). Presence of an
+  /// arena never changes any result bit. The arena must outlive the run
+  /// and, being single-threaded, forces the serial path in run_repeated (the
+  /// parallel runner injects its own per-worker arenas when the config
+  /// carries none).
   struct ArenaOptions {
     common::Arena* arena = nullptr;
   };

@@ -1,5 +1,7 @@
 #include "exp/run.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -49,7 +51,9 @@ int wire_listeners(hw::PowerBus& bus, power::EnergyAccountant& accountant,
 // v2: hw::Component gained kWur (accountant per-component array grew).
 // v3: the run section carries the config fingerprint, not the horizon.
 // v4: the event queue's staged hand-out and the batch index's counters left.
-constexpr std::uint32_t kSectionVersion = 4;
+// v5: the tracer's always-zero drop count and the wakelocks' constant
+//     anomaly, watchdog and tail-override slots left.
+constexpr std::uint32_t kSectionVersion = 5;
 
 }  // namespace
 
@@ -188,9 +192,9 @@ void Run::restore_snapshot(const std::string& bytes) {
     if (fingerprint != encode_config(config_, /*beta_blind=*/true)) {
       const char* field =
           first_differing_field(config_, fingerprint, /*beta_blind=*/true);
-      SIMTY_CHECK_MSG(false, std::string("Run::restore_snapshot: the snapshot was "
+      throw std::logic_error(std::string("Run::restore_snapshot: the snapshot was "
                                          "saved under another config (field '") +
-                                 (field != nullptr ? field : "?") + "' differs)");
+                             (field != nullptr ? field : "?") + "' differs)");
     }
     snapshot::FieldReader{s}("beta_switch_event", beta_switch_event);
   });
@@ -217,16 +221,8 @@ void Run::restore_snapshot(const std::string& bytes) {
   // what makes the republish invisible in the accounting.
   section("accountant", accountant_);
   section("metrics", *this);
-  if (config_.tracer != nullptr) {
-    SIMTY_CHECK_MSG(r.has_section("tracer"),
-                    "Run::restore_snapshot: snapshot carries no tracer section");
-    section("tracer", *config_.tracer);
-  }
-  if (config_.capture_delivery_log) {
-    SIMTY_CHECK_MSG(r.has_section("delivery-log"),
-                    "Run::restore_snapshot: snapshot carries no delivery log");
-    section("delivery-log", capture_log_);
-  }
+  if (config_.tracer != nullptr) section("tracer", *config_.tracer);
+  if (config_.capture_delivery_log) section("delivery-log", capture_log_);
   // The ctor's switch event died with the queue; rebind the saved one.
   beta_switch_event_ = beta_switch_event;
   if (beta_switch_event_) {

@@ -39,8 +39,8 @@ CohortAggregate run_shard(const FleetConfig& config, const Shard& shard) {
   CohortAggregate agg(spec.name);
   // One arena per executing thread, reset before every device: each device
   // run carves its per-run state from it (event-queue slabs, the policy,
-  // alarms and the registry, batches and queues, the batch index, apps and
-  // traces, observer lists, the interval audit), and the reset rewinds the
+  // alarms and the registry, batches and queues, apps and their traces,
+  // observer lists, the interval audit), and the reset rewinds the
   // same blocks for the next device and the next shard. What still reaches
   // the heap per device — the sampled catalog, the delay histogram, long
   // alarm tags and the result — is budgeted by the alloc gate's fleet-shard

@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "common/arena.hpp"
-#include "common/check.hpp"
 #include "common/time.hpp"
 #include "hw/component.hpp"
 #include "hw/power_bus.hpp"
@@ -83,21 +82,6 @@ class WakelockManager {
   template <typename Self, typename F>
   static void for_each_state_field(Self& self, F&& f) {
     f("rails", self.rails_);
-    // Fixed slots that keep the section's bytes: the manager keeps no
-    // anomaly list and no watchdog, so they are an empty count and a zero
-    // threshold, and anything else is rejected.
-    f("anomalies", snapshot::by_hand(
-        self,
-        [](snapshot::Writer& w, const auto&) { w.u64(0); },
-        [](snapshot::SectionReader& s, auto&) {
-          SIMTY_CHECK_MSG(s.u64() == 0, "snapshot: wakelock anomalies are not supported");
-        }));
-    f("watchdog_threshold", snapshot::by_hand(
-        self,
-        [](snapshot::Writer& w, const auto&) { w.i64(0); },
-        [](snapshot::SectionReader& s, auto&) {
-          SIMTY_CHECK_MSG(s.i64() == 0, "snapshot: a wakelock watchdog is not supported");
-        }));
     f("next_id", self.next_id_);
   }
 
@@ -133,19 +117,6 @@ class WakelockManager {
           [](snapshot::SectionReader& s, auto& e) {
             const std::uint64_t id = s.u64();
             e = id == 0 ? std::nullopt : std::optional(sim::EventId{id});
-          }));
-      // A fixed slot that keeps the section's bytes: a rail's tail is the
-      // model's (fast dormancy is a short model tail), so the slot is an
-      // absent override (false, then 0) and a present one is rejected.
-      f("tail_override", snapshot::by_hand(
-          self,
-          [](snapshot::Writer& w, const auto&) {
-            w.boolean(false);
-            w.i64(0);
-          },
-          [](snapshot::SectionReader& s, auto&) {
-            SIMTY_CHECK_MSG(!s.boolean(), "snapshot: a tail override is not supported");
-            s.i64();
           }));
       f("usage", self.usage);
     }

@@ -39,7 +39,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "common/check.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "snapshot/snapshot.hpp"
@@ -226,8 +225,9 @@ class FieldReaderBase {
   void operator()(const char* name, std::unique_ptr<T>& v) const {
     bool present = false;
     self()(name, present);
-    SIMTY_CHECK_MSG(present == (v != nullptr),
-                    "snapshot: presence differs from the run's");
+    if (present != (v != nullptr)) {
+      throw std::logic_error("snapshot: presence differs from the run's");
+    }
     if (v) self()(name, *v);
   }
   template <typename A, typename B>
@@ -241,14 +241,16 @@ class FieldReaderBase {
   }
   template <typename V>
   void operator()(const char* name, Fixed<V>& v) const {
-    SIMTY_CHECK_MSG(s_.u64() == v.v.size(), "snapshot: count differs from the run's");
+    if (s_.u64() != v.v.size()) {
+      throw std::logic_error("snapshot: count differs from the run's");
+    }
     for (auto& x : v.v) self()(name, detail::deref(x));
   }
   template <typename T>
   void operator()(const char* name, Same<T>& v) const {
     std::remove_const_t<T> saved{};
     self()(name, saved);
-    SIMTY_CHECK_MSG(saved == v.v, "snapshot: value differs from the run's");
+    if (!(saved == v.v)) throw std::logic_error("snapshot: value differs from the run's");
   }
   template <typename T>
   void operator()(const char* name, T& v) const {
@@ -259,8 +261,9 @@ class FieldReaderBase {
     } else if constexpr (std::is_enum_v<T>) {
       v = static_cast<T>(s_.u8());
       // Each enum's to_string names every enumerator and gives "?" otherwise.
-      SIMTY_CHECK_MSG(std::string_view(to_string(v)) != "?",
-                      "snapshot: unknown enumerator");
+      if (std::string_view(to_string(v)) == "?") {
+        throw std::logic_error("snapshot: unknown enumerator");
+      }
     } else if constexpr (detail::Sequence<T>) {
       // Elements are appended as they decode, never reserved from the count.
       const std::uint64_t n = read_count(s_);

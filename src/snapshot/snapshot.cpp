@@ -137,25 +137,29 @@ std::string Writer::finish() {
 // SectionReader
 
 std::uint8_t SectionReader::peek_tag() const {
-  SIMTY_CHECK_MSG(remaining() >= 1, "snapshot: truncated section payload");
+  if (remaining() < 1) {
+    throw std::logic_error("snapshot: truncated section payload");
+  }
   return static_cast<std::uint8_t>(payload_[pos_]);
 }
 
 void SectionReader::reject(FieldType want) const {
   const std::uint8_t tag = peek_tag();
-  SIMTY_CHECK_MSG(tag == static_cast<std::uint8_t>(want),
-                  std::string("snapshot: expected a ") + to_string(want) +
-                      " field, found " + to_string(static_cast<FieldType>(tag)) +
-                      " (schema skew or corruption)");
+  if (tag != static_cast<std::uint8_t>(want)) {
+    throw std::logic_error(std::string("snapshot: expected a ") + to_string(want) +
+                           " field, found " + to_string(static_cast<FieldType>(tag)) +
+                           " (schema skew or corruption)");
+  }
   // The tag is there and right, so the value is what is cut short.
-  SIMTY_CHECK_MSG(false, "snapshot: truncated section payload");
-  __builtin_unreachable();
+  throw std::logic_error("snapshot: truncated section payload");
 }
 
 std::string_view SectionReader::blob(FieldType type) {
   const std::uint64_t n = take<std::uint64_t>(type);
-  SIMTY_CHECK_MSG(n <= remaining() && n < kMaxBlob,
-                  std::string("snapshot: ") + to_string(type) + " overruns payload");
+  if (n > remaining() || n >= kMaxBlob) {
+    throw std::logic_error(std::string("snapshot: ") + to_string(type) +
+                           " overruns payload");
+  }
   const std::string_view out = payload_.substr(pos_, static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
   return out;
@@ -164,15 +168,20 @@ std::string_view SectionReader::blob(FieldType type) {
 void SectionReader::check_count(std::uint64_t n, std::size_t min_bytes_each) const {
   // Every field costs at least its tag byte, so `min_bytes_each` is >= 1
   // and the division cannot admit an absurd count on a short payload.
-  SIMTY_CHECK_MSG(min_bytes_each > 0, "snapshot: check_count needs a positive item size");
-  SIMTY_CHECK_MSG(n <= remaining() / min_bytes_each,
-                  "snapshot: item count overruns payload");
+  if (min_bytes_each == 0) {
+    throw std::logic_error("snapshot: check_count needs a positive item size");
+  }
+  if (n > remaining() / min_bytes_each) {
+    throw std::logic_error("snapshot: item count overruns payload");
+  }
 }
 
 void SectionReader::require_end() const {
-  SIMTY_CHECK_MSG(at_end(), "snapshot: section '" + std::string(name_) + "' has " +
-                                std::to_string(remaining()) +
-                                " unread bytes after its last field");
+  if (!at_end()) {
+    throw std::logic_error("snapshot: section '" + std::string(name_) + "' has " +
+                           std::to_string(remaining()) +
+                           " unread bytes after its last field");
+  }
 }
 
 namespace {
@@ -203,7 +212,9 @@ void rethrow_in_field(const SectionReader& s, const char* name,
 Reader::Reader(std::string bytes) : bytes_(std::move(bytes)) {
   std::size_t pos = 0;
   const auto take = [&](std::size_t n) -> std::string_view {
-    SIMTY_CHECK_MSG(bytes_.size() - pos >= n, "snapshot: truncated container");
+    if (bytes_.size() - pos < n) {
+      throw std::logic_error("snapshot: truncated container");
+    }
     const std::string_view v(bytes_.data() + pos, n);
     pos += n;
     return v;
@@ -211,32 +222,41 @@ Reader::Reader(std::string bytes) : bytes_(std::move(bytes)) {
   const auto take_u32 = [&] { return detail::load_le<std::uint32_t>(take(4).data()); };
   const auto take_u64 = [&] { return detail::load_le<std::uint64_t>(take(8).data()); };
 
-  SIMTY_CHECK_MSG(take(sizeof(kMagic)) == std::string_view(kMagic, sizeof(kMagic)),
-                  "snapshot: bad magic (not a SMTYSNP1 snapshot)");
-  const std::uint32_t version = take_u32();
-  SIMTY_CHECK_MSG(version == kFormatVersion, "snapshot: unsupported format version");
+  if (take(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
+    throw std::logic_error("snapshot: bad magic (not a SMTYSNP1 snapshot)");
+  }
+  if (take_u32() != kFormatVersion) {
+    throw std::logic_error("snapshot: unsupported format version");
+  }
   const std::uint32_t count = take_u32();
   // Each section costs at least name-len + version + payload-len = 16 bytes.
-  SIMTY_CHECK_MSG(count <= (bytes_.size() - pos) / 16,
-                  "snapshot: section count overruns container");
+  if (count > (bytes_.size() - pos) / 16) {
+    throw std::logic_error("snapshot: section count overruns container");
+  }
   sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t name_len = take_u32();
-    SIMTY_CHECK_MSG(name_len > 0 && name_len <= bytes_.size() - pos,
-                    "snapshot: section name overruns container");
+    if (name_len == 0 || name_len > bytes_.size() - pos) {
+      throw std::logic_error("snapshot: section name overruns container");
+    }
     Entry e;
     e.name = take(name_len);
     e.version = take_u32();
     const std::uint64_t payload_len = take_u64();
-    SIMTY_CHECK_MSG(payload_len <= bytes_.size() - pos && payload_len < kMaxBlob,
-                    "snapshot: section payload overruns container");
+    if (payload_len > bytes_.size() - pos || payload_len >= kMaxBlob) {
+      throw std::logic_error("snapshot: section payload overruns container");
+    }
     e.payload = take(static_cast<std::size_t>(payload_len));
     for (const Entry& prev : sections_) {
-      SIMTY_CHECK_MSG(prev.name != e.name, "snapshot: duplicate section name");
+      if (prev.name == e.name) {
+        throw std::logic_error("snapshot: duplicate section name");
+      }
     }
     sections_.push_back(e);
   }
-  SIMTY_CHECK_MSG(pos == bytes_.size(), "snapshot: trailing garbage after last section");
+  if (pos != bytes_.size()) {
+    throw std::logic_error("snapshot: trailing garbage after last section");
+  }
 }
 
 bool Reader::has_section(std::string_view name) const {
@@ -249,15 +269,15 @@ bool Reader::has_section(std::string_view name) const {
 SectionReader Reader::section(std::string_view name, std::uint32_t version) const {
   for (const Entry& e : sections_) {
     if (e.name != name) continue;
-    SIMTY_CHECK_MSG(e.version == version,
-                    str_format("snapshot: section '%.*s' has version %u, this build "
-                               "reads %u",
-                               static_cast<int>(name.size()), name.data(),
-                               e.version, version));
+    if (e.version != version) {
+      throw std::logic_error(str_format(
+          "snapshot: section '%.*s' has version %u, this build reads %u",
+          static_cast<int>(name.size()), name.data(), e.version, version));
+    }
     return SectionReader(e.name, e.version, e.payload);
   }
-  SIMTY_CHECK_MSG(false, "snapshot: missing required section");
-  __builtin_unreachable();
+  throw std::logic_error(str_format("snapshot: missing required section '%.*s'",
+                                    static_cast<int>(name.size()), name.data()));
 }
 
 std::string_view Reader::section_name(std::size_t i) const {
@@ -323,7 +343,7 @@ DecodedSnapshot decode_snapshot(const std::string& bytes) {
         case FieldType::kStr: f.repr = printable(s.str()); break;
         case FieldType::kBytes: f.repr = printable(s.bytes()); break;
         default:
-          SIMTY_CHECK_MSG(false, "snapshot: unknown field tag");
+          throw std::logic_error("snapshot: unknown field tag");
       }
       d.fields.push_back(std::move(f));
     }

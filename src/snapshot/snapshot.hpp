@@ -1,8 +1,9 @@
 #pragma once
-// Versioned little-endian snapshot container (resumable run state).
+// Versioned little-endian snapshot container: the one binary format for
+// resumable run state, binary run traces (trace/tracer.hpp) and the serve
+// protocol's frames.
 //
-// Same byte discipline as the SMTYTRC1 trace format (trace/tracer.cpp):
-// every integer is little-endian regardless of host order, doubles travel
+// Every integer is little-endian regardless of host order, doubles travel
 // as raw IEEE-754 bit patterns (bit-exact, no text round-trip), and the
 // reader bounds-checks every length before it allocates or advances.
 //
@@ -30,9 +31,10 @@
 // section carrying a field its reader does not list is rejected.
 //
 // Malformed input — bad magic, truncated section, version skew, a length
-// that overruns the buffer, an unknown tag — is rejected with SIMTY_CHECK
-// (std::logic_error), never undefined behavior; tests/snapshot feeds this
-// reader randomized corruptions under the ASan/UBSan CI job.
+// that overruns the buffer, an unknown tag — is rejected with a
+// std::logic_error whose message is the cause alone, never undefined
+// behavior; tests/snapshot feeds this reader randomized corruptions under
+// the ASan/UBSan CI job.
 
 #include <bit>
 #include <cstdint>
@@ -42,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.hpp"
 
 namespace simty::snapshot {
 
@@ -199,7 +200,7 @@ class SectionReader {
 /// interpreted until a SectionReader walks them.
 class Reader {
  public:
-  /// Takes ownership of the raw bytes; throws via SIMTY_CHECK on a
+  /// Takes ownership of the raw bytes; throws std::logic_error on a
   /// malformed container.
   explicit Reader(std::string bytes);
 
@@ -280,7 +281,7 @@ std::string read_file(const std::string& path);
 void write_file(const std::string& path, const std::string& bytes);
 
 /// Writes bytes to `path` via a same-directory temporary + rename, so a
-/// crash mid-write never leaves a torn file (fleet shard checkpoints).
+/// crash mid-write never leaves a torn file.
 void write_file_atomic(const std::string& path, const std::string& bytes);
 
 }  // namespace simty::snapshot

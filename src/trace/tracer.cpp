@@ -16,75 +16,17 @@ namespace {
 
 thread_local Tracer* g_current = nullptr;
 
-// Binary format (all integers little-endian, independent of host order):
-//   magic "SMTYTRC1"
-//   u32 label_count, then per label: u32 byte length + raw bytes
-//   u64 dropped events (always 0: the tracer never drops; the field keeps
-//       the format stable)
-//   u64 event_count, then per event:
-//     i64 t_us | u32 label index | u8 kind | u8 category | i64 arg
-constexpr char kMagic[8] = {'S', 'M', 'T', 'Y', 'T', 'R', 'C', '1'};
-constexpr std::size_t kRecordBytes = 8 + 4 + 1 + 1 + 8;
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  append_u64(out, static_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked little-endian reader over an immutable byte string.
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
-
-  std::uint32_t read_u32() { return static_cast<std::uint32_t>(read_le(4)); }
-  std::uint64_t read_u64() { return read_le(8); }
-  std::int64_t read_i64() { return static_cast<std::int64_t>(read_le(8)); }
-  std::uint8_t read_u8() { return static_cast<std::uint8_t>(read_le(1)); }
-
-  std::string read_bytes(std::size_t n) {
-    require(n);
-    std::string out = bytes_.substr(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  void require(std::size_t n) const {
-    if (remaining() < n) {
-      throw std::runtime_error("trace: truncated input");
-    }
-  }
-
-  std::uint64_t read_le(std::size_t n) {
-    require(n);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += n;
-    return v;
-  }
-
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
-};
+// A trace file is a snapshot container holding this one section, in
+// SavedTrace's layout. Bump the version when SavedTrace's field list
+// changes (Run snapshots carry the same section under their own version).
+constexpr const char* kTraceSection = "tracer";
+constexpr std::uint32_t kTraceVersion = 1;
 
 // The events as a decoded trace: labels deduplicated by CONTENT in
 // first-appearance order, each event naming its label by index. Two runs
 // recording the same event sequence get identical tables even though the
-// label pointers differ between processes (or interner states). binary()
-// and save() share it, so a save/restore round trip re-exports
-// byte-identical artifacts.
+// label pointers differ between processes (or interner states), and a
+// save/restore round trip re-exports byte-identical artifacts.
 DecodedTrace decode_events(const std::vector<TraceEvent>& events) {
   DecodedTrace t;
   std::map<std::string_view, std::uint32_t> ids;
@@ -98,8 +40,8 @@ DecodedTrace decode_events(const std::vector<TraceEvent>& events) {
   return t;
 }
 
-// A tracer's snapshot fields: its events as a decoded trace (never any
-// dropped), and the number of spans still open.
+// A tracer's snapshot fields: its events as a decoded trace, and the
+// number of spans still open.
 struct SavedTrace {
   DecodedTrace trace;
   std::int64_t open_spans = 0;
@@ -107,11 +49,25 @@ struct SavedTrace {
   template <typename Self, typename F>
   static void for_each_state_field(Self& self, F&& f) {
     f("labels", self.trace.labels);
-    f("dropped", self.trace.dropped);
     f("open_spans", self.open_spans);
     f("events", self.trace.events);
   }
 };
+
+// Reads a tracer section, checking what the field codec cannot: the span
+// count and every event's label index. Tracer::restore and decode_trace
+// both read through here.
+SavedTrace read_saved(snapshot::SectionReader& s) {
+  SavedTrace saved;
+  snapshot::read_fields(s, saved);
+  if (saved.open_spans < 0) throw std::logic_error("trace: negative open span count");
+  for (const DecodedEvent& e : saved.trace.events) {
+    if (e.label >= saved.trace.labels.size()) {
+      throw std::logic_error("trace: label index out of range");
+    }
+  }
+  return saved;
+}
 
 std::string json_escape(const char* s) {
   std::string out;
@@ -231,55 +187,25 @@ std::string Tracer::chrome_json() const {
     const char* cat = to_string(e.category);
     const long long ts = static_cast<long long>(e.t_us);
     const long long arg = static_cast<long long>(e.arg);
-    switch (e.kind) {
-      case TraceEventKind::kSpanBegin:
-        out += str_format(
-            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"B\",\"ts\":%lld,"
-            "\"pid\":0,\"tid\":0,\"args\":{\"arg\":%lld}}",
-            name.c_str(), cat, ts, arg);
-        break;
-      case TraceEventKind::kSpanEnd:
-        out += str_format(
-            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"E\",\"ts\":%lld,"
-            "\"pid\":0,\"tid\":0,\"args\":{\"arg\":%lld}}",
-            name.c_str(), cat, ts, arg);
-        break;
-      case TraceEventKind::kInstant:
-        out += str_format(
-            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"I\",\"s\":\"t\","
-            "\"ts\":%lld,\"pid\":0,\"tid\":0,\"args\":{\"arg\":%lld}}",
-            name.c_str(), cat, ts, arg);
-        break;
-      case TraceEventKind::kCounter:
-        out += str_format(
-            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"C\",\"ts\":%lld,"
-            "\"pid\":0,\"tid\":0,\"args\":{\"value\":%lld}}",
-            name.c_str(), cat, ts, arg);
-        break;
-    }
+    // Phases B, E, I, C by kind; an instant is thread-scoped and a
+    // counter's value is its only arg.
+    out += str_format(
+        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\"%s,\"ts\":%lld,"
+        "\"pid\":0,\"tid\":0,\"args\":{\"%s\":%lld}}",
+        name.c_str(), cat, "BEIC"[static_cast<int>(e.kind)],
+        e.kind == TraceEventKind::kInstant ? ",\"s\":\"t\"" : "", ts,
+        e.kind == TraceEventKind::kCounter ? "value" : "arg", arg);
   }
   out += "\n]}\n";
   return out;
 }
 
 std::string Tracer::binary() const {
-  const DecodedTrace t = decode_events(snapshot());
-  std::string out(kMagic, sizeof(kMagic));
-  append_u32(out, static_cast<std::uint32_t>(t.labels.size()));
-  for (const std::string& label : t.labels) {
-    append_u32(out, static_cast<std::uint32_t>(label.size()));
-    out.append(label);
-  }
-  append_u64(out, t.dropped);
-  append_u64(out, static_cast<std::uint64_t>(t.events.size()));
-  for (const DecodedEvent& e : t.events) {
-    append_i64(out, e.t_us);
-    append_u32(out, e.label);
-    out.push_back(static_cast<char>(e.kind));
-    out.push_back(static_cast<char>(e.category));
-    append_i64(out, e.arg);
-  }
-  return out;
+  snapshot::Writer w;
+  w.begin_section(kTraceSection, kTraceVersion);
+  save(w);
+  w.end_section();
+  return w.finish();
 }
 
 void Tracer::save(snapshot::Writer& w) const {
@@ -287,19 +213,13 @@ void Tracer::save(snapshot::Writer& w) const {
 }
 
 void Tracer::restore(snapshot::SectionReader& s) {
-  SavedTrace saved;
-  snapshot::read_fields(s, saved);
-  SIMTY_CHECK_MSG(saved.trace.dropped == 0,
-                  "Tracer::restore: snapshot counts dropped events");
-  SIMTY_CHECK_MSG(saved.open_spans >= 0, "Tracer::restore: negative open span count");
+  SavedTrace saved = read_saved(s);
   clear();
   restored_labels_.clear();
   for (std::string& label : saved.trace.labels) {
     restored_labels_.push_back(std::make_unique<std::string>(std::move(label)));
   }
   for (const DecodedEvent& e : saved.trace.events) {
-    SIMTY_CHECK_MSG(e.label < restored_labels_.size(),
-                    "Tracer::restore: label index out of range");
     record(TraceEvent{e.t_us, restored_labels_[e.label]->c_str(), e.arg, e.kind,
                       e.category});
   }
@@ -315,50 +235,11 @@ TraceScope::TraceScope(Tracer* tracer) : previous_(g_current) {
 TraceScope::~TraceScope() { g_current = previous_; }
 
 DecodedTrace decode_trace(const std::string& bytes) {
-  Reader in(bytes);
-  if (in.read_bytes(sizeof(kMagic)) != std::string(kMagic, sizeof(kMagic))) {
-    throw std::runtime_error("trace: bad magic (not a SIMTY binary trace)");
-  }
   DecodedTrace t;
-  const std::uint32_t label_count = in.read_u32();
-  // Each label takes at least its u32 length, so a count the input cannot
-  // hold is rejected before it sizes an allocation.
-  if (label_count > in.remaining() / 4) {
-    throw std::runtime_error("trace: label_count exceeds the input");
-  }
-  t.labels.reserve(label_count);
-  for (std::uint32_t i = 0; i < label_count; ++i) {
-    const std::uint32_t len = in.read_u32();
-    t.labels.push_back(in.read_bytes(len));
-  }
-  t.dropped = in.read_u64();
-  const std::uint64_t event_count = in.read_u64();
-  // Divide rather than multiply: event_count * kRecordBytes can wrap.
-  if (in.remaining() % kRecordBytes != 0 ||
-      event_count != in.remaining() / kRecordBytes) {
-    throw std::runtime_error("trace: event_count does not match the event payload");
-  }
-  t.events.reserve(event_count);
-  for (std::uint64_t i = 0; i < event_count; ++i) {
-    DecodedEvent e;
-    e.t_us = in.read_i64();
-    e.label = in.read_u32();
-    const std::uint8_t kind = in.read_u8();
-    const std::uint8_t category = in.read_u8();
-    e.arg = in.read_i64();
-    if (kind > static_cast<std::uint8_t>(TraceEventKind::kCounter)) {
-      throw std::runtime_error("trace: bad event kind");
-    }
-    if (category > static_cast<std::uint8_t>(TraceCategory::kExp)) {
-      throw std::runtime_error("trace: bad event category");
-    }
-    if (e.label >= t.labels.size()) {
-      throw std::runtime_error("trace: label index out of range");
-    }
-    e.kind = static_cast<TraceEventKind>(kind);
-    e.category = static_cast<TraceCategory>(category);
-    t.events.push_back(e);
-  }
+  const snapshot::Reader r(bytes);
+  r.read_section(kTraceSection, kTraceVersion, [&t](snapshot::SectionReader& s) {
+    t = std::move(read_saved(s).trace);
+  });
   return t;
 }
 
@@ -401,13 +282,6 @@ TraceDiff diff_traces(const DecodedTrace& a, const DecodedTrace& b) {
         "traces share %zu events, then %s has %zu extra:\n  first extra: %s",
         common, a.events.size() > b.events.size() ? "a" : "b",
         longer.events.size() - common, format_event(longer, common).c_str());
-    return d;
-  }
-  if (a.dropped != b.dropped) {
-    d.summary = str_format(
-        "events identical but drop counts differ (a: %llu, b: %llu)",
-        static_cast<unsigned long long>(a.dropped),
-        static_cast<unsigned long long>(b.dropped));
     return d;
   }
   d.equal = true;

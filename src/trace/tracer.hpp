@@ -101,11 +101,12 @@ class Tracer {
   /// Chrome trace-event JSON (load in Perfetto / chrome://tracing).
   std::string chrome_json() const;
 
-  /// Compact binary export; see decode_trace() for the format contract.
+  /// Binary export: a snapshot container (snapshot/snapshot.hpp) holding
+  /// one "tracer" section written by save(); decode_trace() reads it.
   std::string binary() const;
 
-  /// Serializes the held events (labels deduplicated by content, like
-  /// binary()) plus the open-span counter. restore() replaces
+  /// Serializes the held events (labels deduplicated by content in
+  /// first-appearance order) plus the open-span counter. restore() replaces
   /// this tracer's contents; restored labels are owned by the tracer, so
   /// subsequent exports are byte-identical to the saved run's.
   void save(snapshot::Writer& w) const;
@@ -146,7 +147,7 @@ class TraceScope {
 // ---------------------------------------------------------------------------
 // Decoded traces and diffing (the testable core of tools/trace_diff).
 
-/// A decoded binary-format event; `label` indexes DecodedTrace::labels.
+/// A decoded binary-trace event; `label` indexes DecodedTrace::labels.
 struct DecodedEvent {
   std::int64_t t_us = 0;
   std::uint32_t label = 0;
@@ -171,16 +172,14 @@ struct DecodedEvent {
 struct DecodedTrace {
   std::vector<std::string> labels;
   std::vector<DecodedEvent> events;
-  std::uint64_t dropped = 0;
 
   const std::string& label_of(const DecodedEvent& e) const {
     return labels[e.label];
   }
 };
 
-/// Parses Tracer::binary() output; throws std::runtime_error on malformed
-/// input (bad magic, truncation, out-of-range enums or label indices,
-/// trailing bytes).
+/// Parses Tracer::binary() output; throws std::logic_error on malformed
+/// input (the container's checks, out-of-range enums or label indices).
 DecodedTrace decode_trace(const std::string& bytes);
 
 /// Reads and decodes a binary trace file.

@@ -89,56 +89,6 @@ TEST(RestoreChecks, TypeSkewedFieldIsRejectedNamingSectionAndField) {
   EXPECT_TRUE(contains(error, "section 'accountant' field 'breakdown.sleep'")) << error;
 }
 
-TEST(RestoreChecks, PresentTailOverrideIsRejectedNamingTheField) {
-  const ExperimentConfig config = hour_config();
-  const std::string snap = snapshot_at_30min(config);
-  // wakelocks: the first rail's on_since, tail_since and tail_event are
-  // tagged 8-byte fields; its tail_override presence flag is the u8 after.
-  const std::string present =
-      support::edit_section(snap, "wakelocks", [](std::string& p) {
-        ASSERT_EQ(p[27], static_cast<char>(snapshot::FieldType::kU8));
-        ASSERT_EQ(p[28], 0);
-        p[28] = 1;
-      });
-  const std::string error = restore_error(config, present);
-  EXPECT_TRUE(contains(error, "section 'wakelocks' field 'rails.tail_override'"))
-      << error;
-}
-
-TEST(RestoreChecks, WakelockAnomaliesAndWatchdogAreRejectedNamingTheField) {
-  const ExperimentConfig config = hour_config();
-  const std::string snap = snapshot_at_30min(config);
-  // wakelocks ends with three tagged 8-byte fields: the anomalies count,
-  // the watchdog threshold and next_id.
-  // One well-formed anomaly: component, holder, acquired_at, held_for,
-  // still_held.
-  snapshot::Writer anomaly;
-  anomaly.begin_section("field", 0);
-  anomaly.u64(1);
-  anomaly.u8(0);
-  anomaly.str("app");
-  anomaly.i64(0);
-  anomaly.i64(120'000'000);
-  anomaly.boolean(false);
-  const std::string one_anomaly(anomaly.payload());
-  const std::string anomalies =
-      support::edit_section(snap, "wakelocks", [&](std::string& p) {
-        ASSERT_EQ(p[p.size() - 27], static_cast<char>(snapshot::FieldType::kU64));
-        p.replace(p.size() - 27, 9, one_anomaly);
-      });
-  std::string error = restore_error(config, anomalies);
-  EXPECT_TRUE(contains(error, "section 'wakelocks' field 'anomalies'")) << error;
-
-  const std::string watchdog =
-      support::edit_section(snap, "wakelocks", [](std::string& p) {
-        ASSERT_EQ(p[p.size() - 18], static_cast<char>(snapshot::FieldType::kI64));
-        p[p.size() - 17] = 1;  // a 1 µs threshold
-      });
-  error = restore_error(config, watchdog);
-  EXPECT_TRUE(contains(error, "section 'wakelocks' field 'watchdog_threshold'"))
-      << error;
-}
-
 TEST(RestoreChecks, RandomizedCorruptionOfRealSnapshotsNeverEscapesTheChecks) {
   struct Case {
     const char* name;

@@ -1,6 +1,6 @@
 #pragma once
 // Exact equality of result types, walked from the metric tables: a metric
-// added to SIMTY_RUN_RESULT_SCALARS, SIMTY_RESPONSE_METRICS or
+// added to SIMTY_RUN_RESULT_SCALARS (which serve::Response repeats) or
 // SIMTY_FLEET_METRICS is compared here with no further edit. EXPECT_EQ on
 // doubles is exact on purpose: the contract is bit-identical results, not
 // "close enough".

@@ -5,10 +5,12 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "snapshot/snapshot.hpp"
 #include "support/corrupt.hpp"
+#include "support/section_edit.hpp"
 
 namespace simty::trace {
 namespace {
@@ -33,7 +35,7 @@ TEST(Tracer, RecordsAllEventKindsInOrder) {
   EXPECT_EQ(events[2].arg, 1);
   EXPECT_EQ(events[3].kind, TraceEventKind::kSpanEnd);
   EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(decode_trace(t.binary()).dropped, 0u);
+  EXPECT_EQ(decode_trace(t.binary()).events.size(), 4u);
 }
 
 TEST(Tracer, SpanNestingIsTrackedAndUnderflowThrows) {
@@ -150,7 +152,6 @@ TEST(Tracer, BinaryRoundTripsThroughDecode) {
   EXPECT_EQ(d.events[0].category, TraceCategory::kExp);
   EXPECT_EQ(d.label_of(d.events[1]), "batch-create");
   EXPECT_EQ(d.events[3].kind, TraceEventKind::kSpanEnd);
-  EXPECT_EQ(d.dropped, 0u);
 }
 
 TEST(Tracer, BinaryIsIdenticalForIdenticalEventSequences) {
@@ -163,61 +164,112 @@ TEST(Tracer, BinaryIsIdenticalForIdenticalEventSequences) {
   EXPECT_EQ(a.binary(), b.binary());
 }
 
-TEST(Tracer, DecodeRejectsMalformedInput) {
+// The file of a one-event trace, and the layout of its one section's
+// payload: the label table (a u64 count, then tagged strings), open_spans
+// (i64), the event count (u64), then per event t_us (i64), label (u32),
+// kind (u8), category (u8) and arg (i64), each field behind its tag byte.
+std::string one_tick() {
   Tracer t;
   t.instant(at_us(1), TraceCategory::kSim, "tick", 1);
-  const std::string good = t.binary();
+  return t.binary();
+}
 
-  EXPECT_THROW(decode_trace(""), std::runtime_error);
-  EXPECT_THROW(decode_trace("NOTATRACE"), std::runtime_error);
-  EXPECT_THROW(decode_trace(good.substr(0, good.size() - 1)), std::runtime_error);
-  EXPECT_THROW(decode_trace(good + "x"), std::runtime_error);
+// Value offsets in that payload (each after its field's tag byte), and the
+// size of one tagged event record.
+constexpr std::size_t kLabelCountAt = 1;
+constexpr std::size_t kEventCountAt = 9 + (1 + 8 + 4) + 9 + 1;  // "tick", open_spans
+constexpr std::size_t kEventBytes = 9 + 5 + 2 + 2 + 9;
 
-  // Corrupt the kind byte of the only record (offset: trailing 8 arg bytes
-  // + 1 category byte + 1 kind byte from the end).
-  std::string bad_kind = good;
-  bad_kind[bad_kind.size() - 10] = 9;
-  EXPECT_THROW(decode_trace(bad_kind), std::runtime_error);
-  std::string bad_cat = good;
-  bad_cat[bad_cat.size() - 9] = 9;
-  EXPECT_THROW(decode_trace(bad_cat), std::runtime_error);
+// `trace` with `edit(payload)` applied to its tracer section.
+template <typename Edit>
+std::string edited(const std::string& trace, Edit&& edit) {
+  return support::edit_section(trace, "tracer", std::forward<Edit>(edit));
 }
 
 // Overwrites `width` little-endian bytes of `bytes` at `at` with `v`.
-std::string with_le(std::string bytes, std::size_t at, std::uint64_t v, int width) {
+void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int width) {
   for (int i = 0; i < width; ++i) {
     bytes[at + static_cast<std::size_t>(i)] = static_cast<char>((v >> (8 * i)) & 0xffu);
   }
-  return bytes;
 }
 
-// Decoding `bytes` throws std::runtime_error naming `field`.
-void expect_rejected_naming(const std::string& bytes, const std::string& field) {
+// Decoding `bytes` throws std::logic_error containing `part`.
+void expect_rejected(const std::string& bytes, const std::string& part) {
   try {
     decode_trace(bytes);
-    ADD_FAILURE() << "decoded a hostile " << field;
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    ADD_FAILURE() << "decoded; wanted an error with " << part;
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(part), std::string::npos) << e.what();
   }
 }
 
+TEST(Tracer, DecodeRejectsMalformedInput) {
+  const std::string good = one_tick();
+  ASSERT_EQ(decode_trace(good).events.size(), 1u);
+
+  expect_rejected("", "truncated container");
+  expect_rejected("NOTATRACE", "bad magic");
+  expect_rejected(good.substr(0, good.size() - 1), "payload overruns container");
+  expect_rejected(good + "x", "trailing garbage");
+
+  // The only event's kind and category are its last u8 fields, before the
+  // tagged arg; 9 names neither.
+  expect_rejected(edited(good, [](std::string& p) { p[p.size() - 12] = 9; }),
+                  "field 'events.kind': snapshot: unknown enumerator");
+  expect_rejected(edited(good, [](std::string& p) { p[p.size() - 10] = 9; }),
+                  "field 'events.category': snapshot: unknown enumerator");
+}
+
 TEST(Tracer, DecodeRejectsCountsTheInputCannotHold) {
+  const std::string good = one_tick();
+  // A count the unread payload cannot hold is rejected, naming its field,
+  // before it sizes an allocation.
+  expect_rejected(edited(good,
+                         [](std::string& p) {
+                           ASSERT_EQ(p[kLabelCountAt - 1],
+                                     static_cast<char>(snapshot::FieldType::kU64));
+                           put_le(p, kLabelCountAt, ~0ull, 8);
+                         }),
+                  "section 'tracer' field 'labels': snapshot: item count overruns");
+  expect_rejected(edited(good,
+                         [](std::string& p) {
+                           ASSERT_EQ(p.size(), kEventCountAt + 8 + kEventBytes);
+                           put_le(p, kEventCountAt, (1ull << 63) + 1, 8);
+                         }),
+                  "section 'tracer' field 'events': snapshot: item count overruns");
+}
+
+TEST(Tracer, DecodeRejectsLabelIndexOutOfRange) {
+  // The event's label (a tagged u32) follows its tagged t_us.
+  const std::string bad = edited(one_tick(), [](std::string& p) {
+    const std::size_t label_at = kEventCountAt + 8 + 9;
+    ASSERT_EQ(p[label_at], static_cast<char>(snapshot::FieldType::kU32));
+    put_le(p, label_at + 1, 1, 4);  // the table holds label 0 only
+  });
+  expect_rejected(bad, "trace: label index out of range");
+  // Tracer::restore shares the check.
+  const snapshot::Reader r(bad);
+  snapshot::SectionReader s = r.section_at(0);
   Tracer t;
-  t.instant(at_us(1), TraceCategory::kSim, "tick", 1);
-  const std::string good = t.binary();
-  // label_count follows the 8-byte magic; a u32 count must not reach
-  // reserve() when the input is too short to hold that many labels.
-  expect_rejected_naming(with_le(good, 8, 0xffffffffu, 4), "label_count");
-  // event_count sits before the one 22-byte record. 2^63 + 1 records times
-  // 22 bytes wraps a u64 to exactly 22, which a multiplying check accepts.
-  const std::size_t event_count_at = good.size() - 22 - 8;
-  expect_rejected_naming(with_le(good, event_count_at, (1ull << 63) + 1, 8),
-                         "event_count");
+  EXPECT_THROW(t.restore(s), std::logic_error);
+}
+
+TEST(Tracer, DecodeRejectsTheRetiredTraceFormat) {
+  // A trace in the format binary() wrote before it became a snapshot
+  // container: "SMTYTRC1", the label table, a drop count, then 22-byte
+  // records.
+  std::string old = "SMTYTRC1";
+  old += std::string("\x01\0\0\0", 4) + std::string("\x04\0\0\0", 4) + "tick";
+  old += std::string(8, '\0') + std::string("\x01\0\0\0\0\0\0\0", 8);
+  old += std::string("\x01\0\0\0\0\0\0\0", 8) + std::string(4, '\0') +
+         std::string("\x02\0", 2) + std::string("\x01\0\0\0\0\0\0\0", 8);
+  ASSERT_EQ(old.size(), 8u + 4 + 8 + 8 + 8 + 22);
+  expect_rejected(old, "snapshot: bad magic");
 }
 
 TEST(Tracer, DecodeSurvivesHostileInputSweep) {
   // Every mangled trace either decodes or is rejected with
-  // std::runtime_error, never undefined behaviour or a huge allocation; the
+  // std::logic_error, never undefined behaviour or a huge allocation; the
   // sanitizer CI job runs this same sweep.
   Tracer t;
   t.span_begin(at_us(0), TraceCategory::kExp, "run", 1);
@@ -232,7 +284,7 @@ TEST(Tracer, DecodeSurvivesHostileInputSweep) {
   for (int round = 0; round < 4000; ++round) {
     try {
       survived += static_cast<int>(!decode_trace(support::corrupt(good, rng)).events.empty());
-    } catch (const std::runtime_error&) {
+    } catch (const std::logic_error&) {
       ++rejected;
     }
   }
@@ -278,19 +330,6 @@ TEST(Tracer, DiffReportsLengthMismatch) {
   ASSERT_TRUE(d.first_divergence.has_value());
   EXPECT_EQ(*d.first_divergence, 1u);
   EXPECT_NE(d.summary.find("b has 1 extra"), std::string::npos);
-}
-
-TEST(Tracer, DiffReportsDropCountMismatch) {
-  // A tracer never drops, but the format carries the count: a trace from
-  // another writer that did must not compare equal.
-  Tracer t;
-  t.instant(at_us(2), TraceCategory::kSim, "tick", 2);
-  const DecodedTrace a = decode_trace(t.binary());
-  DecodedTrace b = a;
-  b.dropped = 1;
-  const TraceDiff d = diff_traces(a, b);
-  EXPECT_FALSE(d.equal);
-  EXPECT_NE(d.summary.find("drop counts differ"), std::string::npos);
 }
 
 TEST(Tracer, SaveAndLoadBinaryFile) {

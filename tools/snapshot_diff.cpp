@@ -1,5 +1,5 @@
 // snapshot_diff: compares two snapshot containers (exp::Run checkpoints,
-// fleet shard .ckpt files) and names the first divergent section/field.
+// simty_run --trace files) and names the first divergent section/field.
 // The determinism gate's teeth for run state, as trace_diff is for traces:
 // "snapshots equal" proves two paused runs are in the same state, and a
 // divergence names the component (section) that forked first.
