@@ -3,7 +3,7 @@
 // snapshot byte unchanged, so a mismatch means the wire format moved. The
 // digests are re-recorded only together with a deliberate section-version
 // bump (kSectionVersion in exp/run.cpp), in a commit of their own; they
-// were last recorded at version 4.
+// were last recorded at version 5.
 
 #include <gtest/gtest.h>
 
@@ -40,11 +40,11 @@ struct PolicyDigests {
 
 TEST(SnapshotDigest, EveryPolicyLightAndHeavy) {
   const PolicyDigests cases[] = {
-      {PolicyKind::kNative, 0x4f901dfc08106af3ull, 0x42e3bea0df860a8full},
-      {PolicyKind::kSimty, 0x9c164007f301f50eull, 0xa6268b29a4dd13d7ull},
-      {PolicyKind::kExact, 0xf2a034aff8af463eull, 0xb13b786ad5bae828ull},
-      {PolicyKind::kSimtyDuration, 0xe2183f0018c7bcdcull, 0xf4a05fdc794ac719ull},
-      {PolicyKind::kFixedInterval, 0xc71167dca0dc3d99ull, 0x43d84d6ddb43c899ull},
+      {PolicyKind::kNative, 0x78a70b8bf5afb87cull, 0x2156f22e78408c6cull},
+      {PolicyKind::kSimty, 0x903181986acdd1e1ull, 0xc0158cc233244db6ull},
+      {PolicyKind::kExact, 0xe22c000e1a1d51dbull, 0x5e08e29245c88d93ull},
+      {PolicyKind::kSimtyDuration, 0x4b6280bb82de0823ull, 0xaeff7c6d17c97556ull},
+      {PolicyKind::kFixedInterval, 0x4f03bf32e7302c12ull, 0x28c829ef4653430cull},
   };
   for (const PolicyDigests& c : cases) {
     SCOPED_TRACE(to_string(c.policy));
@@ -56,16 +56,16 @@ TEST(SnapshotDigest, EveryPolicyLightAndHeavy) {
 TEST(SnapshotDigest, DrxAndWurPaging) {
   ExperimentConfig drx = two_hour_config(PolicyKind::kSimty, WorkloadKind::kLight);
   drx.drx.emplace();
-  EXPECT_EQ(snapshot_digest(drx), 0xbc3202ba181bce47ull);
+  EXPECT_EQ(snapshot_digest(drx), 0x5151b9f6faba3303ull);
   ExperimentConfig wur = drx;
   wur.drx->wur = true;
-  EXPECT_EQ(snapshot_digest(wur), 0x651376e0f44d54f2ull);
+  EXPECT_EQ(snapshot_digest(wur), 0xcb06b287b9813a1full);
 }
 
 TEST(SnapshotDigest, DeliveryLogCapture) {
   ExperimentConfig config = two_hour_config(PolicyKind::kSimty, WorkloadKind::kLight);
   config.capture_delivery_log = true;
-  EXPECT_EQ(snapshot_digest(config), 0x18d7e158e79284a7ull);
+  EXPECT_EQ(snapshot_digest(config), 0x792b5f864499a04bull);
 }
 
 #if !defined(SIMTY_TRACE_DISABLED)
@@ -73,7 +73,7 @@ TEST(SnapshotDigest, Tracer) {
   trace::Tracer tracer;
   ExperimentConfig config = two_hour_config(PolicyKind::kSimty, WorkloadKind::kHeavy);
   config.tracer = &tracer;
-  EXPECT_EQ(snapshot_digest(config), 0xef3ca2abbaa1dd65ull);
+  EXPECT_EQ(snapshot_digest(config), 0xa6b62195c85ddd1bull);
 }
 #endif
 
