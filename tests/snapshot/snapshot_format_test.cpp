@@ -2,9 +2,9 @@
 // discipline, the generic decode/diff used by tools/snapshot_diff, and —
 // the hostile-input satellite — a randomized-corruption sweep asserting
 // that every mangled container is either decoded or rejected with
-// std::logic_error via SIMTY_CHECK, never undefined behavior. The suite
-// runs under the sanitizer CI job, which is what turns "never UB" from a
-// comment into a checked property.
+// std::logic_error, never undefined behavior. The suite runs under the
+// sanitizer CI job, which is what turns "never UB" from a comment into a
+// checked property.
 
 #include <gtest/gtest.h>
 
