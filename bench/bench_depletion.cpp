@@ -8,7 +8,7 @@
 
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "exp/adaptive.hpp"
+#include "experiments/adaptive.hpp"
 
 using namespace simty;
 

@@ -10,7 +10,7 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "exp/run.hpp"
-#include "power/app_attribution.hpp"
+#include "experiments/app_attribution.hpp"
 
 using namespace simty;
 

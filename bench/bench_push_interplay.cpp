@@ -14,7 +14,7 @@
 #include "apps/workload.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "gcm/gcm_service.hpp"
+#include "experiments/gcm_service.hpp"
 #include "hw/device.hpp"
 #include "hw/power_bus.hpp"
 #include "hw/rtc.hpp"

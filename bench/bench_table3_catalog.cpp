@@ -8,7 +8,6 @@
 #include "apps/app_catalog.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "hw/device_spec.hpp"
 #include "hw/power_model.hpp"
 
 using namespace simty;
@@ -16,9 +15,14 @@ using namespace simty;
 int main() {
   TextTable spec("Table 2: specifications of LG Nexus 5 (modelled)");
   spec.set_header({"Category", "Item", "Value"});
-  for (const hw::SpecEntry& e : hw::nexus5_spec()) {
-    spec.add_row({e.category, e.item, e.value});
-  }
+  spec.add_row({"Hardware", "CPU", "Quad-core 2.26 GHz Krait 400"});
+  spec.add_row({"Hardware", "Memory", "2GB LPDDR3 RAM"});
+  spec.add_row({"Hardware", "Cellular", "3G WCDMA UMTS/HSPA/HSPA+"});
+  spec.add_row({"Hardware", "WLAN", "2x2 MIMO Wi-Fi 802.11 a/b/g/n/ac"});
+  spec.add_row({"Hardware", "Screen", "4.95in Full HD 1920x1080 IPS LCD"});
+  spec.add_row({"Hardware", "Peripheral", "Speaker, Vibrator, Accelerometer, etc."});
+  spec.add_row({"Hardware", "Battery", "3.8V 2300 mAh"});
+  spec.add_row({"Software", "OS", "Android 4.4.4 / Linux kernel 3.4.0"});
   std::printf("%s\n", spec.render().c_str());
 
   TextTable apps("Table 3: mobile apps used in the experiments");

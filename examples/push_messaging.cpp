@@ -8,7 +8,7 @@
 
 #include "alarm/alarm_manager.hpp"
 #include "alarm/simty_policy.hpp"
-#include "gcm/gcm_service.hpp"
+#include "experiments/gcm_service.hpp"
 #include "hw/device.hpp"
 #include "hw/power_bus.hpp"
 #include "hw/rtc.hpp"

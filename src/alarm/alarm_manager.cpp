@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/check.hpp"
-#include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "snapshot/codec.hpp"
 #include "trace/tracer.hpp"
@@ -342,11 +341,9 @@ void AlarmManager::deliver_batch(common::ArenaPtr<Batch> batch) {
     TaskSpec task;
     try {
       task = reg.handler(*a, now);
-    } catch (const std::exception& e) {
+    } catch (const std::exception&) {
       ++stats_.handler_failures;
       task = TaskSpec{};
-      SIMTY_WARN(str_format("handler for %s threw: %s", a->spec().tag.c_str(),
-                            e.what()));
     }
     SIMTY_CHECK_MSG(!task.hold.is_negative(), "task hold must be >= 0");
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
 #include "snapshot/codec.hpp"
 
 namespace simty::apps {

@@ -62,7 +62,6 @@ class Run {
   const ExperimentConfig& config() const { return config_; }
   TimePoint horizon() const { return horizon_; }
   TimePoint now() const { return sim_.now(); }
-  bool finished() const { return finished_; }
 
   /// Runs the event loop to `at` (<= horizon), then keeps stepping single
   /// events until the device reaches its quiescent point (asleep, no locks,

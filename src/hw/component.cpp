@@ -21,14 +21,6 @@ const char* to_string(Component c) {
   return "?";
 }
 
-std::optional<Component> component_from_string(std::string_view name) {
-  for (int i = 0; i < kComponentCount; ++i) {
-    const auto c = static_cast<Component>(i);
-    if (name == to_string(c)) return c;
-  }
-  return std::nullopt;
-}
-
 bool is_user_perceptible(Component c) {
   return c == Component::kSpeaker || c == Component::kVibrator ||
          c == Component::kScreen;

@@ -9,9 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "snapshot/codec.hpp"
 
@@ -34,9 +32,6 @@ inline constexpr int kComponentCount = 9;
 
 /// Short stable name, e.g. "wifi", "speaker".
 const char* to_string(Component c);
-
-/// Inverse of to_string(); nullopt for unknown names.
-std::optional<Component> component_from_string(std::string_view name);
 
 /// True for components whose activation the user notices (screen, speaker,
 /// vibrator) — the basis of alarm perceptibility (paper §3.1.2).

@@ -1,8 +1,6 @@
 #include "hw/device.hpp"
 
 #include "common/check.hpp"
-#include "common/logging.hpp"
-#include "common/strings.hpp"
 #include "snapshot/codec.hpp"
 #include "trace/tracer.hpp"
 
@@ -146,8 +144,6 @@ void Device::enter_state(DeviceState next) {
   SIMTY_TRACE_INSTANT(now, trace::TraceCategory::kHw, "device-state",
                       static_cast<std::int64_t>(state_));
   bus_.publish_device_state(now, state_, base_level_for(model_, state_));
-  SIMTY_DEBUG(str_format("device -> %s at %.3fs", hw::to_string(state_),
-                         now.seconds_f()));
 }
 
 void Device::arm_sleep_timer() {

@@ -4,6 +4,7 @@
 // the awake energy it can, plus per-component and per-impulse breakdowns.
 
 #include <array>
+#include <string_view>
 
 #include "common/time.hpp"
 #include "common/units.hpp"

@@ -9,7 +9,6 @@
 
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
-#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "support/framework_fixture.hpp"
 
@@ -19,13 +18,7 @@ namespace {
 using hw::Component;
 using hw::ComponentSet;
 
-class FailureInjectionTest : public test::FrameworkFixture {
- protected:
-  void SetUp() override {
-    Logger::instance().set_level(LogLevel::kOff);  // silence expected warns
-  }
-  void TearDown() override { Logger::instance().set_level(LogLevel::kWarn); }
-};
+class FailureInjectionTest : public test::FrameworkFixture {};
 
 TEST_F(FailureInjectionTest, ThrowingHandlerDoesNotBreakBatchMates) {
   init(std::make_unique<NativePolicy>());

@@ -1,7 +1,8 @@
 // Self-tests for simty_analyze: each fixture tree under fixtures/ injects
 // one violation class (transitive wall-clock taint, layering back edge +
-// include cycle) and the analyzer must fail it with a diagnostic naming the
-// full call/include chain — or pass it when the escape hatch is present.
+// include cycle, a src/ header without a reader) and the analyzer must fail
+// it with a diagnostic naming the file and the full call/include chain — or
+// pass it when the escape hatch is present.
 // The parser itself is pinned by the model tests at the bottom.
 
 #include "analyze.hpp"
@@ -102,6 +103,66 @@ TEST(AnalyzeIwyu, UnusedIncludeIsAnAdvisoryNotAFinding) {
   EXPECT_EQ(result.advisories[0].file, "src/sim/use.cpp");
 }
 
+/// Reach fixtures name one product main; layering is left out, so only
+/// the reach pass can report.
+Config reach_config() {
+  Config config;
+  config.product_mains = {"tools/simty_run.cpp"};
+  return config;
+}
+
+TEST(AnalyzeReach, HeaderReachedOnlyByATestIsReported) {
+  const Result result = analyze(load_tree("reach_test_only"), reach_config());
+  ASSERT_EQ(result.findings.size(), 1u);
+  EXPECT_EQ(result.findings[0].check, "reach");
+  EXPECT_EQ(result.findings[0].file, "src/common/probe.hpp");
+  EXPECT_NE(result.findings[0].message.find("no product, bench or example"),
+            std::string::npos);
+}
+
+TEST(AnalyzeReach, HeaderReachedOnlyByABenchOutsideExperimentsIsReported) {
+  // bench_spec.cpp includes src/hw/spec.hpp and src/experiments/push.hpp;
+  // only the first needs a product reader.
+  const Result result = analyze(load_tree("reach_bench_only"), reach_config());
+  ASSERT_EQ(result.findings.size(), 1u);
+  EXPECT_EQ(result.findings[0].check, "reach");
+  EXPECT_EQ(result.findings[0].file, "src/hw/spec.hpp");
+  EXPECT_NE(result.findings[0].message.find("only by a bench or example"),
+            std::string::npos);
+}
+
+TEST(AnalyzeReach, ProductMainReachingExperimentsIsReportedWithChain) {
+  // The product reaches src/experiments/ only through a companion .cpp.
+  const Result result = analyze(load_tree("reach_product_experiments"), reach_config());
+  ASSERT_EQ(result.findings.size(), 1u);
+  const Finding& f = result.findings[0];
+  EXPECT_EQ(f.check, "reach");
+  EXPECT_EQ(f.file, "tools/simty_run.cpp");
+  EXPECT_NE(f.message.find("src/experiments/adaptive.hpp"), std::string::npos);
+  EXPECT_EQ(f.chain, (std::vector<std::string>{
+                         "tools/simty_run.cpp -> src/exp/run.hpp",
+                         "src/exp/run.hpp -> src/exp/run.cpp",
+                         "src/exp/run.cpp -> src/experiments/adaptive.hpp"}));
+}
+
+TEST(AnalyzeReach, ExperimentHeaderWithoutABenchOrExampleIsReported) {
+  const Result result = analyze({{"tools/simty_run.cpp", "int main() { return 0; }\n"},
+                                 {"src/experiments/orphan.hpp", "#pragma once\n"}},
+                                reach_config());
+  ASSERT_EQ(result.findings.size(), 1u);
+  EXPECT_EQ(result.findings[0].file, "src/experiments/orphan.hpp");
+  EXPECT_NE(result.findings[0].message.find("no bench or example"), std::string::npos);
+}
+
+TEST(AnalyzeReach, MissingProductMainIsReportedInsteadOfEveryHeader) {
+  const Result result =
+      analyze({{"src/common/a.hpp", "#pragma once\nint a();\n"}}, reach_config());
+  ASSERT_EQ(result.findings.size(), 1u);
+  EXPECT_EQ(result.findings[0].file, "tools/simty_run.cpp");
+  EXPECT_NE(result.findings[0].message.find("not among the analyzed files"),
+            std::string::npos);
+}
+
 TEST(AnalyzeApi, JsonReportCarriesChainsAndCounts) {
   const Result result = analyze(load_tree("taint"), repo_config());
   const std::string json = to_json(result);
@@ -113,7 +174,8 @@ TEST(AnalyzeApi, JsonReportCarriesChainsAndCounts) {
 
 TEST(AnalyzeApi, CheckNamesStable) {
   const auto& names = check_names();
-  EXPECT_EQ(names, (std::vector<std::string>{"taint", "layering", "include-cycle", "include"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"taint", "layering", "include-cycle",
+                                             "include", "reach"}));
 }
 
 // ---- parser pins ---------------------------------------------------------

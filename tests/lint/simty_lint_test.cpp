@@ -136,13 +136,13 @@ TEST(SimtyLintRules, DeterministicRulesScopedToDeterministicPaths) {
   // poison the trace-diff gate.
   EXPECT_FALSE(lint_source("src/trace/fixture.cpp", content).empty());
   // The model layers the event loop simulates through are in scope as well:
-  // a wall-clock read in net/hw/power/metrics/apps/gcm breaks the
+  // a wall-clock read in net/hw/power/metrics/apps/experiments breaks the
   // same bit-identical contract as one in the event core. Imitated apps
   // draw trace entries inside the loop; GCM schedules pushes there.
   for (const char* path :
        {"src/net/fixture.cpp", "src/hw/fixture.cpp", "src/power/fixture.cpp",
         "src/metrics/fixture.cpp", "src/apps/fixture.cpp",
-        "src/gcm/fixture.cpp"}) {
+        "src/experiments/fixture.cpp"}) {
     SCOPED_TRACE(path);
     EXPECT_FALSE(lint_source(path, content).empty());
   }

@@ -1,6 +1,7 @@
 // Orchestrator: parse every file once, resolve the include graph, take its
-// transitive closure, then run the taint and layering passes over the
-// shared Graph. Also home of the repository module table (DESIGN.md §6.4).
+// transitive closure, then run the taint, layering and reach passes over
+// the shared Graph. Also home of the repository module table and product
+// mains (DESIGN.md §6.4).
 
 #include "analyze.hpp"
 
@@ -13,8 +14,16 @@ namespace simty::analyze {
 
 const std::vector<std::string>& check_names() {
   static const std::vector<std::string> names = {"taint", "layering", "include-cycle",
-                                                 "include"};
+                                                 "include", "reach"};
   return names;
+}
+
+const std::vector<std::string>& repo_product_mains() {
+  static const std::vector<std::string> mains = {
+      "tools/simty_run.cpp",     "tools/simty_serve.cpp", "tools/simty_query.cpp",
+      "tools/snapshot_diff.cpp", "tools/trace_diff.cpp",
+  };
+  return mains;
 }
 
 const std::vector<ModuleRule>& repo_modules() {
@@ -33,13 +42,12 @@ const std::vector<ModuleRule>& repo_modules() {
       {"src/power", "power", 5},
       {"src/net", "net", 5},
       {"src/apps", "apps", 6},
-      {"src/gcm", "gcm", 6},
       {"src/trace", "trace", 7},
       {"src/exp", "exp", 8},
       {"src/fleet", "fleet", 9},
       {"src/serve", "serve", 9},  // sweep server drives exp runs
+      {"src/experiments", "experiments", 9},  // read by benches and examples only
       {"src/cli", "cli", 10},
-      {"src/simty.hpp", "cli", 10},  // umbrella header may see everything
   };
   return rules;
 }
@@ -57,6 +65,14 @@ int module_of(const std::vector<ModuleRule>& rules, const std::string& path) {
     }
   }
   return best;
+}
+
+bool under_any(const std::string& path, const std::vector<std::string>& prefixes) {
+  for (const auto& p : prefixes) {
+    if (path.size() < p.size() || path.compare(0, p.size(), p) != 0) continue;
+    if (path.size() == p.size() || path[p.size()] == '/' || path[p.size()] == '.') return true;
+  }
+  return false;
 }
 
 bool reaches(const Graph& g, int from, int to) {
@@ -136,11 +152,14 @@ Result analyze(const std::vector<SourceFile>& sources, const Config& config) {
   }
 
   g.includes.resize(g.models.size());
+  g.companion.assign(g.models.size(), -1);
   for (std::size_t i = 0; i < g.models.size(); ++i) {
     g.includes[i].reserve(g.models[i].includes.size());
     for (const auto& inc : g.models[i].includes) {
       g.includes[i].push_back(resolve(by_path, g.models[i].path, inc.spelled));
     }
+    const auto it = by_path.find(companion_cpp(g.models[i].path));
+    if (it != by_path.end()) g.companion[i] = it->second;
   }
 
   // Transitive include closure, then companion expansion: once foo.hpp is
@@ -162,11 +181,8 @@ Result analyze(const std::vector<SourceFile>& sources, const Config& config) {
       }
     }
     for (std::size_t f = 0; f < g.models.size(); ++f) {
-      if (!seen[f]) continue;
-      const std::string cpp = companion_cpp(g.models[f].path);
-      if (cpp.empty()) continue;
-      const auto it = by_path.find(cpp);
-      if (it != by_path.end()) seen[static_cast<std::size_t>(it->second)] = true;
+      const int cpp = g.companion[f];
+      if (seen[f] && cpp >= 0) seen[static_cast<std::size_t>(cpp)] = true;
     }
     for (std::size_t f = 0; f < g.models.size(); ++f) {
       if (seen[f]) g.reach[i].push_back(static_cast<int>(f));
@@ -184,6 +200,7 @@ Result analyze(const std::vector<SourceFile>& sources, const Config& config) {
 
   run_taint(g, config, result);
   run_layering(g, config, result);
+  run_reach(g, config, result);
 
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {

@@ -15,8 +15,13 @@
 //            the include graph: an include from a lower layer into a higher
 //            one (a back edge) and any include cycle are errors. Unused
 //            includes are reported as advisories (IWYU-lite), never errors.
+//   reach    Every src/ header must have a reader: outside src/experiments/
+//            a product main (Config::product_mains) must reach it, and
+//            under src/experiments/ a bench or example must. A product main
+//            that reaches src/experiments/ is an error (reach.cpp).
 //
-// Escape hatches mirror the linter's, under the "simty-analyze:" tag:
+// Escape hatches for the first three mirror the linter's, under the
+// "simty-analyze:" tag (reach has none):
 //
 //   thing();  // simty-analyze: allow(taint)      — this line
 //   // simty-analyze: allow(layering)             — next code line
@@ -56,16 +61,23 @@ struct Config {
   /// sources in the model layers, the analyzer catches laundering *into*
   /// the core through helpers.
   std::vector<std::string> deterministic_prefixes = {
-      "src/sim",   "src/alarm",    "src/exp",  "src/fleet",
-      "src/trace", "src/snapshot", "src/serve"};
+      "src/sim",   "src/alarm",    "src/exp",   "src/fleet",
+      "src/trace", "src/snapshot", "src/serve", "src/experiments"};
+  /// Repo-relative paths of the product mains, the roots of the reach
+  /// check. Empty -> reach pass skipped.
+  std::vector<std::string> product_mains;
 };
 
 /// Returns the module table for this repository (the DAG in DESIGN.md §6.4).
 const std::vector<ModuleRule>& repo_modules();
 
+/// Returns this repository's product mains: simty_run, simty_serve,
+/// simty_query, snapshot_diff and trace_diff.
+const std::vector<std::string>& repo_product_mains();
+
 /// One error-level violation.
 struct Finding {
-  std::string check;  // "taint" | "layering" | "include-cycle"
+  std::string check;  // "taint" | "layering" | "include-cycle" | "reach"
   std::string file;
   int line = 0;
   std::string message;

@@ -7,8 +7,10 @@
 // current directory); paths are recorded repo-relative so the module table
 // and deterministic-core prefixes match. Unlike simty_lint the whole file
 // set is analyzed at once — include graph, call graph — so CI passes the
-// tree roots (src tools), not single files. Exit status: 0 clean (advisories
-// do not fail the run), 1 findings, 2 usage or I/O error.
+// tree roots (src tools bench examples), not single files; the reach check
+// needs the product mains and every bench and example to judge src/. Exit
+// status: 0 clean (advisories do not fail the run), 1 findings, 2 usage or
+// I/O error.
 
 #include "analyze.hpp"
 
@@ -114,6 +116,7 @@ int main(int argc, char** argv) {
 
   simty::analyze::Config config;
   config.modules = simty::analyze::repo_modules();
+  config.product_mains = simty::analyze::repo_product_mains();
   const simty::analyze::Result result = simty::analyze::analyze(sources, config);
 
   for (const auto& f : result.findings) {

@@ -38,7 +38,7 @@ struct Seed {
 /// A parsed function definition (has a body in this file).
 struct Function {
   std::string name;        // unqualified: "set_sink"
-  std::string qualified;   // as written: "Logger::set_sink" or "set_sink"
+  std::string qualified;   // as written: "Tracer::save" or "save"
   std::string display;     // "file:line name" for diagnostics
   int line = 0;
   std::size_t body_begin = 0;  // offset of '{' in joined text

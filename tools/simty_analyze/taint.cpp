@@ -27,14 +27,6 @@ struct FnRef {
   int fn = 0;
 };
 
-bool under_any(const std::string& path, const std::vector<std::string>& prefixes) {
-  for (const auto& p : prefixes) {
-    if (path.size() < p.size() || path.compare(0, p.size(), p) != 0) continue;
-    if (path.size() == p.size() || path[p.size()] == '/' || path[p.size()] == '.') return true;
-  }
-  return false;
-}
-
 std::string last_component(const std::string& name) {
   const std::size_t pos = name.rfind("::");
   return pos == std::string::npos ? name : name.substr(pos + 2);

@@ -37,16 +37,16 @@ struct Options {
   /// (a nondeterministic tracer would poison the trace-diff gate), the
   /// fleet sampler/aggregator (whose bit-identical serial-vs-parallel
   /// contract is gated in CI), and the model layers they simulate through —
-  /// net/hw/power/metrics/apps/gcm all execute inside the event loop
-  /// (imitated apps draw trace entries lazily, GCM schedules pushes), so a
-  /// wall-clock read or unseeded draw there breaks the same contract.
+  /// net/hw/power/metrics/apps/experiments all execute inside the event
+  /// loop (imitated apps draw trace entries lazily, GCM schedules pushes),
+  /// so a wall-clock read or unseeded draw there breaks the same contract.
   /// snapshot (checkpoint bytes must not depend on when they were written)
   /// and serve (cached results must equal freshly computed ones) extend the
   /// same contract across process boundaries.
   std::vector<std::string> deterministic_prefixes = {
-      "src/sim",     "src/alarm",    "src/exp",   "src/trace", "src/fleet",
-      "src/net",     "src/hw",       "src/power", "src/apps",
-      "src/gcm",     "src/metrics",  "src/snapshot", "src/serve"};
+      "src/sim",   "src/alarm", "src/exp",         "src/trace",   "src/fleet",
+      "src/net",   "src/hw",    "src/power",       "src/apps",    "src/experiments",
+      "src/metrics", "src/snapshot", "src/serve"};
   /// The event hot path: EventFn instead of std::function, interned
   /// const char* labels instead of std::string.
   std::vector<std::string> hot_path_prefixes = {"src/sim"};
