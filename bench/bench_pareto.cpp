@@ -12,34 +12,23 @@
 //      delay budgets — DRX cycle C vs WUR budget C — the WUR rows must
 //      dominate: same page-delay bound, strictly less listen energy.
 //
-// `--json <path>` also writes BENCH_pareto.json-style records; CI diffs the
-// checked-in baseline via tools/check_bench_baseline.sh, which fails when a
-// speedup/wur-vs-drx-... energy ratio collapses below 40% of baseline. The
-// ratios are pure simulation output (no wall clock), so they are
-// bit-stable across machines.
+// The bench exits 1 if any WUR point fails to dominate. Every printed
+// ratio is pure simulation output, and the whole stdout is pinned exactly
+// by tests/bench/table_pins_test.cpp.
 //
 // The WUR config is also run once serially and once through the parallel
 // runner and compared field-by-field: a divergence fails the bench, making
 // the serial-vs---jobs determinism contract an executed check, not a
 // comment.
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
-#include "bench_json.hpp"
-#include "common/strings.hpp"
 #include "exp/experiment.hpp"
 
 using namespace simty;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 constexpr int kReps = 3;
 
@@ -70,12 +59,10 @@ bool identical(const exp::RunResult& a, const exp::RunResult& b) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto json_path = bench::json_path_from_args(argc, argv);
+int main() {
   const int kJobs = exp::default_jobs();
 
   // --- Section 1: uplink beta frontier (unchanged shape). ---
-  const auto beta_start = Clock::now();
   std::printf("workload,variant,beta,total_J,delay_imperceptible,delay_p95\n");
   for (const exp::WorkloadKind workload :
        {exp::WorkloadKind::kLight, exp::WorkloadKind::kHeavy}) {
@@ -96,10 +83,8 @@ int main(int argc, char** argv) {
       emit("SIMTY", beta, exp::run_repeated(c, kReps, kJobs));
     }
   }
-  const double beta_ms = ms_since(beta_start);
 
   // --- Section 2: downlink paging frontier. ---
-  const auto paging_start = Clock::now();
   std::printf("\nscenario,variant,cycle_ms,budget_s,total_J,pages,"
               "page_delay_avg_s,page_delay_p95_s,listen_J\n");
 
@@ -155,7 +140,6 @@ int main(int argc, char** argv) {
     wur_rows.push_back(exp::run_repeated(c, kReps, kJobs));
     emit("wur", "SIMTY+WUR", c, wur_rows.back());
   }
-  const double paging_ms = ms_since(paging_start);
 
   // Serial vs --jobs determinism: the WUR 1.28 s point, both paths.
   if (kJobs > 1) {
@@ -171,10 +155,6 @@ int main(int argc, char** argv) {
   // Dominance at equal delay budgets: DRX cycle C vs WUR budget C. The
   // total-energy ratio must stay above 1 (the WUR point is on the frontier)
   // and the listen-energy ratio is the headline order-of-magnitude saving.
-  std::vector<bench::BenchRecord> records = {
-      {"frontier/beta-sweep", beta_ms, 0.0},
-      {"frontier/paging-sweep", paging_ms, 0.0},
-  };
   bool dominated = true;
   for (std::size_t i = 0; i < 4; ++i) {
     // kCyclesMs[i] pairs with kBudgetsS[j]: 320<->0.32, 640<->0.64, ...
@@ -187,25 +167,12 @@ int main(int argc, char** argv) {
     std::printf("equal-delay %4.0f ms: total %.2fx  listen %.2fx\n",
                 kCyclesMs[i], total_ratio, listen_ratio);
     if (total_ratio <= 1.0 || listen_ratio <= 1.0) dominated = false;
-    const std::string suffix = str_format("equal-delay-%.0fms", kCyclesMs[i]);
-    records.push_back({"speedup/wur-vs-drx-total-energy/" + suffix,
-                       paging_ms, total_ratio});
-    records.push_back({"speedup/wur-vs-drx-listen-energy/" + suffix,
-                       paging_ms, listen_ratio});
   }
   if (!dominated) {
     std::fprintf(stderr,
                  "error: a WUR point failed to dominate its equal-delay "
                  "DRX point\n");
     return 1;
-  }
-
-  if (json_path) {
-    if (!bench::write_bench_json(*json_path, records)) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu records to %s\n", records.size(), json_path->c_str());
   }
   return 0;
 }

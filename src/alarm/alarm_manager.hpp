@@ -179,8 +179,7 @@ class AlarmManager {
   const BatchQueue& queue(AlarmKind kind) const;
 
   /// Enables the stable_sort order check after every insert (see
-  /// sort_queue). O(n log n) per insert — tests only. Defaults to on when
-  /// built with -DSIMTY_SLOW_CHECKS.
+  /// sort_queue). O(n log n) per insert — tests only.
   void set_slow_queue_checks(bool enabled) { slow_queue_checks_ = enabled; }
 
   /// Maps a registered alarm back to its delivery handler on restore.
@@ -320,11 +319,7 @@ class AlarmManager {
   Stats stats_;
   std::uint64_t next_id_ = 1;
   std::uint64_t last_seen_wakeups_ = 0;
-#ifdef SIMTY_SLOW_CHECKS
-  bool slow_queue_checks_ = true;
-#else
   bool slow_queue_checks_ = false;
-#endif
 };
 
 }  // namespace simty::alarm

@@ -1,9 +1,5 @@
 #include "common/arena.hpp"
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
-
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
 #endif
@@ -12,34 +8,8 @@ namespace simty::common {
 
 namespace {
 
-// Arena blocks back large, long-lived, randomly accessed arrays (the SoA
-// heap keys and payload slabs). At fleet-aggregate depth those arrays span
-// tens of megabytes, so with 4K pages nearly every sift level is a TLB miss
-// on top of the cache miss. On Linux with THP in madvise mode, advising the
-// page-aligned interior of each block upgrades it to 2M pages. Best-effort:
-// any error (THP disabled, range too small) is deliberately ignored.
-void advise_huge_pages(std::byte* p, std::size_t bytes) {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  constexpr std::uintptr_t kPage = 4096;
-  // The address value never reaches simulation state — it only rounds the
-  // madvise range — so this cast cannot leak ASLR into results.
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);  // simty-analyze: allow(taint)
-  const std::uintptr_t first = (addr + kPage - 1) & ~(kPage - 1);
-  const std::uintptr_t last = (addr + bytes) & ~(kPage - 1);
-  if (last > first) {
-    (void)::madvise(reinterpret_cast<void*>(first), last - first, MADV_HUGEPAGE);
-  }
-#else
-  (void)p;
-  (void)bytes;
-#endif
-}
-
 std::byte* aligned_block_alloc(std::size_t bytes) {
-  auto* p = static_cast<std::byte*>(
-      ::operator new(bytes, std::align_val_t{Arena::kMaxAlign}));
-  if (bytes >= 2u << 20) advise_huge_pages(p, bytes);
-  return p;
+  return static_cast<std::byte*>(::operator new(bytes, std::align_val_t{Arena::kMaxAlign}));
 }
 
 void aligned_block_free(std::byte* p) {

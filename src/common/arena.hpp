@@ -9,7 +9,7 @@
 // to the start while *retaining* every block, so the second and every later
 // run on a shard allocates nothing at all.
 //
-// Ownership rules (see DESIGN.md "SoA event core & per-run arenas"):
+// Ownership rules (see DESIGN.md §9, "Event core & per-run arenas"):
 //   - The arena outlives every container carved from it. Holders take a
 //     non-owning Arena* and never free individual allocations.
 //   - reset() invalidates all outstanding allocations at once; callers must
@@ -45,7 +45,7 @@ namespace simty::common {
 class Arena {
  public:
   /// Every block is allocated at (and allocation honors up to) this
-  /// alignment, so 64-byte-aligned SoA key arrays can be carved directly.
+  /// alignment.
   static constexpr std::size_t kMaxAlign = 64;
 
   explicit Arena(std::size_t first_block_bytes = kDefaultFirstBlockBytes);
@@ -98,16 +98,13 @@ class Arena {
 ///
 /// Deliberately minimal: the event-core containers need push/pop/index/
 /// clear/resize and nothing else. Elements must be nothrow-move-
-/// constructible so growth never needs a copy fallback. `Align` raises the
-/// alignment of the backing storage (e.g. 64 for the heap key array so
-/// every 4-ary sibling group shares one cache line).
-template <typename T, std::size_t Align = alignof(T)>
+/// constructible so growth never needs a copy fallback.
+template <typename T>
 class ArenaVector {
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "ArenaVector elements must be nothrow-move-constructible");
-  static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0,
-                "Align must be a power of two covering alignof(T)");
-  static_assert(Align <= Arena::kMaxAlign, "Align exceeds Arena::kMaxAlign");
+  static_assert(alignof(T) <= alignof(std::max_align_t),
+                "ArenaVector elements must not be over-aligned");
 
  public:
   ArenaVector() = default;
@@ -234,24 +231,16 @@ class ArenaVector {
 
   T* allocate_raw(std::size_t n) {
     if (arena_ != nullptr) {
-      return static_cast<T*>(arena_->allocate(n * sizeof(T), Align));
+      return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
     }
-    if constexpr (Align > alignof(std::max_align_t)) {
-      return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{Align}));
-    } else {
-      return static_cast<T*>(::operator new(n * sizeof(T)));
-    }
+    return static_cast<T*>(::operator new(n * sizeof(T)));
   }
 
   /// Frees the current buffer on the heap path; arena storage is abandoned
   /// (reclaimed wholesale by Arena::reset()).
   void release_raw() {
     if (arena_ != nullptr || data_ == nullptr) return;
-    if constexpr (Align > alignof(std::max_align_t)) {
-      ::operator delete(static_cast<void*>(data_), std::align_val_t{Align});
-    } else {
-      ::operator delete(static_cast<void*>(data_));
-    }
+    ::operator delete(static_cast<void*>(data_));
   }
 
   void destroy_storage() {

@@ -6,18 +6,16 @@
 // model run hardware-level transitions (RTC interrupt, wake completion)
 // before framework-level reactions scheduled for the same instant.
 //
-// Storage is struct-of-arrays. The 4-ary min-heap holds nothing but dense
-// 16-byte comparison keys (biased time, then priority|seq|slot in one order
-// word) in a 64-byte-aligned array — with the root placed at physical index
-// 3, every 4-child sibling group shares exactly one cache line. The payload
-// slab index rides in the low bits of the order word: seq is unique, so
-// comparisons never reach the slot bits, and a sift level moves exactly 16
-// bytes with no parallel position map to maintain. Payloads (callback,
-// label, generation, free-list link) live in per-field slab arrays indexed
-// by the low half of the EventId, with the armed/tombstone flag packed into
-// a bitset so lazy-cancellation pruning never touches the fat callback
-// array. All storage can be carved from a common::Arena (per-shard in the
-// fleet runner) so repeated runs reset instead of reallocating.
+// The 4-ary min-heap holds nothing but 16-byte comparison keys (biased
+// time, then priority|seq|slot in one order word), root at index 0. The
+// payload slab index rides in the low bits of the order word: seq is
+// unique, so comparisons never reach the slot bits, and the heap needs no
+// parallel position map. Payloads (callback, label, generation, free-list
+// link) live in slab arrays indexed by the low half of the EventId, with
+// the armed/tombstone flag packed into a bitset. A run keeps a handful of
+// events pending (DESIGN.md §9), so the heap is the textbook one. All
+// storage can be carved from a common::Arena so repeated runs reset
+// instead of reallocating.
 //
 // cancel() is lazy: it marks a generation-checked tombstone instead of
 // erasing, and the tombstone is skipped (and its slot recycled) when it
@@ -57,10 +55,8 @@ enum class EventPriority : int {
 
 /// Interns a dynamically built label into a process-lifetime pool and
 /// returns a stable C string. Schedule labels are static literals on the
-/// hot path; this is the debug escape hatch for code that wants a computed
-/// label. Repeat lookups take only a shared lock, so labeled events do not
-/// serialize fleet shards — but it still costs a hash + map probe, so keep
-/// it out of per-event paths.
+/// hot path; snapshot restore is the one caller, and each call takes a
+/// process-wide lock, so keep it out of per-event paths.
 const char* intern_label(std::string_view label);
 
 /// Min-ordered set of future events with O(log n) schedule/cancel/pop, no
@@ -119,25 +115,9 @@ class EventQueue {
   /// State fields, in snapshot order.
   template <typename Self, typename F>
   static void for_each_state_field(Self& self, F&& f) {
-    // Heap keys verbatim, minus the kRoot alignment padding: the restored
-    // array is byte-for-byte the live one, so the resumed pop order is
-    // trivially the straight run's.
-    f("heap", snapshot::by_hand(
-        self.keys_,
-        [](snapshot::Writer& w, const auto& keys) {
-          w.u64(keys.size() - kRoot);
-          for (std::size_t i = kRoot; i < keys.size(); ++i) {
-            snapshot::write_fields(w, keys[i]);
-          }
-        },
-        [](snapshot::SectionReader& s, auto& keys) {
-          const std::uint64_t n = snapshot::read_count(s);
-          keys.clear();
-          keys.resize(kRoot);
-          for (std::uint64_t i = 0; i < n; ++i) {
-            snapshot::read_fields(s, keys.emplace_back());
-          }
-        }));
+    // Heap keys verbatim: the restored array is the live one, so the
+    // resumed pop order is trivially the straight run's.
+    f("heap", self.keys_);
     f("slots", self.meta_);
     f("armed_words", self.armed_words_);
     f("free_head", self.free_head_);
@@ -155,18 +135,12 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  /// Physical index of the heap root. Indices 0..2 are padding: with the
-  /// root at 3, children(p) = 4p-8..4p-5 puts every sibling group at a
-  /// 16-byte-key * 4 = 64-byte-aligned offset.
-  static constexpr std::size_t kRoot = 3;
   /// XOR bias turning signed microsecond order into unsigned order.
   static constexpr std::uint64_t kWhenBias = 1ull << 63;
 
-  /// Dense heap comparison key; the only thing sift loops touch. The
-  /// payload slot index rides in the low bits of `order`, below the
-  /// sequence number: seq is unique, so comparisons never reach the slot
-  /// bits, and the heap needs no parallel position->slot array — a sift
-  /// level moves exactly 16 bytes.
+  /// Heap comparison key. The payload slot index rides in the low bits of
+  /// `order`, below the sequence number: seq is unique, so comparisons
+  /// never reach the slot bits.
   struct Key {
     std::uint64_t when_biased;  // int64 when_us ^ kWhenBias
     std::uint64_t order;        // (priority << 60) | (seq << 32) | slot
@@ -182,29 +156,9 @@ class EventQueue {
   /// schedule() checks the ceiling loudly rather than wrapping.
   static constexpr std::uint64_t kMaxSeq = (1ull << 28) - 1;
 
-  /// Widens a key to one unsigned integer so comparisons compile to a
-  /// branchless cmp/sbb pair. Sift compares on random keys are otherwise
-  /// mispredict-bound — the two-field compare costs ~15 cycles of flush
-  /// roughly every other call.
-#ifdef __SIZEOF_INT128__
-  using KeyWord = unsigned __int128;
-#else
-  using KeyWord = std::uint64_t;  // unused; see the fallback in key_less
-#endif
-  static KeyWord key_word(const Key& k) {
-#ifdef __SIZEOF_INT128__
-    return (static_cast<KeyWord>(k.when_biased) << 64) | k.order;
-#else
-    return k.when_biased;
-#endif
-  }
   static bool key_less(const Key& a, const Key& b) {
-#ifdef __SIZEOF_INT128__
-    return key_word(a) < key_word(b);
-#else
     return a.when_biased < b.when_biased ||
            (a.when_biased == b.when_biased && a.order < b.order);
-#endif
   }
   static TimePoint key_time(const Key& k) {
     return TimePoint::from_us(static_cast<std::int64_t>(k.when_biased ^ kWhenBias));
@@ -216,31 +170,23 @@ class EventQueue {
     return static_cast<std::uint32_t>(k.order & 0xffffffffu);
   }
 
-  bool heap_empty() const { return keys_.size() == kRoot; }
-
   bool armed(std::uint32_t slot) const {
     return ((armed_words_[slot >> 6] >> (slot & 63u)) & 1u) != 0;
   }
   void set_armed(std::uint32_t slot) { armed_words_[slot >> 6] |= 1ull << (slot & 63u); }
   void clear_armed(std::uint32_t slot) { armed_words_[slot >> 6] &= ~(1ull << (slot & 63u)); }
 
-  std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
   void heap_push(Key key);
-  void sift_down(std::size_t pos);
   void heap_remove_root();
   /// Recycles tombstones sitting at the heap root, restoring the invariant
   /// that a non-empty heap's root is a live event.
   void prune_root();
 
-  // Heap: dense keys only (slot packed into the order word); carries kRoot
-  // padding entries at the front so sibling groups are line-aligned.
-  common::ArenaVector<Key, 64> keys_;
+  // Heap: keys only (slot packed into the order word).
+  common::ArenaVector<Key> keys_;
 
-  /// Cold per-slot fields packed into one 16-byte record so the
-  /// schedule/release bookkeeping (label store, generation bump, free-list
-  /// link) costs a single cache line next to the callback, not three
-  /// scattered array touches.
+  /// Per-slot bookkeeping: label, generation, free-list link.
   struct SlotMeta {
     const char* label = "";
     std::uint32_t generation = 1;  // starts at 1, bumped on release; 0 never live

@@ -103,6 +103,16 @@ TEST(AnalyzeIwyu, UnusedIncludeIsAnAdvisoryNotAFinding) {
   EXPECT_EQ(result.advisories[0].file, "src/sim/use.cpp");
 }
 
+TEST(AnalyzeIwyu, CallOfADeclaredOnlyFunctionUsesTheHeader) {
+  // jobs.hpp declares default_jobs() and an __attribute__-tagged
+  // log_line() without defining them; fan_out.cpp and log.cpp each call one
+  // and use nothing else the header declares.
+  const Result result = analyze(load_tree("iwyu_decl"), repo_config());
+  EXPECT_TRUE(result.findings.empty());
+  EXPECT_TRUE(result.advisories.empty())
+      << result.advisories.front().file << ": " << result.advisories.front().message;
+}
+
 /// Reach fixtures name one product main; layering is left out, so only
 /// the reach pass can report.
 Config reach_config() {

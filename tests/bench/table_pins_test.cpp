@@ -3,7 +3,9 @@
 // FNV-1a digest of its stdout must equal the recorded digest at both job
 // counts, so a changed number in any experiment table fails here by the
 // bench's name. The four benches that print wall times (bench_core_micro,
-// bench_fleet_scale, bench_trace_overhead, bench_warm_start) are not listed.
+// bench_fleet_scale, bench_trace_overhead, bench_warm_start) are not listed;
+// they keep wall budgets in bench/serial_budgets.txt. ctest bounds each pin
+// at 12 s (tests/CMakeLists.txt), so a hung bench fails by name.
 //
 // The digests were recorded once. A deliberate change to a table re-records
 // its line in a commit of its own that names the bench and the cells that

@@ -95,20 +95,6 @@ TEST(ArenaVectorTest, HeapFallbackWorksWithoutArena) {
   EXPECT_GT(v.capacity(), 0u);  // clear keeps capacity
 }
 
-TEST(ArenaVectorTest, OveralignedStorageIsHonoredOnBothPaths) {
-  struct Key {
-    std::uint64_t a, b;
-  };
-  Arena arena;
-  ArenaVector<Key, 64> on_arena(&arena);
-  on_arena.push_back({1, 2});
-  EXPECT_TRUE(aligned_to(on_arena.data(), 64));
-
-  ArenaVector<Key, 64> on_heap;
-  on_heap.push_back({3, 4});
-  EXPECT_TRUE(aligned_to(on_heap.data(), 64));
-}
-
 TEST(ArenaVectorTest, GrowthMovesElements) {
   struct Tracked {
     int value = 0;

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Re-records bench/serial_budgets.txt: times every bench serially
-# (SIMTY_JOBS=1), rounds up and applies a floor so CI has headroom for
-# runner startup noise. Usage: tools/record_bench_budgets.sh [build-dir]
+# Re-records bench/serial_budgets.txt: times each bench it already lists
+# serially (SIMTY_JOBS=1), rounds up and applies a floor so CI has headroom
+# for runner startup noise. The deterministic benches are pinned by
+# bench/table_digests.txt and are not timed.
+# Usage: tools/record_bench_budgets.sh [build-dir]
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -15,10 +17,13 @@ floor_s=3
 }
 
 {
-  sed -n '/^#/p' "$out" 2>/dev/null || true
-  for b in "$repo_root/$build_dir"/bench/bench_*; do
-    [ -x "$b" ] || continue
-    name="$(basename "$b")"
+  sed -n '/^#/p' "$out"
+  for name in $(sed -n 's/^\(bench_[^ ]*\) .*/\1/p' "$out"); do
+    b="$repo_root/$build_dir/bench/$name"
+    [ -x "$b" ] || {
+      echo "error: $b not built" >&2
+      exit 1
+    }
     start=$(date +%s%N)
     SIMTY_JOBS=1 "$b" > /dev/null
     end=$(date +%s%N)

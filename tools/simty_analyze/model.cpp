@@ -29,7 +29,8 @@ bool is_keyword(std::string_view w) {
       "if",       "for",     "while",    "switch",     "catch",        "return",
       "sizeof",   "alignof", "decltype", "noexcept",   "throw",        "new",
       "delete",   "co_await","co_return","co_yield",   "static_assert","requires",
-      "alignas",  "typeid",  "assert",   "SIMTY_REQUIRES", "SIMTY_EXCLUDES"};
+      "alignas",  "typeid",  "assert",   "SIMTY_REQUIRES", "SIMTY_EXCLUDES",
+      "__attribute__"};
   return std::find(kw.begin(), kw.end(), w) != kw.end();
 }
 
@@ -121,7 +122,7 @@ bool tail_ok(std::string_view tail) {
       continue;
     }
     if (word == "noexcept" || word == "throw" || word == "SIMTY_REQUIRES" ||
-        word == "SIMTY_EXCLUDES") {
+        word == "SIMTY_EXCLUDES" || word == "__attribute__") {
       i = j;
       while (i < tail.size() && std::isspace(static_cast<unsigned char>(tail[i]))) ++i;
       if (i < tail.size() && tail[i] == '(') {
@@ -505,7 +506,15 @@ FileModel build_model(const std::string& path, const std::string& content) {
       head_start = i + 1;
       continue;
     }
-    if (c == ';' && paren_depth == 0) head_start = i + 1;
+    if (c == ';' && paren_depth == 0) {
+      // A body-less declaration provides its function too: a caller of a
+      // function defined in another file still uses the declaring header.
+      if (!in_function()) {
+        const HeadParse hp = parse_head(trim(text.substr(head_start, i - head_start)));
+        if (hp.is_function) m.provided.push_back(last_component(hp.qualified));
+      }
+      head_start = i + 1;
+    }
     // Access specifiers are statement boundaries too — otherwise a member
     // defined right after `public:` never parses (the ':' would read as a
     // constructor init list).
